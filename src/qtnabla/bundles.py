@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q, discrepancy
 from .labels import is_sorted_triple, iter_sorted_triples, mu_partition
 
 
@@ -37,10 +37,6 @@ def bundle_le(L, Lp):
     m, a, b = L
     mp, ap, bp = Lp
     return (m, -a, -b) <= (mp, -ap, -bp)
-
-
-def _pair_exponent(c, shift):
-    return max(shift + c, 0)
 
 
 def _c_matrix(m, a, b):
@@ -281,15 +277,9 @@ def verify_bundle_series(n, k, N, degree):
     lhs = bundle_side_series(n, k, N, degree)
     rhs = omega_series(OmegaQuery(n, k, N, degree)).scale(
         QtScalar.from_int((-1) ** n))
-    disc = lhs.first_discrepancy(rhs)
-    report = {"n": n, "k": k, "N": N, "D": degree, "equal": disc is None,
-              "first_discrepancy": None}
-    if disc is not None:
-        key, tdeg, x, y = disc
-        report["first_discrepancy"] = {"x_exp": list(key[0]),
-                                       "y_exp": list(key[1]), "t_deg": tdeg,
-                                       "lhs": str(x), "rhs": str(y)}
-    return report
+    disc = discrepancy(lhs, rhs)
+    return {"n": n, "k": k, "N": N, "D": degree, "equal": disc is None,
+            "first_discrepancy": disc}
 
 
 def verify_product_identity(max_total, N, t_degree, q_degree):

@@ -2,7 +2,7 @@
 
 Every subcommand prints a deterministic report (text or JSON) and exits 0
 when all assertions pass, 1 on a counterexample, 2 on a configuration
-error.  Reports are byte-identical across runs and worker counts.
+error.  Reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .scalar import ONE, Q, QtScalar, ZERO
+from .scalar import ONE, Q
 
 
 def _parse_partition(text):
@@ -42,37 +41,9 @@ def _emit(report, args):
     return 0 if report.get("equal", report.get("ok", False)) else 1
 
 
-def _omega_slice(payload):
-    from .omega import OmegaQuery, omega_series
-    n, k, N, D, degrees = payload
-    series = omega_series(OmegaQuery(n, k, N, D), t_degrees=degrees)
-    return {key: ts.to_json() for key, ts in series.table.items()}
-
-
 def cmd_verify_main(args):
-    from .macdonald import cauchy_macdonald_series
-    from .omega import OmegaQuery, omega_series, _series_pair_report
-    n, k, N, D = args.n, args.k, args.N, args.D
-    scale = (ONE - Q) ** n
-    if args.workers > 1:
-        from .scalar import MonomialSeries, TSeries
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunks = pool.map(_omega_slice,
-                              [(n, k, N, D, [d]) for d in range(D + 1)])
-        table = {}
-        for chunk in chunks:  # merged in degree order: deterministic
-            for key, entries in chunk.items():
-                coeffs = table.setdefault(key, [ZERO] * (D + 1))
-                for entry in entries:
-                    num = {(i, 0): c for i, c in enumerate(entry["q_num"]) if c}
-                    den = {(i, 0): c for i, c in enumerate(entry["q_den"]) if c}
-                    coeffs[entry["t_deg"]] = coeffs[entry["t_deg"]] + QtScalar(num, den)
-        rhs = MonomialSeries(N, N, D, {key: TSeries(D, coeffs)
-                                       for key, coeffs in table.items()})
-    else:
-        rhs = omega_series(OmegaQuery(n, k, N, D))
-    lhs = cauchy_macdonald_series(n, k, N, D).scale(scale)
-    report = _series_pair_report(n, k, N, D, lhs, rhs.scale(scale))
+    from .omega import verify_main
+    report = verify_main(args.n, args.k, args.N, args.D)
     report["command"] = "verify-main"
     return _emit(report, args)
 
@@ -80,8 +51,7 @@ def cmd_verify_main(args):
 def cmd_verify_shuffle(args):
     from .shuffle import nabla_en_expansion, parking_sum
     from .symfunc import poly_to_symfunc
-    n, k = args.n, args.k
-    N = args.N or n
+    n, k, N = args.n, args.k, args.N
     lhs = nabla_en_expansion(n, k, N)
     rhs = parking_sum(n, k, N)
     report = {"command": "verify-shuffle", "n": n, "k": k, "N": N,
@@ -135,29 +105,13 @@ def cmd_verify_bundles(args):
     return _emit(report, args)
 
 
-def _all_dyck_paths(n):
-    from .labels import DyckPath
-
-    def rec(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(0, prefix[-1] + 2):
-            yield from rec(prefix + [v])
-
-    for area in rec([0]):
-        dset = {(i, j) for j in range(1, n + 1)
-                for i in range(j - area[j - 1], j)}
-        yield DyckPath(n, dset)
-
-
 def cmd_verify_xi_impl(args):
-    from .labels import chromatic, xi_pi
+    from .labels import all_dyck_paths, chromatic, xi_pi
     from .symfunc import plethysm_p_scale, poly_to_symfunc
     n = args.n
     checked = 0
     failure = None
-    for path in _all_dyck_paths(n):
+    for path in all_dyck_paths(n):
         lhs = xi_pi(path, n)
         krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
         scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))
@@ -188,18 +142,16 @@ def cmd_compute(args):
                   "equal": True}
     elif args.what == "omega":
         from .omega import OmegaQuery, omega_series
-        series = omega_series(OmegaQuery(args.n, args.k, args.N or args.n,
-                                         args.D))
+        series = omega_series(OmegaQuery(args.n, args.k, args.N, args.D))
         report = {"command": "compute-omega", "n": args.n, "k": args.k,
-                  "N": args.N or args.n, "D": args.D,
+                  "N": args.N, "D": args.D,
                   "series": series.to_json(), "equal": True}
     elif args.what == "parking":
         from .shuffle import nabla_en_expansion, parking_sum
-        N = args.N or args.n
-        lhs = nabla_en_expansion(args.n, args.k, N)
-        rhs = parking_sum(args.n, args.k, N)
+        lhs = nabla_en_expansion(args.n, args.k, args.N)
+        rhs = parking_sum(args.n, args.k, args.N)
         report = {"command": "compute-parking", "n": args.n, "k": args.k,
-                  "N": N,
+                  "N": args.N,
                   "parking_monomial": str(poly_to_symfunc(rhs, "x", "m")),
                   "parking_schur": str(poly_to_symfunc(rhs, "x", "s")),
                   "nabla_monomial": str(poly_to_symfunc(lhs, "x", "m")),
@@ -213,13 +165,13 @@ def cmd_compute(args):
 def _add_common(sub, n=True, k=True, N=False, D=False):
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--workers", type=int, default=1)
     if n:
         sub.add_argument("--n", type=int, required=True)
     if k:
         sub.add_argument("--k", type=int, default=1)
     if N:
-        sub.add_argument("--N", type=int, default=None)
+        sub.add_argument("--N", type=int, default=None,
+                         help="number of variables per alphabet (default: --n)")
     if D:
         sub.add_argument("--D", "--t-degree", dest="D", type=int, default=4)
 
@@ -277,6 +229,16 @@ def build_parser():
     return parser
 
 
+def _check_sizes(args):
+    """Default --N to --n, then reject any size below its least value."""
+    if getattr(args, "N", 1) is None:
+        args.N = args.n
+    for name, least in (("n", 1), ("k", 0), ("N", 1), ("D", 0)):
+        value = getattr(args, name, least)
+        if value < least:
+            raise ValueError(f"--{name} must be at least {least}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -284,6 +246,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_sizes(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,6 +138,23 @@ class DyckPath:
         return f"DyckPath(n={self.n}, area={self.area_sequence})"
 
 
+def all_dyck_paths(n):
+    """All Dyck paths of size n >= 1, generated from their area sequences."""
+    def rec(prefix):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for v in range(0, prefix[-1] + 2):
+            yield from rec(prefix + [v])
+
+    if n < 1:
+        return
+    for area in rec([0]):
+        dset = {(i, j) for j in range(1, n + 1)
+                for i in range(j - area[j - 1], j)}
+        yield DyckPath(n, dset)
+
+
 def attack_path(m, a, k):
     """The Dyck path whose D-set is the set of k-attacking pairs."""
     if not is_sorted_pair(m, a):

@@ -137,19 +137,23 @@ class MacdonaldCache:
         return os.path.join(self.directory, name)
 
     def _load(self, lam):
+        """The stored table, or None when the file is missing or malformed,
+        so that the caller rebuilds it."""
         if not self.directory:
             return None
         try:
             with open(self._path(lam)) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+            terms = {}
+            for entry in data["terms"]:
+                rows = (entry["mu"], *entry["num"], *entry["den"])
+                if any(type(v) is not int for row in rows for v in row):
+                    return None
+                num = {(i, j): c for i, j, c in entry["num"]}
+                den = {(i, j): c for i, j, c in entry["den"]}
+                terms[tuple(entry["mu"])] = QtScalar(num, den)
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
             return None
-        terms = {}
-        for entry in data["terms"]:
-            mu = tuple(entry["mu"])
-            num = {(i, j): c for i, j, c in entry["num"]}
-            den = {(i, j): c for i, j, c in entry["den"]}
-            terms[mu] = QtScalar(num, den)
         return SymFunc("m", terms)
 
     def store(self, lam):
@@ -167,12 +171,12 @@ class MacdonaldCache:
 DEFAULT_CACHE = MacdonaldCache()
 
 
-def modified_macdonald(lam, cache=None):
-    return (cache or DEFAULT_CACHE).get(lam)
+def modified_macdonald(lam):
+    return DEFAULT_CACHE.get(lam)
 
 
-def htilde_schur(lam, cache=None):
-    return modified_macdonald(lam, cache).convert("s")
+def htilde_schur(lam):
+    return modified_macdonald(lam).convert("s")
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +214,7 @@ def _htilde_inverse_matrix(n):
             for i in range(size)}
 
 
-def to_htilde_dict(f, cache=None):
+def to_htilde_dict(f):
     """Expand a symmetric function in the modified Macdonald basis."""
     f = f.convert("m")
     out = {}
@@ -225,37 +229,43 @@ def to_htilde_dict(f, cache=None):
     return {lam: c for lam, c in out.items() if not c.is_zero()}
 
 
-def from_htilde_dict(coeffs, cache=None):
+def from_htilde_dict(coeffs):
     out = SymFunc.zero("m")
     for lam, c in coeffs.items():
-        out = out + modified_macdonald(lam, cache).scale(c)
+        out = out + modified_macdonald(lam).scale(c)
     return out
 
 
-def nabla_power(f, k, cache=None):
+def nabla_power(f, k):
     """nabla^k: multiply the H-tilde_lam coefficient by its eigenvalue^k."""
-    coeffs = to_htilde_dict(f, cache)
+    coeffs = to_htilde_dict(f)
     return from_htilde_dict(
-        {lam: c * eigenvalue(lam, k) for lam, c in coeffs.items()}, cache)
+        {lam: c * eigenvalue(lam, k) for lam, c in coeffs.items()})
 
 
-def cauchy_macdonald_series(n, k, N, D, cache=None):
-    """nabla^k e_n[XY/((1-q)(1-t))] over x_1..x_N, y_1..y_N, t-expanded to D.
+def _cauchy_outer_product(n, k, N, D, x_side, y_side):
+    """(-1)^n * sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam)
+    divided by the arm/leg denominator, t-expanded to D.
 
-    Computed as (-1)^n * sum over lam of eigenvalue^k H~_lam[X] H~_lam[Y]
-    divided by the arm/leg denominator.
+    x_side and y_side turn H~_lam into its Poly over x_1..x_N and y_1..y_N.
     """
     table = {}
     sign = QtScalar.from_int((-1) ** n)
     for lam in partitions(n):
-        hx = modified_macdonald(lam, cache).expand(N, "x")
-        hy = modified_macdonald(lam, cache).expand(N, "y")
+        h = modified_macdonald(lam)
+        hx = x_side(h)
+        hy = y_side(h)
         scale = sign * eigenvalue(lam, k) / w_denominator(lam)
         for (xe, _), cx in hx.terms.items():
             for (_, ye), cy in hy.terms.items():
-                coeff = cx * cy * scale
-                series = coeff.t_expand(D)
+                series = (cx * cy * scale).t_expand(D)
                 key = (xe, ye)
                 prev = table.get(key)
                 table[key] = series if prev is None else prev + series
     return MonomialSeries(N, N, D, table)
+
+
+def cauchy_macdonald_series(n, k, N, D):
+    """nabla^k e_n[XY/((1-q)(1-t))] over x_1..x_N, y_1..y_N, t-expanded to D."""
+    return _cauchy_outer_product(n, k, N, D, lambda h: h.expand(N, "x"),
+                                 lambda h: h.expand(N, "y"))

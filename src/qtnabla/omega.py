@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, TSeries, MonomialSeries
+from .scalar import (ONE, Q, QtScalar, SeriesBuilder, TSeries, MonomialSeries,
+                     discrepancy)
 from .labels import (
     attack_path, aut_q_of, dinv_k, dinv_k_pair, iter_sorted_pairs,
     iter_sorted_triples, xi_pi,
@@ -195,58 +196,39 @@ def hilbert_coefficient(n, k, degree, series=None):
 # reports
 
 
-def _series_pair_report(n, k, N, D, lhs, rhs):
-    disc = lhs.first_discrepancy(rhs)
-    report = {
-        "n": n, "k": k, "N": N, "D": D,
-        "equal": disc is None,
-        "lhs": lhs.to_json(),
-        "rhs": rhs.to_json(),
-        "first_discrepancy": None,
-    }
-    if disc is not None:
-        key, tdeg, a, b = disc
-        report["first_discrepancy"] = {
-            "x_exp": list(key[0]), "y_exp": list(key[1]), "t_deg": tdeg,
-            "lhs": str(a), "rhs": str(b),
-        }
-    return report
+def _pair_report(lhs, rhs, **params):
+    """The report shape shared by every two-route series check."""
+    disc = discrepancy(lhs, rhs)
+    return {**params, "equal": disc is None, "lhs": lhs.to_json(),
+            "rhs": rhs.to_json(), "first_discrepancy": disc}
 
 
-def verify_main(n, k, N, D, cache=None):
+def verify_main(n, k, N, D):
     """Theorem check: the Macdonald-side Cauchy series against the
     combinatorial enumerator, both scaled by (1-q)^n."""
     from .macdonald import cauchy_macdonald_series
     scale = (ONE - Q) ** n
-    lhs = cauchy_macdonald_series(n, k, N, D, cache).scale(scale)
+    lhs = cauchy_macdonald_series(n, k, N, D).scale(scale)
     rhs = omega_series(OmegaQuery(n, k, N, D)).scale(scale)
-    return _series_pair_report(n, k, N, D, lhs, rhs)
+    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
 def verify_xi_factoring(n, k, N, D):
     lhs = omega_series(OmegaQuery(n, k, N, D))
     rhs = omega_via_xi(OmegaQuery(n, k, N, D))
-    return _series_pair_report(n, k, N, D, lhs, rhs)
+    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
 def verify_sub_y(n, k, N, D):
     lhs = omega_sub_y(OmegaQuery(n, k, N, D))
     rhs = omega_sub_y_via_plethysm(OmegaQuery(n, k, N, D))
-    return _series_pair_report(n, k, N, D, lhs, rhs)
+    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
 def verify_fulltwist(n, k, D):
     lhs = fulltwist_series(n, k, D)
     rhs = fulltwist_extraction(n, k, D)
-    equal = lhs == rhs
-    report = {"n": n, "k": k, "D": D, "equal": equal,
-              "lhs": lhs.to_json(), "rhs": rhs.to_json(),
-              "first_discrepancy": None}
-    if not equal:
-        j = next(i for i in range(D + 1) if lhs[i] != rhs[i])
-        report["first_discrepancy"] = {"t_deg": j, "lhs": str(lhs[j]),
-                                       "rhs": str(rhs[j])}
-    return report
+    return _pair_report(lhs, rhs, n=n, k=k, D=D)
 
 
 def verify_hilbert(n, k, D):
@@ -254,16 +236,8 @@ def verify_hilbert(n, k, D):
     from .affine import raths_series
     lhs = hilbert_coefficient(n, k, D)
     rhs = raths_series(n, k * n, D)
-    equal = lhs == rhs
-    report = {"n": n, "k": k, "D": D, "equal": equal,
-              "normalization": f"(1-q)^{n - n} = 1",
-              "lhs": lhs.to_json(), "rhs": rhs.to_json(),
-              "first_discrepancy": None}
-    if not equal:
-        j = next(i for i in range(D + 1) if lhs[i] != rhs[i])
-        report["first_discrepancy"] = {"t_deg": j, "lhs": str(lhs[j]),
-                                       "rhs": str(rhs[j])}
-    return report
+    return _pair_report(lhs, rhs, n=n, k=k, D=D,
+                        normalization=f"(1-q)^{n - n} = 1")
 
 
 def xy_swap(series):

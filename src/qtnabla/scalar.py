@@ -5,8 +5,8 @@ integer.  A QtScalar is a canonical fraction of two such polynomials: the
 gcd is divided out and the denominator's leading coefficient (lex order,
 q before t) is positive, so structural equality is mathematical equality.
 
-Everything here is immutable after construction and safe to share between
-workers.
+Everything here is immutable after construction, so values may be shared
+freely.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ def _pd_mul(p, q):
             else:
                 del out[m]
     return out
-
-
-def _pd_scale(p, c):
-    if c == 0:
-        return {}
-    return {m: a * c for m, a in p.items()}
 
 
 _ONE_PD = {(0, 0): 1}
@@ -757,6 +751,14 @@ class TSeries:
             raise ValueError("cannot extend a truncated series")
         return TSeries(degree, self.coeffs[: degree + 1])
 
+    def first_discrepancy(self, other):
+        """None if equal through the lower degree; else
+        (t_degree, self_coeff, other_coeff)."""
+        for j in range(min(self.degree, other.degree) + 1):
+            if self[j] != other[j]:
+                return (j, self[j], other[j])
+        return None
+
     def __str__(self):
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -806,10 +808,6 @@ class MonomialSeries:
         return MonomialSeries(self.nx, self.ny, self.degree,
                               {k: v * s for k, v in self.table.items()})
 
-    def map_coeffs(self, fn):
-        return MonomialSeries(self.nx, self.ny, self.degree,
-                              {k: fn(v) for k, v in self.table.items()})
-
     def truncate(self, degree):
         return MonomialSeries(self.nx, self.ny, degree,
                               {k: v.truncate(degree) for k, v in self.table.items()})
@@ -817,11 +815,9 @@ class MonomialSeries:
     def first_discrepancy(self, other):
         """None if equal; else (key, t_degree, self_coeff, other_coeff)."""
         for key in sorted(set(self.table) | set(other.table)):
-            a = self.series(key)
-            b = other.series(key)
-            for j in range(min(self.degree, other.degree) + 1):
-                if a[j] != b[j]:
-                    return (key, j, a[j], b[j])
+            disc = self.series(key).first_discrepancy(other.series(key))
+            if disc is not None:
+                return (key, *disc)
         return None
 
     def to_json(self):
@@ -831,6 +827,21 @@ class MonomialSeries:
                 if any(entry["q_num"]):
                     out.append({"x_exp": list(xe), "y_exp": list(ye), **entry})
         return out
+
+
+def discrepancy(lhs, rhs):
+    """The first coefficient where two TSeries or two MonomialSeries differ,
+    as a report entry {t_deg, lhs, rhs}, with x_exp and y_exp added for
+    MonomialSeries; None when they agree."""
+    disc = lhs.first_discrepancy(rhs)
+    if disc is None:
+        return None
+    *key, tdeg, a, b = disc
+    entry = {"t_deg": tdeg, "lhs": str(a), "rhs": str(b)}
+    if key:  # a MonomialSeries discrepancy leads with its monomial key
+        (xe, ye), = key
+        entry = {"x_exp": list(xe), "y_exp": list(ye), **entry}
+    return entry
 
 
 class SeriesBuilder:
@@ -849,12 +860,6 @@ class SeriesBuilder:
         if slot[t_deg] is None:
             slot[t_deg] = RationalSum()
         slot[t_deg].add(num, den)
-
-    def add_series(self, key, series):
-        for j in range(min(self.degree, series.degree) + 1):
-            c = series[j]
-            if not c.is_zero():
-                self.add(key, j, c)
 
     def build(self, scale=None):
         table = {}

@@ -39,11 +39,6 @@ def rho_inverse(m, x):
     return (tuple(m[1:]) + (m[0] - 1,), tuple(x[1:]) + (x[0],))
 
 
-def d_k(m, a, k):
-    """The reverse-frame statistic on an arbitrary (m, a) pair."""
-    return d_k_rev(m, a, k)
-
-
 def in_shuffle_set(l, m, a, k):
     """Membership in the dividing-line set: PF up to the seam, NPF after."""
     n = len(m)
@@ -133,11 +128,11 @@ def parking_sum(n, k, N):
     return Poly(N, 0, terms)
 
 
-def nabla_en_expansion(n, k, N, cache=None):
+def nabla_en_expansion(n, k, N):
     """The Macdonald-side oracle: nabla^k e_n expanded over x_1..x_N."""
     from .macdonald import nabla_power
     from .symfunc import SymFunc
-    return nabla_power(SymFunc.e(n), k, cache).expand(N, "x")
+    return nabla_power(SymFunc.e(n), k).expand(N, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def signed_truncated_sum(n, k, degree, N):
                 if not in_shuffle_set(l, mvec, a, k):
                     continue
                 # drop the rho-pairable terms: (1A)(2A) set and its image
-                if l > 0 and (l == n or pf(*_rho_cols(mvec, a), 1, k)):
+                if l > 0 and (l == n or pf(*rho(mvec, a), 1, k)):
                     continue
                 if l < n and mvec[0] > 0 and \
                         (l == 0 or npf(*rho_inverse(mvec, a), n - 1, k)):
@@ -279,14 +274,10 @@ def signed_truncated_sum(n, k, degree, N):
                 sign = (-1) ** l
                 exps = tuple(a.count(v) for v in range(1, N + 1))
                 key = (exps, ())
-                mono = QtScalar.monomial(c=sign, q=d_k(mvec, a, k), t=weight)
+                mono = QtScalar.monomial(c=sign, q=d_k_rev(mvec, a, k), t=weight)
                 prev = terms.get(key)
                 terms[key] = mono if prev is None else prev + mono
     return Poly(N, 0, terms)
-
-
-def _rho_cols(m, a):
-    return rho(m, a)
 
 
 def cancellation_check(n, k, degree, N):

@@ -755,15 +755,3 @@ def plethysm(f, expr):
     if expr.nx is None and expr.ny is None:
         return plethysm_p_scale(f, fn)
     return plethysm_expand(f, expr.nx or 0, expr.ny or 0, fn)
-
-
-def hall_inner(f, g):
-    return f.hall_inner(g)
-
-
-def qt_inner(f, g):
-    return f.qt_inner(g)
-
-
-def omega_involution(f):
-    return f.omega()

@@ -97,12 +97,11 @@ def test_criterion_6_paff():
 
 
 def test_criterion_7_xi_chromatic():
-    from qtnabla.cli import _all_dyck_paths
-    from qtnabla.labels import chromatic, xi_pi
+    from qtnabla.labels import all_dyck_paths, chromatic, xi_pi
     from qtnabla.symfunc import plethysm_p_scale, poly_to_symfunc
     ok = True
     for n in (1, 2, 3, 4, 5):
-        for path in _all_dyck_paths(n):
+        for path in all_dyck_paths(n):
             lhs = xi_pi(path, n)
             krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
             rhs = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r)) \

@@ -21,14 +21,13 @@ def test_verify_main_trivial():
     assert "PASS" in out
 
 
-def test_verify_main_json_deterministic_and_workers_stable(tmp_path):
+def test_verify_main_json_deterministic(tmp_path):
     argv = ("verify-main", "--n", "2", "--k", "1", "--N", "2", "--D", "2",
             "--format", "json")
     code1, out1 = run_cli(*argv)
     code2, out2 = run_cli(*argv)
-    code3, out3 = run_cli(*argv, "--workers", "2")
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3
+    assert code1 == code2 == 0
+    assert out1 == out2
     report = json.loads(out1)
     assert report["equal"] is True
     assert report["first_discrepancy"] is None
@@ -104,7 +103,7 @@ def test_compute_omega_json():
     assert report["series"]
 
 
-def test_config_errors():
+def test_config_errors(capsys):
     code, _ = run_cli("verify-main", "--n", "0", "--k", "1", "--N", "1",
                       "--D", "1")
     assert code == 2
@@ -112,6 +111,34 @@ def test_config_errors():
     assert code == 2
     code = main(["no-such-command"])
     assert code == 2
+    capsys.readouterr()
+    for argv in (("verify-shuffle", "--n", "0"),
+                 ("verify-xi", "--n", "0"),
+                 ("verify-fulltwist", "--n", "0"),
+                 ("verify-involution", "--n", "0"),
+                 ("verify-paff", "--n", "0"),
+                 ("verify-bundles", "--n", "0"),
+                 ("verify-shuffle", "--n", "2", "--N", "0"),
+                 ("verify-shuffle", "--n", "2", "--k", "-1"),
+                 ("verify-involution", "--n", "2", "--D", "-1"),
+                 ("compute", "parking", "--n", "0")):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_N_defaults_to_n():
+    for argv in (("verify-main", "--D", "2"),
+                 ("verify-involution", "--D", "2"),
+                 ("verify-paff", "--D", "2"),
+                 ("verify-bundles", "--D", "2", "--mmax", "1", "--lmax", "2",
+                  "--qdegree", "3")):
+        code, out = run_cli(*argv, "--n", "2", "--k", "1", "--format", "json")
+        assert code == 0, argv
+        with_N = run_cli(*argv, "--n", "2", "--k", "1", "--N", "2",
+                         "--format", "json")
+        assert (code, out) == with_N, argv
 
 
 def test_failing_report_exits_one(capsys):

@@ -1,0 +1,153 @@
+"""Golden-report gate: every subcommand's report, byte for byte.
+
+Each case runs the CLI in-process and compares its stdout with a recorded
+file under tests/golden/.  A refactor that must leave the reports unchanged
+passes this gate unedited.  After a deliberate change to a report, rewrite
+the files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
+diff.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from qtnabla import affine, bundles, involution, omega
+from qtnabla.cli import main
+from qtnabla.scalar import Q, MonomialSeries, TSeries
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "verify-main.json": ("verify-main", "--n", "2", "--k", "1", "--N", "2",
+                         "--D", "2", "--format", "json"),
+    "verify-main.txt": ("verify-main", "--n", "1", "--k", "5", "--N", "1",
+                        "--D", "3", "--format", "text"),
+    "verify-shuffle.json": ("verify-shuffle", "--n", "3", "--k", "1",
+                            "--format", "json"),
+    "verify-fulltwist.json": ("verify-fulltwist", "--n", "2", "--k", "1",
+                              "--D", "3", "--hilbert", "--format", "json"),
+    "verify-involution.json": ("verify-involution", "--n", "2", "--k", "1",
+                               "--N", "2", "--D", "2", "--format", "json"),
+    "verify-paff.json": ("verify-paff", "--n", "2", "--k", "1", "--N", "2",
+                         "--D", "2", "--format", "json"),
+    "verify-bundles.json": ("verify-bundles", "--n", "2", "--k", "1",
+                            "--N", "2", "--D", "2", "--mmax", "1",
+                            "--lmax", "2", "--qdegree", "3",
+                            "--format", "json"),
+    "verify-xi.json": ("verify-xi", "--n", "3", "--format", "json"),
+    "compute-macdonald.json": ("compute", "macdonald", "--lambda", "2",
+                               "--format", "json"),
+    "compute-nabla.json": ("compute", "nabla", "--n", "2", "--k", "1",
+                           "--format", "json"),
+    "compute-parking.json": ("compute", "parking", "--n", "2", "--k", "1",
+                             "--format", "json"),
+    "compute-omega.json": ("compute", "omega", "--n", "1", "--k", "1",
+                           "--N", "1", "--D", "1", "--format", "json"),
+}
+
+
+def _report(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    code, out = _report(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_bytes()
+
+
+# Counterexample reports: one route is perturbed by +q in a single
+# coefficient, so each verifier must report that coefficient.
+
+KEY = ((1, 1), (1, 1))
+
+
+def _bump(series, j):
+    coeffs = list(series.coeffs)
+    coeffs[j] = coeffs[j] + Q
+    return TSeries(series.degree, coeffs)
+
+
+def _bump_key(series, j):
+    table = dict(series.table)
+    table[KEY] = _bump(series.series(KEY), j)
+    return MonomialSeries(series.nx, series.ny, series.degree, table)
+
+
+def test_verify_main_counterexample(monkeypatch):
+    real = omega.omega_series
+    monkeypatch.setattr(omega, "omega_series", lambda q: _bump_key(real(q), 1))
+    rep = omega.verify_main(2, 1, 2, 2)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
+        "lhs": "q + 3", "rhs": "q^3 - 2 q^2 + 2 q + 3"}
+    code, out = _report(("verify-main", "--n", "2", "--k", "1", "--N", "2",
+                         "--D", "2"))
+    assert code == 1
+    assert out.decode() == (
+        "verify-main: FAIL\n  D = 2\n  N = 2\n  equal = false\n"
+        '  first_discrepancy = {"lhs": "q + 3", '
+        '"rhs": "q^3 - 2 q^2 + 2 q + 3", "t_deg": 1, "x_exp": [1, 1], '
+        '"y_exp": [1, 1]}\n  k = 1\n  n = 2\n')
+
+
+def test_verify_fulltwist_counterexample(monkeypatch):
+    real = omega.fulltwist_extraction
+    monkeypatch.setattr(omega, "fulltwist_extraction",
+                        lambda n, k, d: _bump(real(n, k, d), 1))
+    rep = omega.verify_fulltwist(2, 1, 3)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "t_deg": 1, "lhs": "(2)/(q^2 - 2 q + 1)",
+        "rhs": "(q^3 - 2 q^2 + q + 2)/(q^2 - 2 q + 1)"}
+
+
+def test_verify_hilbert_counterexample(monkeypatch):
+    real = affine.raths_series
+    monkeypatch.setattr(affine, "raths_series",
+                        lambda n, m, d: _bump(real(n, m, d), 1))
+    rep = omega.verify_hilbert(2, 1, 3)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "t_deg": 1, "lhs": "(q + 3)/(q^2 - 2 q + 1)",
+        "rhs": "(q^3 - 2 q^2 + 2 q + 3)/(q^2 - 2 q + 1)"}
+
+
+def test_verify_bundle_series_counterexample(monkeypatch):
+    real = bundles.bundle_side_series
+    monkeypatch.setattr(bundles, "bundle_side_series",
+                        lambda n, k, N, d: _bump_key(real(n, k, N, d), 1))
+    rep = bundles.verify_bundle_series(2, 1, 2, 2)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
+        "lhs": "(q^3 - 2 q^2 + 2 q + 3)/(q^2 - 2 q + 1)",
+        "rhs": "(q + 3)/(q^2 - 2 q + 1)"}
+
+
+def test_verify_vanishing_counterexample(monkeypatch):
+    real = involution.signed_quadruple_series
+    monkeypatch.setattr(involution, "signed_quadruple_series",
+                        lambda n, k, N, d: _bump_key(real(n, k, N, d), 1))
+    rep = involution.verify_vanishing(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["equal"] is False
+    assert rep["failures"] == [{
+        "kind": "signed-sum", "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
+        "lhs": "1", "rhs": "-q + 1"}]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = _report(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit status {code}")
+        (GOLDEN / name).write_bytes(out)

@@ -4,9 +4,10 @@ import pytest
 
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
-    DyckPath, alpha_composition, attack_path, attacks, chromatic, dinv_k,
-    dinv_k_pair, inv_pi, is_sorted_triple, iter_sorted_pairs,
-    iter_sorted_triples, mu_partition, sort_columns, sort_triple, xi_pi,
+    DyckPath, all_dyck_paths, alpha_composition, attack_path, attacks,
+    chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_triple,
+    iter_sorted_pairs, iter_sorted_triples, mu_partition, sort_columns,
+    sort_triple, xi_pi,
 )
 from qtnabla.symfunc import Poly, SymFunc, poly_to_symfunc
 
@@ -147,27 +148,11 @@ def test_chromatic_full_path_n2():
     assert krom == Poly(0, 2, {((), (1, 1)): ONE + Q})
 
 
-def _all_dyck_paths(n):
-    """All Dyck paths of size n via their area sequences."""
-    def rec(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(0, prefix[-1] + 2):
-            yield from rec(prefix + [v])
-    if n == 0:
-        return
-    for area in rec([0]):
-        dset = {(i, j) for j in range(1, n + 1)
-                for i in range(j - area[j - 1], j)}
-        yield DyckPath(n, dset)
-
-
 def test_xi_chromatic_identity():
     # xi_pi[Y; q] = (1-q)^n omega X_pi[Y/(1-q); q], both sides in n variables
     from qtnabla.symfunc import plethysm_p_scale
     for n in range(1, 5):
-        for path in _all_dyck_paths(n):
+        for path in all_dyck_paths(n):
             lhs = xi_pi(path, n)
             krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
             scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))

@@ -308,6 +308,22 @@ def test_disk_cache_rejects_corrupt_table(tmp_path):
         fresh.get((2,))
 
 
+@pytest.mark.parametrize("content", [
+    '{"lam": [2, 1]}',
+    '[]',
+    '{"terms": [{"mu": [3]}]}',
+    '{"terms": [{"mu": [3], "num": [[0, 0]], "den": [[0, 0, 1]]}]}',
+    '{"terms": [{"mu": [3], "num": [[0, 0, "1"]], "den": [[0, 0, 1]]}]}',
+    '{"terms": [{"mu": [3], "num": [[0, 0, 1]], "den": []}]}',
+])
+def test_disk_cache_rebuilds_malformed_file(tmp_path, content):
+    cache = MacdonaldCache(directory=str(tmp_path))
+    path = cache._path((2, 1))
+    open(path, "w").write(content)
+    assert cache.get((2, 1)) == modified_macdonald((2, 1))
+    assert MacdonaldCache(directory=str(tmp_path))._load((2, 1)) is not None
+
+
 def test_summed_k0_series_matches_product():
     # the alternating sum over ranks of the k = 0 Cauchy series (that is,
     # the rank generating function with each degree-n slice weighted by

@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
+from qtnabla.involution import d_k_rev
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.shuffle import (
-    cancellation_check, d_k, five_condition_witness, in_shuffle_set,
+    cancellation_check, five_condition_witness, in_shuffle_set,
     nabla_en_expansion, npf, parking_sum, parking_terms, pf, rho, rho_inverse,
 )
 from qtnabla.symfunc import Poly, SymFunc, poly_to_symfunc
@@ -39,7 +40,7 @@ def test_rho_preserves_dk_and_bumps_area():
         for a in product(range(1, 3), repeat=3):
             for k in (1, 2):
                 m2, a2 = rho(m, a)
-                assert d_k(m2, a2, k) == d_k(m, a, k)
+                assert d_k_rev(m2, a2, k) == d_k_rev(m, a, k)
                 assert sum(m2) == sum(m) + 1
 
 
