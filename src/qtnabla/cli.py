@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .scalar import ONE, Q
 
@@ -19,6 +20,20 @@ def _parse_partition(text):
     if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
     return parts
+
+
+def _parse_primes(text):
+    """The comma-separated --primes list; ValueError unless all are primes."""
+    try:
+        primes = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        primes = ()
+    prime = [p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+             for p in primes]
+    if not primes or not all(prime):
+        raise ValueError(f"--primes must be a comma-separated list of primes, "
+                         f"got {text!r}")
+    return primes
 
 
 def _emit(report, args):
@@ -91,7 +106,7 @@ def cmd_verify_paff(args):
 def cmd_verify_bundles(args):
     from .bundles import (verify_bundle_counts, verify_bundle_series,
                           verify_product_identity)
-    primes = tuple(int(p) for p in args.primes.split(","))
+    primes = _parse_primes(args.primes)
     counts = verify_bundle_counts(args.n, args.mmax, args.lmax, primes,
                                   tuple(range(args.k + 1)))
     series = verify_bundle_series(args.n, max(args.k, 1), args.N, args.D)
@@ -129,9 +144,6 @@ def cmd_compute(args):
     from .symfunc import SymFunc, poly_to_symfunc
     if args.what == "macdonald":
         from .macdonald import htilde_schur
-        if args.lam is None:
-            print("compute macdonald needs --lambda", file=sys.stderr)
-            return 2
         report = {"command": "compute-macdonald", "lambda": list(args.lam),
                   "schur": str(htilde_schur(args.lam)), "equal": True}
     elif args.what == "nabla":
@@ -215,15 +227,23 @@ def build_parser():
     p.set_defaults(fn=cmd_verify_bundles)
 
     p = subs.add_parser("verify-xi", help="label generating function vs chromatic route")
-    _add_common(p)
+    _add_common(p, k=False)
     p.set_defaults(fn=cmd_verify_xi_impl)
 
     p = subs.add_parser("compute", help="render one object")
-    p.add_argument("what", choices=("macdonald", "nabla", "omega", "parking"))
-    _add_common(p, n=False, k=False, N=True, D=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=_parse_partition, default=None)
+    targets = p.add_subparsers(dest="what", required=True)
+    t = targets.add_parser("macdonald", help="H-tilde_lambda in the Schur basis")
+    _add_common(t, n=False, k=False)
+    t.add_argument("--lambda", dest="lam", type=_parse_partition,
+                   required=True)
+    for what, N, D, text in (
+            ("nabla", False, False, "nabla^k e_n"),
+            ("omega", True, True, "the combinatorial series"),
+            ("parking", True, False, "the parking sum and nabla^k e_n")):
+        t = targets.add_parser(what, help=text)
+        _add_common(t, n=False, k=False, N=N, D=D)
+        t.add_argument("--n", type=int, default=1)
+        t.add_argument("--k", type=int, default=1)
     p.set_defaults(fn=cmd_compute)
 
     return parser

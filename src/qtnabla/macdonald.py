@@ -1,9 +1,11 @@
 """Modified Macdonald polynomials, the nabla operator, and the q,t-Cauchy
 series that forms the Macdonald side of the main verification.
 
-H-tilde is built from the Gram-Schmidt P basis, scaled to the integral form
-by the arm/leg product, then transformed plethystically; every table entry
-is validated before it is served.
+H-tilde is counted from the Haglund-Haiman-Loehr formula, in integers, and
+every table is checked against the sign-character pairing before it is
+served.  The Gram-Schmidt route (the P basis, scaled to the integral form
+by the arm/leg product, then transformed plethystically) is kept as the
+independent oracle that the tests compare it with.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
+from math import factorial
 
 from .scalar import ONE, Q, QtScalar, T, MonomialSeries, ZERO
 from .symfunc import SymFunc, conjugate, dominance_leq, partitions
@@ -42,6 +45,11 @@ def w_denominator(lam):
     for a, l in cells(lam):
         out = out * (Q ** (a + 1) - T ** l) * (Q ** a - T ** (l + 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Gram-Schmidt route: the independent oracle that the tests compare
+# the HHL tables with; no table that is served comes from here
 
 
 @lru_cache(maxsize=None)
@@ -96,16 +104,113 @@ def _build_htilde(lam):
     return f
 
 
+# ---------------------------------------------------------------------------
+# the HHL route: the tables that are served
+
+
+def _take(counts, x):
+    """The letter counts with one letter x used up."""
+    return counts[:x] + (counts[x] - 1,) + counts[x + 1:]
+
+
+@lru_cache(maxsize=None)
+def _word_inversions(counts):
+    """{inv: number} over the distinct words with these letter counts, the
+    q-multinomial coefficient."""
+    if not any(counts):
+        return {0: 1}
+    out = {}
+    for x, c in enumerate(counts):
+        if c:
+            rest = _take(counts, x)
+            shift = sum(rest[:x])  # the later letters below x
+            for i, v in _word_inversions(rest).items():
+                out[i + shift] = out.get(i + shift, 0) + v
+    return out
+
+
+def _hhl_htilde(lam):
+    """H~_lam = sum over fillings s of q^{inv s} t^{maj s} x^s, the
+    Haglund-Haiman-Loehr formula, as one integer polynomial per content.
+
+    Rows are filled in reading order: top row first (the shortest, French
+    convention), left to right.  A cell's inversions and descent involve
+    only its own row and the row above, so the fillings of the rows below
+    are summed once per (row, word of the row above, letters left).  In the
+    bottom row, only the columns under the row above are filled one by one;
+    the rest add inversions alone, counted by _word_inversions.
+    """
+    rows = tuple(lam)[::-1]
+    if not rows:
+        return SymFunc.m(())
+    conj = conjugate(lam)
+    last = len(rows) - 1
+
+    @lru_cache(maxsize=None)
+    def below(r, upper, left):
+        """{(inv, maj): number} over the fillings of rows r, r + 1, ... by
+        the letter counts left, under the word upper of row r - 1."""
+        width = len(upper) if r == last else rows[r]
+        out = {}
+
+        def grow(word, left, inv, maj):
+            k = len(word)
+            if k == width:
+                if r < last:
+                    rest = below(r + 1, word, left)
+                else:  # bottom row: its free tail follows every letter of word
+                    cross = sum(sum(left[:y]) for y in word)
+                    rest = {(i + cross, 0): v
+                            for i, v in _word_inversions(left).items()}
+                for (i, m), v in rest.items():
+                    key = (i + inv, m + maj)
+                    out[key] = out.get(key, 0) + v
+                return
+            for x, c in enumerate(left):
+                if not c:
+                    continue
+                # attacked by bigger letters left of it in its row and right
+                # of it in the row above
+                di = sum(y > x for y in word) + sum(y > x for y in upper[k + 1:])
+                dm = 0
+                if k < len(upper) and upper[k] > x:  # a descent at the cell above
+                    di -= len(upper) - k - 1  # its arm
+                    dm = conj[k] - len(rows) + r  # its leg + 1
+                grow(word + (x,), _take(left, x), inv + di, maj + dm)
+
+        grow((), left, 0, 0)
+        return out
+
+    return SymFunc("m", {nu: QtScalar(below(0, (), nu))
+                         for nu in partitions(sum(rows))})
+
+
+def _e_pairing(nu):
+    """<m_nu, e_n>, the coefficient of h_nu in e_n: (-1)^{n - l(nu)} times
+    the number of distinct orderings of nu."""
+    out = factorial(len(nu))
+    for part in set(nu):
+        out //= factorial(nu.count(part))
+    return (-1) ** (sum(nu) - len(nu)) * out
+
+
 def _validate_htilde(lam, f):
+    """<H~_lam, e_n> = q^{n(lam')} t^{n(lam)}, from the integer pairings
+    <m_nu, e_n>; none of them is zero, so a change to any one coefficient
+    of degree n is caught."""
     n = sum(lam)
-    expected = eigenvalue(lam, 1)
-    got = f.hall_inner(SymFunc.s((1,) * n))
-    if got != expected:
+    got = ZERO
+    for nu, c in f.terms.items():
+        if sum(nu) != n:
+            raise AssertionError(f"H~_{lam} has a term m_{nu} off degree {n}")
+        got = got + c * _e_pairing(nu)
+    if got != eigenvalue(lam, 1):
         raise AssertionError(f"H~_{lam} fails the sign-character pairing")
 
 
 class MacdonaldCache:
-    """Validated store of modified Macdonald polynomials (monomial basis)."""
+    """Validated store of modified Macdonald polynomials (monomial basis),
+    optionally mirrored to a directory of JSON tables."""
 
     def __init__(self, max_degree=8, directory=None):
         self.max_degree = max_degree
@@ -120,13 +225,13 @@ class MacdonaldCache:
         if sum(lam) > self.max_degree:
             raise ValueError(f"degree {sum(lam)} above the configured cap "
                              f"{self.max_degree}")
-        f = self._load(lam)
-        fresh = f is None
-        if fresh:
-            f = _build_htilde(lam)
+        f = _hhl_htilde(lam)
         _validate_htilde(lam, f)
         self._tables[lam] = f
-        if fresh and self.directory:
+        # what is served is always this table; a stored file that is
+        # missing, malformed or different is rewritten
+        stored = self._load(lam)
+        if self.directory and (stored is None or stored.terms != f.terms):
             self.store(lam)
         return f
 

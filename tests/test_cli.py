@@ -126,6 +126,25 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for primes in ("4", "1"):
+        code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
+                            "--primes", primes)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), primes
+        assert err.startswith("error: --primes ") and err.count("\n") == 1, err
+
+
+def test_options_a_command_ignores_are_rejected(capsys):
+    for argv in (("verify-xi", "--n", "2", "--k", "7"),
+                 ("compute", "macdonald", "--lambda", "2,1", "--n", "3"),
+                 ("compute", "macdonald", "--lambda", "2,1", "--k", "2"),
+                 ("compute", "macdonald", "--lambda", "2,1", "--N", "2"),
+                 ("compute", "macdonald", "--lambda", "2,1", "--D", "2"),
+                 ("compute", "nabla", "--n", "2", "--N", "2"),
+                 ("compute", "nabla", "--n", "2", "--D", "2"),
+                 ("compute", "parking", "--n", "2", "--D", "2")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_N_defaults_to_n():

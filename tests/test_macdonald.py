@@ -5,9 +5,9 @@ import pytest
 
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.macdonald import (
-    MacdonaldCache, cauchy_macdonald_series, cells, eigenvalue, integral_J,
-    macdonald_P, modified_macdonald, nabla_power, nstat, to_htilde_dict,
-    w_denominator,
+    MacdonaldCache, _build_htilde, _hhl_htilde, _validate_htilde,
+    cauchy_macdonald_series, cells, eigenvalue, integral_J, macdonald_P,
+    modified_macdonald, nabla_power, nstat, to_htilde_dict, w_denominator,
 )
 from qtnabla.symfunc import SymFunc, conjugate, partitions
 
@@ -178,6 +178,35 @@ def test_gram_schmidt_unitriangular():
     assert (4, 1, 1) not in macdonald_P((3, 3)).terms
 
 
+def test_hhl_matches_gram_schmidt():
+    # the served HHL tables against the Gram-Schmidt route, term for term
+    for n in range(6):
+        for lam in partitions(n):
+            assert _hhl_htilde(lam).terms == _build_htilde(lam).terms, lam
+
+
+def test_hhl_at_the_degree_cap():
+    # every partition of 7, and (4, 4) of the cap degree 8, pass validation
+    # and satisfy H~_lam(q, t) = H~_lam'(t, q)
+    cache = MacdonaldCache()
+    for lam in partitions(7) + ((4, 4),):
+        h = cache.get(lam)
+        swapped = {mu: c.swap_qt() for mu, c in h.terms.items()}
+        assert swapped == cache.get(conjugate(lam)).terms, lam
+
+
+def test_validate_rejects_one_changed_coefficient():
+    for n in range(1, 5):
+        for lam in partitions(n):
+            table = _hhl_htilde(lam)
+            _validate_htilde(lam, table)
+            for mu in partitions(n):
+                terms = dict(table.terms)
+                terms[mu] = terms.get(mu, ZERO) + Q
+                with pytest.raises(AssertionError):
+                    _validate_htilde(lam, SymFunc("m", terms))
+
+
 def test_hall_littlewood_specialization():
     # at q = 0 the Gram-Schmidt basis degenerates to Hall-Littlewood:
     # P_(2) = m_2 + (1-t) m_11
@@ -304,8 +333,36 @@ def test_disk_cache_rejects_corrupt_table(tmp_path):
     data["terms"][0]["num"] = [[0, 0, 7]]
     open(path, "w").write(json.dumps(data))
     fresh = MacdonaldCache(directory=str(tmp_path))
-    with pytest.raises(AssertionError):
-        fresh.get((2,))
+    assert fresh.get((2,)) == modified_macdonald((2,))
+    rewritten = MacdonaldCache(directory=str(tmp_path))._load((2,))
+    assert rewritten.terms == modified_macdonald((2,)).terms
+
+
+def test_disk_cache_rebuilds_table_that_passes_the_pairing(tmp_path):
+    # m[3] + 2 and m[2,1] + 1 leave <H~_(2,1), e_3> unchanged, so only the
+    # comparison with the recomputed table catches the edit
+    import json
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, QTNABLA_CACHE_DIR=str(tmp_path))
+    argv = [sys.executable, "-m", "qtnabla.cli", "compute", "macdonald",
+            "--lambda", "2,1"]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert first.returncode == 0
+    path = tmp_path / "htilde_2_1.json"
+    good = path.read_text()
+    data = json.loads(good)
+    for entry in data["terms"]:
+        if entry["mu"] == [3]:
+            entry["num"] = [[0, 0, 3]]
+        elif entry["mu"] == [2, 1]:
+            assert [0, 0, 1] in entry["num"]
+            entry["num"][entry["num"].index([0, 0, 1])] = [0, 0, 2]
+    path.write_text(json.dumps(data))
+    second = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (second.returncode, second.stdout) == (0, first.stdout)
+    assert path.read_text() == good
 
 
 @pytest.mark.parametrize("content", [
