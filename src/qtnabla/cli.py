@@ -253,7 +253,10 @@ def _check_sizes(args):
     """Default --N to --n, then reject any size below its least value."""
     if getattr(args, "N", 1) is None:
         args.N = args.n
-    for name, least in (("n", 1), ("k", 0), ("N", 1), ("D", 0)):
+    # verify-bundles compares its product identity through t-degree D - 1
+    least_D = 1 if args.command == "verify-bundles" else 0
+    for name, least in (("n", 1), ("k", 0), ("N", 1), ("D", least_D),
+                        ("mmax", 0), ("lmax", 1), ("qdegree", 0)):
         value = getattr(args, name, least)
         if value < least:
             raise ValueError(f"--{name} must be at least {least}, got {value}")

@@ -275,6 +275,8 @@ def verify_vanishing(n, k, degree, N):
     the predicted weight; and the signed sum matches the substituted
     Macdonald side up to t-degree (degree - 1).
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "failures": [], "fixed_points": []}
 

@@ -205,7 +205,12 @@ def _pair_report(lhs, rhs, **params):
 
 def verify_main(n, k, N, D):
     """Theorem check: the Macdonald-side Cauchy series against the
-    combinatorial enumerator, both scaled by (1-q)^n."""
+    combinatorial enumerator, both scaled by (1-q)^n.
+
+    At k = 0 the Macdonald side is the Cauchy sum of the equal-column
+    weights, not this enumerator, so k must be positive."""
+    if k < 1:
+        raise ValueError("k must be positive")
     from .macdonald import cauchy_macdonald_series
     scale = (ONE - Q) ** n
     lhs = cauchy_macdonald_series(n, k, N, D).scale(scale)

@@ -3,7 +3,10 @@ the truncated signed enumeration with its rotation pairing, and the final
 parking-function formula for powers of nabla on e_n.
 
 The pairwise statistic here is the reverse-frame one from the involution
-module, applied to (m, a)."""
+module, applied to (m, a). The parking sum runs over the n! standardized
+label permutations rather than the N^n label words, and expands each
+descent set through the fundamental quasi-symmetric functions; the word
+enumeration `parking_terms` stays for the tests, as the independent route."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from itertools import product
 
 from .scalar import QtScalar
 from .involution import d_k_rev
-from .symfunc import Poly
+from .symfunc import Poly, fundamental_monomials
 
 
 def pf(m, a, i, k):
@@ -90,42 +93,63 @@ def _dk_increment(m, a, mv, av, k):
 def parking_sum(n, k, N):
     """The parking-function polynomial: sum of X_a t^{|m|} q^{d_k(m, a)}.
 
-    The pairwise statistic accumulates incrementally along the recursion,
-    which keeps the large sweeps affordable.
+    A label word a in [N]^n is standardized to a permutation sigma by
+    reading equal labels with the larger m first, and on equal m the later
+    column first. The PF step and the pairwise statistic compare labels
+    strictly, so they see the same thing in a and in sigma, and the words
+    with standardization sigma are the monomials of the fundamental
+    quasi-symmetric F_D, where D holds each j whose successor j+1 is read
+    before j. So the recursion runs over paths m and at most n! label
+    permutations per path instead of N^n words (the cut that makes the
+    large sweeps affordable), adds the pairwise statistic column by column,
+    counts (D, q-degree, t-degree) at the leaves and expands each distinct
+    D into monomials once.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    counts = {}  # (sorted exponent key, q-deg, t-deg) -> int
+    counts = {}  # (descent set, q-deg, t-deg) -> number of (m, sigma)
+    free = [True] * (n + 1)
 
     def rec(m, a, stat, area):
         i = len(m)
         if i == n:
-            exps = tuple(a.count(v) for v in range(1, N + 1))
-            key = (exps, stat, area)
+            pos = [0] * (n + 1)
+            for p, v in enumerate(a):
+                pos[v] = p
+            descents = tuple(
+                j for j in range(1, n)
+                if (m[pos[j + 1]], pos[j + 1]) > (m[pos[j]], pos[j]))
+            key = (descents, stat, area)
             counts[key] = counts.get(key, 0) + 1
             return
         for mv in range(m[-1] + k + 1):
-            if mv == m[-1] + k:
-                labels = range(a[-1] + 1, N + 1)
-            else:
-                labels = range(1, N + 1)
-            for av in labels:
+            low = a[-1] + 1 if mv == m[-1] + k else 1
+            for av in range(low, n + 1):
+                if not free[av]:
+                    continue
                 inc = _dk_increment(m, a, mv, av, k)
+                free[av] = False
                 m.append(mv)
                 a.append(av)
                 rec(m, a, stat + inc, area + mv)
                 m.pop()
                 a.pop()
+                free[av] = True
 
-    for a1 in range(1, N + 1):
+    for a1 in range(1, n + 1):
+        free[a1] = False
         rec([0], [a1], 0, 0)
-    terms = {}
-    for (exps, qd, td), c in counts.items():
-        key = (exps, ())
-        mono = QtScalar.monomial(c=c, q=qd, t=td)
-        prev = terms.get(key)
-        terms[key] = mono if prev is None else prev + mono
-    return Poly(N, 0, terms)
+        free[a1] = True
+    by_descents = {}
+    for (descents, qd, td), c in counts.items():
+        by_descents.setdefault(descents, []).append(((qd, td), c))
+    coeffs = {}  # x exponents -> {(q-deg, t-deg): integer}
+    for descents, weights in by_descents.items():
+        for exps in fundamental_monomials(n, N, descents):
+            coeff = coeffs.setdefault(exps, {})
+            for qt, c in weights:
+                coeff[qt] = coeff.get(qt, 0) + c
+    return Poly(N, 0, {(exps, ()): QtScalar(c) for exps, c in coeffs.items()})
 
 
 def nabla_en_expansion(n, k, N):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .scalar import ONE, Q, QtScalar, T, ZERO
 
@@ -667,6 +668,24 @@ def quasisym_M(alpha, N):
             exps[c] = a
         terms[(tuple(exps), ())] = ONE
     return Poly(N, 0, terms)
+
+
+def fundamental_monomials(n, N, descents):
+    """The exponent vectors of the fundamental quasi-symmetric F_{n,D} in
+    x_1..x_N: one per weakly increasing i_1 <= ... <= i_n in 1..N with
+    i_j < i_{j+1} at every j in D, each with coefficient 1.
+
+    Lowering i_j by the number of descents before j makes the sequence
+    weakly increasing in 1..N-|D|, so there are C(N+n-1-|D|, n) of them.
+    """
+    shift = [sum(1 for d in descents if d < j) for j in range(1, n + 1)]
+    out = []
+    for seq in combinations_with_replacement(range(N - len(descents)), n):
+        exps = [0] * N
+        for i, s in zip(seq, shift):
+            exps[i + s] += 1
+        out.append(tuple(exps))
+    return out
 
 
 # ---------------------------------------------------------------------------

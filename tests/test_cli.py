@@ -121,7 +121,14 @@ def test_config_errors(capsys):
                  ("verify-shuffle", "--n", "2", "--N", "0"),
                  ("verify-shuffle", "--n", "2", "--k", "-1"),
                  ("verify-involution", "--n", "2", "--D", "-1"),
-                 ("compute", "parking", "--n", "0")):
+                 ("compute", "parking", "--n", "0"),
+                 ("verify-main", "--n", "2", "--k", "0", "--D", "0"),
+                 ("verify-involution", "--n", "2", "--k", "0", "--D", "0"),
+                 ("verify-bundles", "--n", "1", "--D", "1", "--mmax", "-1"),
+                 ("verify-bundles", "--n", "1", "--D", "1", "--lmax", "0"),
+                 ("verify-bundles", "--n", "1", "--D", "1",
+                  "--qdegree", "-1"),
+                 ("verify-bundles", "--n", "1", "--D", "0")):
         code, out = run_cli(*argv)
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
@@ -132,6 +139,8 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), primes
         assert err.startswith("error: --primes ") and err.count("\n") == 1, err
+    # k = 0 stays a valid input where the series is defined
+    assert run_cli("compute", "omega", "--n", "2", "--k", "0", "--D", "1")[0] == 0
 
 
 def test_options_a_command_ignores_are_rejected(capsys):
@@ -180,8 +189,8 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text())["equal"] is True
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "qtnabla.cli", "verify-shuffle", "--n", "2"],
-        capture_output=True, text=True)
+        env=child_env, capture_output=True, text=True)
     assert proc.returncode == 0

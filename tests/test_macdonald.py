@@ -338,14 +338,13 @@ def test_disk_cache_rejects_corrupt_table(tmp_path):
     assert rewritten.terms == modified_macdonald((2,)).terms
 
 
-def test_disk_cache_rebuilds_table_that_passes_the_pairing(tmp_path):
+def test_disk_cache_rebuilds_table_that_passes_the_pairing(tmp_path, child_env):
     # m[3] + 2 and m[2,1] + 1 leave <H~_(2,1), e_3> unchanged, so only the
     # comparison with the recomputed table catches the edit
     import json
-    import os
     import subprocess
     import sys
-    env = dict(os.environ, QTNABLA_CACHE_DIR=str(tmp_path))
+    env = dict(child_env, QTNABLA_CACHE_DIR=str(tmp_path))
     argv = [sys.executable, "-m", "qtnabla.cli", "compute", "macdonald",
             "--lambda", "2,1"]
     first = subprocess.run(argv, env=env, capture_output=True, text=True)

@@ -70,6 +70,27 @@ def test_parking_sum_n2_value():
     assert poly_to_symfunc(got).convert("s").terms == {(2,): ONE, (1, 1): Q + T}
 
 
+def _parking_word_oracle(n, k, N):
+    """The word route: x^a t^{|m|} q^{d_k_rev(m, a, k)} summed over every
+    (m, a) of parking_terms, with labels a in [N]^n."""
+    coeffs = {}
+    for m, a in parking_terms(n, k, N):
+        coeff = coeffs.setdefault(tuple(a.count(v) for v in range(1, N + 1)), {})
+        qt = (d_k_rev(m, a, k), sum(m))
+        coeff[qt] = coeff.get(qt, 0) + 1
+    return Poly(N, 0, {(e, ()): QtScalar(c) for e, c in coeffs.items()})
+
+
+def test_parking_sum_matches_word_oracle():
+    sizes = [(n, k, N) for n in range(1, 5) for k in (1, 2, 3)
+             for N in range(1, n + 2)]
+    for n, k, N in sizes + [(5, 1, 5), (5, 1, 3), (5, 2, 5)]:
+        got, want = parking_sum(n, k, N), _parking_word_oracle(n, k, N)
+        assert got == want, (n, k, N)
+        assert {key: (c.num, c.den) for key, c in got.terms.items()} == \
+            {key: (c.num, c.den) for key, c in want.terms.items()}, (n, k, N)
+
+
 def test_parking_sum_matches_nabla():
     for n in (1, 2, 3):
         for k in (1, 2):
@@ -129,6 +150,25 @@ def test_cancellation_check():
             D = k * n * (n - 1) // 2 + 2
             rep = cancellation_check(n, k, D, n)
             assert rep["ok"], (n, k, rep)
+
+
+def test_cancellation_check_reports_discrepancy(monkeypatch):
+    import qtnabla.shuffle as shuffle
+    true_sum = shuffle.parking_sum
+    bad = ((1, 1), ())
+
+    def perturbed(n, k, N):
+        poly = true_sum(n, k, N)
+        terms = dict(poly.terms)
+        terms[bad] = terms[bad] + Q
+        return Poly(poly.nx, poly.ny, terms)
+
+    monkeypatch.setattr(shuffle, "parking_sum", perturbed)
+    rep = cancellation_check(2, 1, 3, 2)
+    assert not rep["ok"] and rep["witness"] is None
+    assert rep["first_discrepancy"]["x_exp"] == [1, 1]
+    assert rep["first_discrepancy"]["lhs"] == str(true_sum(2, 1, 2).terms[bad])
+    assert rep["first_discrepancy"]["rhs"] == str(true_sum(2, 1, 2).terms[bad] + Q)
 
 
 def test_survivors_have_l0_m1_zero():

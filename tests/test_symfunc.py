@@ -1,10 +1,13 @@
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
+
 import pytest
 
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.symfunc import (
     AlphabetExpr, Poly, SymFunc, conjugate, dominance_leq, distinct_permutations,
-    partitions, plethysm, plethysm_expand, plethysm_p_scale, poly_to_symfunc,
-    quasisym_M, sort_partition, zee,
+    fundamental_monomials, partitions, plethysm, plethysm_expand,
+    plethysm_p_scale, poly_to_symfunc, quasisym_M, sort_partition, zee,
 )
 
 
@@ -142,6 +145,41 @@ def test_quasisym_M():
     # sum over compositions rearranging to (2,1) gives m_{2,1}
     total = quasisym_M((2, 1), 3) + quasisym_M((1, 2), 3)
     assert poly_to_symfunc(total).terms == {(2, 1): ONE}
+
+
+def test_fundamental_monomials_count():
+    # C(N + n - 1 - |D|, n) distinct exponent vectors, each of degree n
+    for n in range(1, 6):
+        for N in range(1, 6):
+            for D in (c for r in range(n) for c in combinations(range(1, n), r)):
+                got = fundamental_monomials(n, N, D)
+                assert len(got) == len(set(got)) == comb(N + n - 1 - len(D), n)
+                assert all(len(e) == N and sum(e) == n for e in got)
+
+
+def test_fundamental_monomials_extremes():
+    for n in range(1, 5):
+        for N in range(1, 5):
+            # F_{} = h_n: every weak composition of n into N parts
+            weak = {e for e in product(range(n + 1), repeat=N) if sum(e) == n}
+            assert set(fundamental_monomials(n, N, ())) == weak
+            # F_{[n-1]} = e_n: only 0/1 vectors
+            top = set(fundamental_monomials(n, N, tuple(range(1, n))))
+            assert top == {e for e in weak if max(e) <= 1}
+
+
+def test_fundamental_sum_over_permutations_is_multinomial():
+    # sum over sigma in S_4 of F_{iDes sigma} = (x_1 + x_2 + x_3)^4
+    n, N = 4, 3
+    total = {}
+    for sigma in permutations(range(1, n + 1)):
+        where = {v: i for i, v in enumerate(sigma)}
+        ides = tuple(j for j in range(1, n) if where[j + 1] < where[j])
+        for e in fundamental_monomials(n, N, ides):
+            total[e] = total.get(e, 0) + 1
+    expected = {e: factorial(n) // prod(factorial(x) for x in e)
+                for e in product(range(n + 1), repeat=N) if sum(e) == n}
+    assert total == expected
 
 
 def test_m_as_sum_of_quasisym():
