@@ -42,12 +42,18 @@ class AffinePermutation:
         return self.window[r] + (i - 1 - r)
 
     def __mul__(self, other):
-        if self.n != other.n:
+        window = self.window
+        n = len(window)
+        if n != len(other.window):
             raise ValueError("sizes differ")
-        return AffinePermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
+        out = []
+        for v in other.window:
+            r = (v - 1) % n
+            out.append(window[r] + (v - 1 - r))
+        return AffinePermutation(out)
 
     def inverse(self):
-        n = self.n
+        n = len(self.window)
         window = [0] * n
         for i, w in enumerate(self.window, start=1):
             r = (w - 1) % n
@@ -55,11 +61,7 @@ class AffinePermutation:
         return AffinePermutation(window)
 
     def is_identity(self):
-        return self.window == tuple(range(1, self.n + 1))
-
-    def is_positive(self):
-        """Membership in W+: all window values at least 1."""
-        return all(v >= 1 for v in self.window)
+        return self.window == tuple(range(1, len(self.window) + 1))
 
     def d_grade(self):
         n = self.n
@@ -72,13 +74,14 @@ class AffinePermutation:
         """Number of inversions (i, j), 1 <= i <= n, i < j, w(i) > w(j)."""
         if self._length is not None:
             return self._length
-        n = self.n
+        window = self.window
+        n = len(window)
         total = 0
-        for p in range(1, n + 1):
-            for pp in range(1, n + 1):
+        for p, wp in enumerate(window):
+            for pp, wpp in enumerate(window):
                 if pp == p:
                     continue
-                diff = self(p) - self(pp)
+                diff = wp - wpp
                 r0 = 0 if pp > p else 1
                 if diff > r0 * n:
                     total += (diff + n - 1) // n - r0
@@ -140,30 +143,32 @@ def is_m_restricted(w, m):
     return is_m_stable(w.inverse(), m)
 
 
+def _edges(winv, m):
+    """The edges of height < m of the w whose inverse is winv: for a < b,
+    l(t_ab w) < l(w) exactly when w^{-1}(a) > w^{-1}(b) (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, ch. 8), so no length is computed."""
+    n = winv.n
+    vals = [winv(i) for i in range(1, n + m)]
+    return [(a, a + h) for a in range(1, n + 1) for h in range(1, m)
+            if h % n and vals[a - 1] > vals[a + h - 1]]
+
+
 def edges(w, m):
     """Canonical (a, b) pairs of height < m whose reflection shortens w."""
-    n = w.n
-    lw = w.length()
-    out = []
-    for a in range(1, n + 1):
-        for h in range(1, m):
-            b = a + h
-            if (b - a) % n == 0:
-                continue
-            t = transposition(n, a, b)
-            if (t * w).length() < lw:
-                out.append((a, b))
+    return _edges(w.inverse(), m)
+
+
+def _refine(n, edge_list):
+    out = {}
+    for a, b in edge_list:
+        i, j = sorted(((a - 1) % n + 1, (b - 1) % n + 1))
+        out[(i, j)] = out.get((i, j), 0) + 1
     return out
 
 
 def edges_refined(w, m):
     """Edge counts grouped by the residue-class pair {i, j}, 1 <= i < j <= n."""
-    n = w.n
-    out = {}
-    for a, b in edges(w, m):
-        i, j = sorted(((a - 1) % n + 1, (b - 1) % n + 1))
-        out[(i, j)] = out.get((i, j), 0) + 1
-    return out
+    return _refine(w.n, edges(w, m))
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +191,7 @@ def wvec(w, m):
     n = w.n
     winv = w.inverse()
     out = [0] * n
-    for a, b in edges(w, m):
+    for a, b in _edges(winv, m):
         u, v = winv(a), winv(b)
         if u > v:
             u, v = v, u
@@ -247,27 +252,26 @@ def paff(m, a, b):
     return left * tau(m) * right
 
 
+@lru_cache(maxsize=None)
 def young_subgroup(alpha):
-    """All elements of S_alpha inside S_n, as one-line tuples."""
-    n = sum(alpha)
+    """All elements of S_alpha inside S_n, as one-line tuples; alpha is a
+    tuple."""
     blocks = []
     start = 1
     for size in alpha:
-        blocks.append(list(range(start, start + size)))
+        blocks.append(range(start, start + size))
         start += size
-    out = []
-    for pieces in product(*(permutations(b) for b in blocks)):
-        perm = tuple(v for piece in pieces for v in piece)
-        out.append(perm)
-    return out
+    return tuple(tuple(v for piece in pieces for v in piece)
+                 for pieces in product(*(permutations(b) for b in blocks)))
 
 
 def double_coset(w, alpha_left, alpha_right):
     """All elements of S_alpha_left . w . S_alpha_right."""
     out = set()
-    for pl in young_subgroup(alpha_left):
+    right = young_subgroup(tuple(alpha_right))
+    for pl in young_subgroup(tuple(alpha_left)):
         u = from_finite(pl) * w
-        for pr in young_subgroup(alpha_right):
+        for pr in right:
             out.add(u * from_finite(pr))
     return out
 
@@ -348,8 +352,11 @@ def raths_series(n, m, degree):
 def b_poly_degree(w, k):
     """Degree of the GKM leading form: sum over residue pairs of
     (k - refined edge count) for the kn-edge set."""
-    n = w.n
-    refined = edges_refined(w, k * n)
+    return _b_degree(w.n, k, edges(w, k * w.n))
+
+
+def _b_degree(n, k, kn_edges):
+    refined = _refine(n, kn_edges)
     total = 0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -387,7 +394,8 @@ def verify_paff(n, k, degree, N):
                 fail("grade", {"triple": (m, a, b), "w": w.window})
                 return report
             val_dinv = dinv_k(m, a, b, k)
-            val_dimv = dimv(w, k * n)
+            kn_edges = edges(w, k * n)
+            val_dimv = max_area(n, k * n) - len(kn_edges)
             if val_dinv != val_dimv:
                 fail("dinv-dimv", {"triple": (m, a, b), "w": w.window,
                                    "dinv": val_dinv, "dimv": val_dimv})
@@ -412,7 +420,7 @@ def verify_paff(n, k, degree, N):
             if diff != attack_path(m, a, k).area_sequence:
                 fail("area-difference", {"triple": (m, a, b), "diff": diff})
                 return report
-            if b_poly_degree(w, k) != val_dimv:
+            if _b_degree(n, k, kn_edges) != val_dimv:
                 fail("b-degree", {"triple": (m, a, b), "w": w.window})
                 return report
     return report

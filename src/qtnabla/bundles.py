@@ -16,7 +16,8 @@ from itertools import product
 from math import comb
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q, discrepancy
-from .labels import is_sorted_triple, iter_sorted_triples, mu_partition
+from .labels import (is_sorted_triple, iter_sorted_triples, mu_partition,
+                     sort_triple)
 
 
 def hom_dim(src, dst):
@@ -103,6 +104,21 @@ def _hom_window(src, dst):
     return range(lo, hi + 1)
 
 
+def _endomorphism_slots(m, a, b):
+    """(i, j, e): the coefficient of z^e in the map L_j -> L_i."""
+    n = len(m)
+    bundles = list(zip(m, a, b))
+    return [(i, j, e) for i in range(n) for j in range(n)
+            for e in _hom_window(bundles[j], bundles[i])]
+
+
+def _check_dim_cap(dim, p):
+    """ValueError when F_p^dim is too large to enumerate."""
+    cap = _DIM_CAPS.get(p)
+    if cap is None or dim > cap:
+        raise ValueError(f"endomorphism dimension {dim} over F_{p} exceeds the cap")
+
+
 def _poly_mul_mod(f, g, p):
     if not f or not g:
         return {}
@@ -161,16 +177,9 @@ def brute_force_counts(m, a, b, p, k, points):
     if any(s % p == 0 for s in points):
         raise ValueError("vanishing points must avoid 0 and infinity")
     n = len(m)
-    bundles = list(zip(m, a, b))
-    slots = []
-    for i in range(n):
-        for j in range(n):
-            for e in _hom_window(bundles[j], bundles[i]):
-                slots.append((i, j, e))
+    slots = _endomorphism_slots(m, a, b)
     dim = len(slots)
-    cap = _DIM_CAPS.get(p)
-    if cap is None or dim > cap:
-        raise ValueError(f"endomorphism dimension {dim} over F_{p} exceeds the cap")
+    _check_dim_cap(dim, p)
     auts = 0
     nilps = 0
     for values in product(range(p), repeat=dim):
@@ -240,34 +249,41 @@ def product_side_expansion(max_total, N, t_degree, q_degree):
 
 
 def verify_bundle_counts(nmax, mmax, lmax, primes, ks):
-    """Formula-versus-oracle sweep; returns a report with any mismatch."""
-    report = {"ok": True, "cases": 0, "failures": []}
+    """Formula-versus-oracle sweep; returns a report with any mismatch.
+
+    Every (triple, prime) the sweep will enumerate is checked against the
+    dimension cap first, so an oversized sweep fails before any work.
+    """
+    triples = []
     for n in range(1, nmax + 1):
         seen = set()
         for mvec in product(range(mmax + 1), repeat=n):
             for avec in product(range(1, lmax + 1), repeat=n):
                 for bvec in product(range(1, lmax + 1), repeat=n):
-                    from .labels import sort_triple
-                    m, a, b = sort_triple(mvec, avec, bvec)
-                    if (m, a, b) in seen:
-                        continue
-                    seen.add((m, a, b))
-                    for p in primes:
-                        for k in ks:
-                            points = list(range(1, k + 1))
-                            if any(s % p == 0 for s in points):
-                                continue
-                            auts, nilps = brute_force_counts(m, a, b, p, k, points)
-                            fa = aut_count(m, a, b, q=p)
-                            fn = nilp_count(m, a, b, k, q=p)
-                            report["cases"] += 1
-                            if (auts, nilps) != (fa, fn):
-                                report["ok"] = False
-                                report["failures"].append({
-                                    "triple": (m, a, b), "p": p, "k": k,
-                                    "oracle": (auts, nilps),
-                                    "formula": (fa, fn)})
-                                return report
+                    triple = sort_triple(mvec, avec, bvec)
+                    if triple not in seen:
+                        seen.add(triple)
+                        triples.append(triple)
+    # the vanishing points 1..k must avoid 0 mod p
+    cases = [(p, k) for p in primes for k in ks if k < p]
+    for m, a, b in triples:
+        dim = len(_endomorphism_slots(m, a, b))
+        for p, _ in cases:
+            _check_dim_cap(dim, p)
+    report = {"ok": True, "cases": 0, "failures": []}
+    for m, a, b in triples:
+        for p, k in cases:
+            points = list(range(1, k + 1))
+            auts, nilps = brute_force_counts(m, a, b, p, k, points)
+            fa = aut_count(m, a, b, q=p)
+            fn = nilp_count(m, a, b, k, q=p)
+            report["cases"] += 1
+            if (auts, nilps) != (fa, fn):
+                report["ok"] = False
+                report["failures"].append({
+                    "triple": (m, a, b), "p": p, "k": k,
+                    "oracle": (auts, nilps), "formula": (fa, fn)})
+                return report
     return report
 
 

@@ -2,7 +2,8 @@
 
 Every subcommand prints a deterministic report (text or JSON) and exits 0
 when all assertions pass, 1 on a counterexample, 2 on a configuration
-error.  Reports are byte-identical across runs.
+error, 3 when an internal self-check fails (one ``internal error:`` line
+on stderr, no report).  Reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -274,6 +275,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a failed self-check is a fault of the program, not a counterexample
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -53,16 +53,22 @@ def w_denominator(lam):
 
 
 @lru_cache(maxsize=None)
-def _gram_schmidt_P(n):
-    """Macdonald P for all partitions of n, in the monomial basis."""
-    ms = {lam: SymFunc.m(lam) for lam in partitions(n)}
-    out = {}
-    done = []
+def _gram_schmidt_state(n):
+    """The partitions of n in ascending lex order, and the P built so far."""
+    return tuple(reversed(partitions(n))), {}
+
+
+def _gram_schmidt_P(n, stop=None):
+    """Macdonald P in the monomial basis, built in ascending lex order until
+    P_stop exists (all partitions of n when stop is None); returns every P
+    built so far."""
+    order, out = _gram_schmidt_state(n)
     # ascending lex refines dominance upward, so each P stays supported below
-    for lam in reversed(partitions(n)):
-        f = ms[lam]
-        for mu in done:
-            p_mu = out[mu]
+    for lam in order[len(out):]:
+        if stop in out:
+            break
+        f = SymFunc.m(lam)
+        for p_mu in out.values():
             c = f.qt_inner(p_mu) / p_mu.qt_inner(p_mu)
             f = f - p_mu.scale(c)
         for mu, coeff in f.terms.items():
@@ -72,12 +78,12 @@ def _gram_schmidt_P(n):
             elif not dominance_leq(mu, lam):
                 raise AssertionError(f"P_{lam} not dominance-triangular at {mu}")
         out[lam] = f
-        done.append(lam)
     return out
 
 
 def macdonald_P(lam):
-    return _gram_schmidt_P(sum(lam))[tuple(lam)]
+    lam = tuple(lam)
+    return _gram_schmidt_P(sum(lam), lam)[lam]
 
 
 def integral_J(lam):

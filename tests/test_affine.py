@@ -7,6 +7,90 @@ from qtnabla.affine import (
     is_m_restricted, is_m_stable, iter_wplus, left_coset_min_max, max_area,
     paff, raths_series, standardize, tau, transposition, verify_paff, wvec,
 )
+from qtnabla.labels import iter_sorted_triples
+
+
+# ---------------------------------------------------------------------------
+# oracles: the routes the package used before deciding edges by w^{-1}
+
+
+def _length_by_call(w):
+    """Shi's pairwise inversion count, reading w through __call__."""
+    n = w.n
+    total = 0
+    for p in range(1, n + 1):
+        for pp in range(1, n + 1):
+            if pp == p:
+                continue
+            diff = w(p) - w(pp)
+            r0 = 0 if pp > p else 1
+            if diff > r0 * n:
+                total += (diff + n - 1) // n - r0
+    return total
+
+
+def _mul_by_call(u, v):
+    return AffinePermutation(tuple(u(v(i)) for i in range(1, u.n + 1)))
+
+
+def _edges_by_length(w, m):
+    """The (a, b) of height < m with l(t_ab w) < l(w), each decided by
+    forming t_ab w and counting both lengths."""
+    n = w.n
+    lw = _length_by_call(w)
+    out = []
+    for a in range(1, n + 1):
+        for h in range(1, m):
+            b = a + h
+            if h % n == 0:
+                continue
+            if _length_by_call(_mul_by_call(transposition(n, a, b), w)) < lw:
+                out.append((a, b))
+    return out
+
+
+def test_edges_match_length_oracle_on_wplus():
+    # every w of W+_n with d-grade <= 3, n <= 4, every 1 <= m <= 2n + 1;
+    # the oracle's decision for (a, b) does not depend on m, so it runs
+    # once at the largest m and is cut by height for the smaller ones
+    for n in range(1, 5):
+        top = 2 * n + 1
+        for w in iter_wplus(n, 3):
+            assert w.length() == _length_by_call(w), w
+            oracle = _edges_by_length(w, top)
+            for m in range(1, top + 1):
+                got = edges(w, m)
+                assert got == [(a, b) for a, b in oracle if b - a < m], (w, m)
+
+
+@pytest.mark.parametrize("n, k, degree, N",
+                         [(2, 1, 4, 2), (3, 1, 3, 3), (3, 2, 3, 2)])
+def test_edges_match_length_oracle_on_paff_images(n, k, degree, N):
+    # every paff image and left-coset extreme that verify_paff reaches
+    for d in range(degree + 1):
+        for m, a, b in iter_sorted_triples(n, N, d):
+            w = paff(m, a, b)
+            for v in (w, *left_coset_min_max(w)):
+                assert v.length() == _length_by_call(v), v
+                assert edges(v, k * n) == _edges_by_length(v, k * n), v
+
+
+def test_product_and_inverse_match_call_route():
+    import random
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        ws = []
+        for _ in range(2):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            ws.append(AffinePermutation(
+                tuple(perm[i] + n * rng.randint(-2, 3) for i in range(n))))
+        u, v = ws
+        assert u * v == _mul_by_call(u, v)
+        assert _mul_by_call(u, u.inverse()).is_identity()
+        assert _mul_by_call(u.inverse(), u).is_identity()
+        assert u.length() == _length_by_call(u)
 
 
 def test_window_validation():

@@ -105,6 +105,23 @@ def test_dimension_cap():
         brute_force_counts((8, 0), (1, 1), (1, 1), 3, 0, [])
 
 
+def test_counts_sweep_checks_the_cap_before_any_oracle_work(monkeypatch):
+    import qtnabla.bundles as bundles
+    calls = []
+    real = bundles._det_mod
+    monkeypatch.setattr(bundles, "_det_mod",
+                        lambda *args: calls.append(args) or real(*args))
+    # m = (7, 0) is the only triple over the F_3 cap, and the sweep reaches
+    # it after eight rank-1 and seven rank-2 triples that fit
+    with pytest.raises(ValueError,
+                       match=r"^endomorphism dimension 10 over F_3 exceeds the cap$"):
+        verify_bundle_counts(2, 7, 1, (3,), (0,))
+    assert calls == []
+    # a sweep inside the cap does reach the oracle
+    assert verify_bundle_counts(2, 2, 1, (3,), (0,))["ok"]
+    assert calls
+
+
 def test_counts_sweep_small():
     report = verify_bundle_counts(2, 1, 2, (2, 3), (0, 1))
     assert report["ok"], report["failures"]

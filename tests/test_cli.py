@@ -143,6 +143,42 @@ def test_config_errors(capsys):
     assert run_cli("compute", "omega", "--n", "2", "--k", "0", "--D", "1")[0] == 0
 
 
+def test_bundle_cap_fails_before_the_oracle(monkeypatch, capsys):
+    import qtnabla.bundles as bundles
+
+    def never(*args):
+        raise AssertionError("the oracle ran before the cap check")
+    monkeypatch.setattr(bundles, "_det_mod", never)
+    code, out = run_cli("verify-bundles", "--n", "3", "--k", "1", "--N", "3",
+                        "--D", "4", "--primes", "2,3")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: endomorphism dimension 11 over F_3 exceeds the cap\n"
+
+
+def test_failed_self_check_exits_three(monkeypatch, capsys):
+    import qtnabla.affine as affine
+    import qtnabla.macdonald as macdonald
+
+    def coarea_check(w, m):
+        raise AssertionError("coarea exceeds the row capacity")
+    monkeypatch.setattr(affine, "rational_area_sequence", coarea_check)
+    code, out = run_cli("verify-paff", "--n", "2", "--N", "2", "--D", "1")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == \
+        "internal error: coarea exceeds the row capacity\n"
+
+    def pairing_check(lam, f):
+        raise AssertionError(f"H~_{lam} fails the sign-character pairing")
+    monkeypatch.setattr(macdonald, "_validate_htilde", pairing_check)
+    monkeypatch.setattr(macdonald, "DEFAULT_CACHE",
+                        macdonald.MacdonaldCache(directory=""))
+    code, out = run_cli("compute", "macdonald", "--lambda", "2,1")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == \
+        "internal error: H~_(2, 1) fails the sign-character pairing\n"
+
+
 def test_options_a_command_ignores_are_rejected(capsys):
     for argv in (("verify-xi", "--n", "2", "--k", "7"),
                  ("compute", "macdonald", "--lambda", "2,1", "--n", "3"),
