@@ -298,6 +298,19 @@ def verify_bundle_series(n, k, N, degree):
             "first_discrepancy": disc}
 
 
+def verify_bundles(n, k, N, D, primes, mmax, lmax, qdegree):
+    """The counting formulas against the finite-field oracle over ranks up to
+    n and automorphism degrees 0..k, the bundle series at rank n, and the
+    product identity through t-degree D - 1, in one report."""
+    counts = verify_bundle_counts(n, mmax, lmax, primes, tuple(range(k + 1)))
+    series = verify_bundle_series(n, max(k, 1), N, D)
+    prod = verify_product_identity(min(n + 1, 3), N, D - 1, qdegree)
+    return {"counts": {"ok": counts["ok"], "cases": counts["cases"],
+                       "failures": counts["failures"]},
+            "series": series, "product": prod,
+            "ok": counts["ok"] and series["equal"] and prod["equal"]}
+
+
 def verify_product_identity(max_total, N, t_degree, q_degree):
     """Sum over ranks of the k = 0 bundle series, q,t-expanded, against the
     direct truncated product expansion."""

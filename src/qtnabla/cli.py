@@ -13,8 +13,6 @@ import json
 import sys
 from math import isqrt
 
-from .scalar import ONE, Q
-
 
 def _parse_partition(text):
     parts = tuple(int(p) for p in text.split(",") if p)
@@ -65,28 +63,17 @@ def cmd_verify_main(args):
 
 
 def cmd_verify_shuffle(args):
-    from .shuffle import nabla_en_expansion, parking_sum
-    from .symfunc import poly_to_symfunc
-    n, k, N = args.n, args.k, args.N
-    lhs = nabla_en_expansion(n, k, N)
-    rhs = parking_sum(n, k, N)
-    report = {"command": "verify-shuffle", "n": n, "k": k, "N": N,
-              "equal": lhs == rhs,
-              "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
-              "parking_monomial": str(poly_to_symfunc(rhs, "x", "m"))
-              if lhs == rhs else None}
+    from .shuffle import verify_shuffle
+    report = verify_shuffle(args.n, args.k, args.N)
+    report["command"] = "verify-shuffle"
     return _emit(report, args)
 
 
 def cmd_verify_fulltwist(args):
-    from .omega import verify_fulltwist, verify_hilbert
-    report = verify_fulltwist(args.n, args.k, args.D)
+    from .omega import verify_fulltwist, verify_fulltwist_and_hilbert
+    check = verify_fulltwist_and_hilbert if args.hilbert else verify_fulltwist
+    report = check(args.n, args.k, args.D)
     report["command"] = "verify-fulltwist"
-    if args.hilbert:
-        sub = verify_hilbert(args.n, args.k, args.D)
-        report["hilbert"] = {"equal": sub["equal"],
-                             "first_discrepancy": sub["first_discrepancy"]}
-        report["equal"] = report["equal"] and sub["equal"]
     return _emit(report, args)
 
 
@@ -105,39 +92,18 @@ def cmd_verify_paff(args):
 
 
 def cmd_verify_bundles(args):
-    from .bundles import (verify_bundle_counts, verify_bundle_series,
-                          verify_product_identity)
-    primes = _parse_primes(args.primes)
-    counts = verify_bundle_counts(args.n, args.mmax, args.lmax, primes,
-                                  tuple(range(args.k + 1)))
-    series = verify_bundle_series(args.n, max(args.k, 1), args.N, args.D)
-    prod = verify_product_identity(min(args.n + 1, 3), args.N, args.D - 1,
-                                   args.qdegree)
-    report = {"command": "verify-bundles",
-              "counts": {"ok": counts["ok"], "cases": counts["cases"],
-                         "failures": counts["failures"]},
-              "series": series, "product": prod,
-              "ok": counts["ok"] and series["equal"] and prod["equal"]}
+    from .bundles import verify_bundles
+    report = verify_bundles(args.n, args.k, args.N, args.D,
+                            _parse_primes(args.primes), args.mmax, args.lmax,
+                            args.qdegree)
+    report["command"] = "verify-bundles"
     return _emit(report, args)
 
 
 def cmd_verify_xi_impl(args):
-    from .labels import all_dyck_paths, chromatic, xi_pi
-    from .symfunc import plethysm_p_scale, poly_to_symfunc
-    n = args.n
-    checked = 0
-    failure = None
-    for path in all_dyck_paths(n):
-        lhs = xi_pi(path, n)
-        krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
-        scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))
-        rhs = scaled.omega().expand(n, "y").scale((ONE - Q) ** n)
-        checked += 1
-        if lhs != rhs:
-            failure = {"area_sequence": list(path.area_sequence)}
-            break
-    report = {"command": "verify-xi", "n": n, "paths": checked,
-              "ok": failure is None, "failure": failure}
+    from .labels import verify_xi
+    report = verify_xi(args.n)
+    report["command"] = "verify-xi"
     return _emit(report, args)
 
 

@@ -95,13 +95,13 @@ def in_vanset(quad, k):
     return True
 
 
-def enumerate_van(n, k, degree, N, l_values=None, exact_degree=None):
-    """All quadruples with |m| <= degree and labels bounded by N.
+def enumerate_van(n, k, degree, N, l_values=None):
+    """All quadruples with |m| <= degree and labels bounded by N, and with
+    the dividing line in l_values when that is given.
 
     Columns are appended in the sorted order of each side, and the attack
     constraint (equal b with nearby m) is enforced incrementally, which
-    prunes the search long before full sequences exist.  The stream splits
-    by dividing line (l_values) and by |m| (exact_degree) for slicing.
+    prunes the search long before full sequences exist.
     """
     left_pool = sorted(((a, m, b) for a in range(1, N + 1)
                         for m in range(1, degree + 1)
@@ -117,8 +117,6 @@ def enumerate_van(n, k, degree, N, l_values=None, exact_degree=None):
     def rec(l, acc, budget, start):
         pos = len(acc)
         if pos == n:
-            if exact_degree is not None and degree - budget != exact_degree:
-                return
             yield VanQuadruple(l,
                                tuple(c[0] for c in acc),
                                tuple(c[1] for c in acc),

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 
-from .scalar import QtScalar, aut_q
-from .symfunc import Poly, sort_partition
+from .scalar import ONE, Q, QtScalar, aut_q
+from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
 
 
 def sort_columns(*cols):
@@ -198,6 +198,23 @@ def chromatic(path, N):
         prev = terms.get(key)
         terms[key] = c if prev is None else prev + c
     return Poly(0, N, terms)
+
+
+def verify_xi(n):
+    """xi_pi[Y; q] = (1-q)^n omega X_pi[Y/(1-q); q] in n variables, for every
+    Dyck path of size n; stops at the first path where the two differ."""
+    checked = 0
+    failure = None
+    for path in all_dyck_paths(n):
+        lhs = xi_pi(path, n)
+        krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
+        scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))
+        rhs = scaled.omega().expand(n, "y").scale((ONE - Q) ** n)
+        checked += 1
+        if lhs != rhs:
+            failure = {"area_sequence": list(path.area_sequence)}
+            break
+    return {"n": n, "paths": checked, "ok": failure is None, "failure": failure}
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,12 @@ def _exps(label, N):
     return tuple(label.count(v) for v in range(1, N + 1))
 
 
-def omega_series(query, t_degrees=None):
+def omega_series(query):
     """Sum over sorted triples of t^{|m|} q^{dinv_k} X_a Y_b
     / ((1-q)^n aut_q(m, a, b)), per t-degree."""
     n, k, N, D = query.n, query.k, query.N, query.D
     builder = SeriesBuilder(N, N, D)
-    degrees = range(D + 1) if t_degrees is None else t_degrees
-    for d in degrees:
+    for d in range(D + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
             num = QtScalar.monomial(q=dinv_k(m, a, b, k))
             builder.add((_exps(a, N), _exps(b, N)), d, num, aut_q_of(m, a, b))
@@ -169,24 +168,17 @@ def _permutation_coefficient(n, k, degree, b_choices):
     return TSeries(degree, [c * pref for c in coeffs])
 
 
-def fulltwist_extraction(n, k, degree, series=None):
+def fulltwist_extraction(n, k, degree):
     """The coefficient of x_1...x_n y_1^n in the two-alphabet enumerator."""
-    if series is not None:
-        xkey = (1,) * n
-        ykey = (n,) + (0,) * (n - 1)
-        return series.series((xkey, ykey))
     return _permutation_coefficient(n, k, degree, [(1,) * n])
 
 
-def hilbert_coefficient(n, k, degree, series=None):
+def hilbert_coefficient(n, k, degree):
     """The coefficient of the squarefree monomial x_1..x_n y_1..y_n.
 
     The normalization factor (1-q)^(n - gcd(n, kn)) is identically 1 here
     and is reported rather than folded in.
     """
-    if series is not None:
-        key = ((1,) * n, (1,) * n)
-        return series.series(key)
     from itertools import permutations
     return _permutation_coefficient(n, k, degree,
                                     list(permutations(range(1, n + 1))))
@@ -243,6 +235,17 @@ def verify_hilbert(n, k, D):
     rhs = raths_series(n, k * n, D)
     return _pair_report(lhs, rhs, n=n, k=k, D=D,
                         normalization=f"(1-q)^{n - n} = 1")
+
+
+def verify_fulltwist_and_hilbert(n, k, D):
+    """The full-twist report, with the squarefree check nested under
+    "hilbert" and folded into "equal"."""
+    report = verify_fulltwist(n, k, D)
+    sub = verify_hilbert(n, k, D)
+    report["hilbert"] = {"equal": sub["equal"],
+                         "first_discrepancy": sub["first_discrepancy"]}
+    report["equal"] = report["equal"] and sub["equal"]
+    return report
 
 
 def xy_swap(series):

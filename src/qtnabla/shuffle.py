@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .scalar import QtScalar
+from .scalar import MonomialSeries, QtScalar, discrepancy
 from .involution import d_k_rev
-from .symfunc import Poly, fundamental_monomials
+from .symfunc import Poly, fundamental_monomials, poly_to_symfunc
 
 
 def pf(m, a, i, k):
@@ -157,6 +157,19 @@ def nabla_en_expansion(n, k, N):
     from .macdonald import nabla_power
     from .symfunc import SymFunc
     return nabla_power(SymFunc.e(n), k).expand(N, "x")
+
+
+def verify_shuffle(n, k, N):
+    """The parking sum against nabla^k e_n over x_1..x_N. The report renders
+    nabla^k e_n in the Schur basis, and the parking sum in the monomial
+    basis when the two agree."""
+    lhs = nabla_en_expansion(n, k, N)
+    rhs = parking_sum(n, k, N)
+    equal = lhs == rhs
+    return {"n": n, "k": k, "N": N, "equal": equal,
+            "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
+            "parking_monomial": str(poly_to_symfunc(rhs, "x", "m"))
+            if equal else None}
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +329,15 @@ def cancellation_check(n, k, degree, N):
         report["witness"] = {"l": witness[0], "m": list(witness[1]),
                              "a": list(witness[2])}
         return report
-    lhs = signed_truncated_sum(n, k, degree, N)
-    rhs = parking_sum(n, k, N)
-    cut = degree - 1
-
-    def truncate(poly):
-        out = {}
-        for key, c in poly.terms.items():
-            kept = {mono: cc for mono, cc in c.num.items() if mono[1] <= cut}
-            if kept:
-                out[key] = QtScalar(kept)
-        return out
-
-    left, right = truncate(lhs), truncate(rhs)
-    if left != right:
-        report["ok"] = False
-        keys = sorted(set(left) | set(right))
-        for key in keys:
-            if left.get(key) != right.get(key):
-                report["first_discrepancy"] = {
-                    "x_exp": list(key[0]),
-                    "lhs": str(left.get(key, "0")),
-                    "rhs": str(right.get(key, "0")),
-                }
-                break
+    lhs = _t_series(signed_truncated_sum(n, k, degree, N), degree - 1)
+    rhs = _t_series(parking_sum(n, k, N), degree - 1)
+    report["first_discrepancy"] = discrepancy(lhs, rhs)
+    report["ok"] = report["first_discrepancy"] is None
     return report
+
+
+def _t_series(poly, degree):
+    """A Poly as a MonomialSeries, each coefficient truncated at t-degree
+    `degree`."""
+    return MonomialSeries(poly.nx, poly.ny, degree,
+                          {key: c.t_expand(degree) for key, c in poly.terms.items()})

@@ -1,8 +1,18 @@
 """Partitions, classical symmetric-function bases, inner products, plethysm,
 and finite-alphabet monomial expansion over exact q,t-rational coefficients.
 
-Basis conversions are routed through the power-sum basis; the few transition
-tables that need inversion are computed once per degree and cached.
+Every basis change goes through the power-sum basis, by one loop
+(`_accumulate`) over a per-element row in each direction:
+
+- into p, `_to_p_row`: m from `_m_to_p_table`, s from `_s_in_p`
+  (Jacobi-Trudi over h), e and h as products of `_single_in_p`;
+- out of p, `_from_p_row`: m from `_p_to_m_row`, s from `_character`,
+  e and h as products of `_p_in_single`.
+
+The e and h rows are Newton's identities in both directions. The CLI reports
+use only m, e -> p and p -> m, s; the rest serve `convert` and the tests.
+The tables are rational constants, cached per partition or degree. omega is
+the plethysm p_r -> (-1)^(r-1) p_r.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .scalar import ONE, Q, QtScalar, T, ZERO
 
@@ -168,87 +178,60 @@ def _pdict_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+def _newton_sign(basis, i):
+    """eps_i in Newton's identity r x_r = sum_{i=1..r} eps_i p_i x_(r-i) for
+    x = h or e: 1 for h, (-1)^(i-1) for e (Macdonald, ch. I)."""
+    return -1 if basis == "e" and i % 2 == 0 else 1
+
+
 @lru_cache(maxsize=None)
-def _h_in_p(r):
+def _single_in_p(basis, r):
+    """h_r or e_r in the p basis, by Newton's identity."""
     if r == 0:
         return {(): Fraction(1)}
     acc = {}
     for i in range(1, r + 1):
-        for key, c in _h_in_p(r - i).items():
-            nkey = tuple(sorted(key + (i,), reverse=True))
-            acc[nkey] = acc.get(nkey, Fraction(0)) + c
-    return {k: v / r for k, v in acc.items() if v}
-
-
-@lru_cache(maxsize=None)
-def _e_in_p(r):
-    if r == 0:
-        return {(): Fraction(1)}
-    acc = {}
-    for i in range(1, r + 1):
-        sign = -1 if i % 2 == 0 else 1
-        for key, c in _e_in_p(r - i).items():
+        sign = _newton_sign(basis, i)
+        for key, c in _single_in_p(basis, r - i).items():
             nkey = tuple(sorted(key + (i,), reverse=True))
             acc[nkey] = acc.get(nkey, Fraction(0)) + sign * c
     return {k: v / r for k, v in acc.items() if v}
 
 
 @lru_cache(maxsize=None)
-def _p_in_h(r):
-    """p_r in the h basis (keys are h-index partitions)."""
-    acc = {(r,): Fraction(r)}
+def _p_in_single(basis, r):
+    """p_r in the h or e basis (keys index h_lam or e_lam): the same identity
+    solved for p_r, p_r = eps_r (r x_r - sum_{i<r} eps_i x_(r-i) p_i)."""
+    sign = _newton_sign(basis, r)
+    acc = {(r,): Fraction(sign * r)}
     for i in range(1, r):
-        for key, c in _p_in_h(i).items():
+        for key, c in _p_in_single(basis, i).items():
             nkey = tuple(sorted(key + (r - i,), reverse=True))
-            acc[nkey] = acc.get(nkey, Fraction(0)) - c
+            acc[nkey] = acc.get(nkey, Fraction(0)) - sign * _newton_sign(basis, i) * c
     return {k: v for k, v in acc.items() if v}
 
 
-@lru_cache(maxsize=None)
-def _p_in_e(r):
-    sign = Fraction(1 if r % 2 == 1 else -1)  # (-1)^(r-1)
-    acc = {(r,): sign * r}
-    for i in range(1, r):
-        isign = 1 if i % 2 == 1 else -1  # (-1)^(i-1)
-        for key, c in _p_in_e(i).items():
-            nkey = tuple(sorted(key + (r - i,), reverse=True))
-            acc[nkey] = acc.get(nkey, Fraction(0)) - sign * isign * c
-    return {k: v for k, v in acc.items() if v}
+def _multiplicative_row(single, basis, lam):
+    """The product over the parts of lam of single(basis, part)."""
+    prod = {(): Fraction(1)}
+    for part in lam:
+        prod = _pdict_mul(prod, single(basis, part))
+    return prod
 
 
 @lru_cache(maxsize=None)
 def _s_in_p(lam):
-    """Schur in the p basis via the Jacobi-Trudi determinant over h."""
-    if not lam:
-        return {(): Fraction(1)}
+    """Schur in the p basis via the Jacobi-Trudi determinant det h_(lam_i-i+j)."""
     ell = len(lam)
-    from itertools import permutations
     acc = {}
     for sigma in permutations(range(ell)):
-        sign = Fraction(1)
-        seen = list(sigma)
-        # permutation sign via cycle count
-        visited = [False] * ell
-        cycles = 0
-        for i in range(ell):
-            if not visited[i]:
-                cycles += 1
-                j = i
-                while not visited[j]:
-                    visited[j] = True
-                    j = seen[j]
-        sign = Fraction(1 if (ell - cycles) % 2 == 0 else -1)
-        term = {(): Fraction(1)}
-        ok = True
-        for i in range(ell):
-            r = lam[i] - (i + 1) + (sigma[i] + 1)
-            if r < 0:
-                ok = False
-                break
-            term = _pdict_mul(term, _h_in_p(r))
-        if not ok or not term:
+        parts = [lam[i] - i + sigma[i] for i in range(ell)]
+        if parts and min(parts) < 0:
             continue
-        for key, c in term.items():
+        inversions = sum(sigma[i] > sigma[j]
+                         for i in range(ell) for j in range(i + 1, ell))
+        sign = -1 if inversions % 2 else 1
+        for key, c in _multiplicative_row(_single_in_p, "h", parts).items():
             acc[key] = acc.get(key, Fraction(0)) + sign * c
     return {k: v for k, v in acc.items() if v}
 
@@ -257,6 +240,41 @@ def _s_in_p(lam):
 def _character(mu, lam):
     """chi^mu(lam) = zee(lam) * [p_lam] s_mu."""
     return _s_in_p(mu).get(lam, Fraction(0)) * zee(lam)
+
+
+def _to_p_row(basis, lam):
+    """The element basis_lam in the p basis: {rho: int or Fraction}."""
+    if basis == "m":
+        return _m_to_p_table(sum(lam))[lam]
+    if basis == "s":
+        return _s_in_p(lam)
+    if basis == "p":
+        return {lam: 1}
+    return _multiplicative_row(_single_in_p, basis, lam)
+
+
+def _from_p_row(basis, rho):
+    """p_rho in the target basis: {mu: int or Fraction}."""
+    if basis == "m":
+        return _p_to_m_row(rho)
+    if basis == "s":  # s_mu has coefficient chi^mu(rho) in p_rho
+        return {mu: chi for mu in partitions(sum(rho))
+                if (chi := _character(mu, rho))}
+    if basis == "p":
+        return {rho: 1}
+    return _multiplicative_row(_p_in_single, basis, rho)
+
+
+def _accumulate(terms, row, basis):
+    """The sum of c * row(basis, key) over the terms: the one loop of every
+    basis change."""
+    out = {}
+    for key, c in terms.items():
+        for image, d in row(basis, key).items():
+            v = c if d == 1 else c * d
+            prev = out.get(image)
+            out[image] = v if prev is None else prev + v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +293,7 @@ def _qt(c):
 class SymFunc:
     """A graded symmetric function: basis tag plus {partition: QtScalar}."""
 
-    BASES = ("m", "e", "h", "p", "s", "H")
+    BASES = ("m", "e", "h", "p", "s")
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis, terms):
@@ -327,16 +345,6 @@ class SymFunc:
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({sum(lam) for lam in self.terms})
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def homogeneous_component(self, d):
-        return SymFunc(self.basis, {lam: c for lam, c in self.terms.items()
-                                    if sum(lam) == d})
-
     def coefficient(self, lam):
         return self.terms.get(tuple(lam), ZERO)
 
@@ -344,64 +352,13 @@ class SymFunc:
 
     def to_p_dict(self):
         """Expansion in the power-sum basis as {partition: QtScalar}."""
-        if self.basis == "p":
-            return dict(self.terms)
-        out = {}
-
-        def bump(key, c):
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        if self.basis == "m":
-            for lam, c in self.terms.items():
-                for rho, d in _m_to_p_table(sum(lam))[lam].items():
-                    bump(rho, c * QtScalar.from_fraction(d))
-        elif self.basis in ("e", "h"):
-            single = _e_in_p if self.basis == "e" else _h_in_p
-            for lam, c in self.terms.items():
-                prod = {(): Fraction(1)}
-                for part in lam:
-                    prod = _pdict_mul(prod, single(part))
-                for rho, d in prod.items():
-                    bump(rho, c * QtScalar.from_fraction(d))
-        elif self.basis == "s":
-            for lam, c in self.terms.items():
-                for rho, d in _s_in_p(lam).items():
-                    bump(rho, c * QtScalar.from_fraction(d))
-        else:
-            raise ValueError("modified-Macdonald basis needs the macdonald module")
+        out = _accumulate(self.terms, _to_p_row, self.basis)
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     @staticmethod
     def from_p_dict(coeffs, basis="p"):
         coeffs = {tuple(k): _qt(v) for k, v in coeffs.items()}
-        if basis == "p":
-            return SymFunc("p", coeffs)
-        out = {}
-
-        def bump(key, c):
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        if basis == "m":
-            for rho, c in coeffs.items():
-                for mu, d in _p_to_m_row(rho).items():
-                    bump(mu, c * d)
-        elif basis == "s":
-            for rho, c in coeffs.items():
-                for mu in partitions(sum(rho)):
-                    chi = _character(mu, rho)
-                    if chi:
-                        bump(mu, c * QtScalar.from_fraction(chi))
-        elif basis in ("e", "h"):
-            single = _p_in_e if basis == "e" else _p_in_h
-            for rho, c in coeffs.items():
-                prod = {(): Fraction(1)}
-                for part in rho:
-                    prod = _pdict_mul(prod, single(part))
-                for mu, d in prod.items():
-                    bump(mu, c * QtScalar.from_fraction(d))
-        else:
-            raise ValueError("modified-Macdonald basis needs the macdonald module")
-        return SymFunc(basis, out)
+        return SymFunc(basis, _accumulate(coeffs, _from_p_row, basis))
 
     def convert(self, basis):
         if basis == self.basis:
@@ -458,36 +415,30 @@ class SymFunc:
 
     # -- pairings and involutions
 
-    def hall_inner(self, other):
+    def _p_pairing(self, other, weight):
+        """sum over rho of [p_rho]self * [p_rho]other * weight(rho)."""
         a = self.to_p_dict()
         b = other.to_p_dict()
         out = ZERO
         for lam, c in a.items():
             d = b.get(lam)
             if d is not None:
-                out = out + c * d * zee(lam)
+                out = out + c * d * weight(lam)
         return out
 
+    def hall_inner(self, other):
+        return self._p_pairing(other, zee)
+
     def qt_inner(self, other):
-        a = self.to_p_dict()
-        b = other.to_p_dict()
-        out = ZERO
-        for lam, c in a.items():
-            d = b.get(lam)
-            if d is None:
-                continue
+        def weight(lam):
             w = QtScalar.from_int(zee(lam))
             for part in lam:
                 w = w * (ONE - Q ** part) / (ONE - T ** part)
-            out = out + c * d * w
-        return out
+            return w
+        return self._p_pairing(other, weight)
 
     def omega(self):
-        out = {}
-        for lam, c in self.to_p_dict().items():
-            sign = (-1) ** (sum(lam) - len(lam))
-            out[lam] = c * sign
-        return SymFunc.from_p_dict(out, self.basis if self.basis != "H" else "p")
+        return plethysm_p_scale(self, lambda r: (-1) ** (r - 1))
 
     # -- expansion
 
@@ -660,7 +611,6 @@ def quasisym_M(alpha, N):
     ell = len(alpha)
     if ell > N:
         return Poly.zero(N)
-    from itertools import combinations
     terms = {}
     for cols in combinations(range(N), ell):
         exps = [0] * N
@@ -725,8 +675,7 @@ def plethysm_p_scale(f, scale_fn):
     """f[X g(q,t)] on the abstract alphabet: p_r picks up the factor g(q^r, t^r)."""
     out = {rho: c * _prod(scale_fn(r) for r in rho)
            for rho, c in f.to_p_dict().items()}
-    basis = f.basis if f.basis != "H" else "p"
-    return SymFunc.from_p_dict(out, basis)
+    return SymFunc.from_p_dict(out, f.basis)
 
 
 def _prod(it):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from qtnabla.scalar import ONE, Q
@@ -179,6 +181,14 @@ def test_max_area_closed_form():
     for n in range(1, 9):
         for m in range(1, 9):
             max_area(n, m)  # the closed form assertion runs inside
+
+
+def test_max_area_at_kn_is_k_binomial():
+    # why verify_paff does not compare the leading-form degree with dimv:
+    # both are k*C(n, 2) - |E_kn(w)| for every w
+    for n in range(1, 9):
+        for k in range(1, 4):
+            assert max_area(n, k * n) == k * comb(n, 2)
 
 
 def test_dimv_n1():

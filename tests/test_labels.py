@@ -4,12 +4,12 @@ import pytest
 
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
-    DyckPath, all_dyck_paths, alpha_composition, attack_path, attacks,
+    DyckPath, alpha_composition, attack_path, attacks,
     chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_triple,
     iter_sorted_pairs, iter_sorted_triples, mu_partition, sort_columns,
-    sort_triple, xi_pi,
+    sort_triple, verify_xi, xi_pi,
 )
-from qtnabla.symfunc import Poly, SymFunc, poly_to_symfunc
+from qtnabla.symfunc import Poly
 
 
 def test_sort_columns_worked_example():
@@ -149,15 +149,10 @@ def test_chromatic_full_path_n2():
 
 
 def test_xi_chromatic_identity():
-    # xi_pi[Y; q] = (1-q)^n omega X_pi[Y/(1-q); q], both sides in n variables
-    from qtnabla.symfunc import plethysm_p_scale
-    for n in range(1, 5):
-        for path in all_dyck_paths(n):
-            lhs = xi_pi(path, n)
-            krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
-            scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))
-            rhs = scaled.omega().expand(n, "y").scale((ONE - Q) ** n)
-            assert lhs == rhs, (n, path.area_sequence)
+    # xi_pi[Y; q] = (1-q)^n omega X_pi[Y/(1-q); q] over all Catalan(n) paths
+    for n, catalan in zip(range(1, 5), (1, 2, 5, 14)):
+        rep = verify_xi(n)
+        assert rep["ok"] and rep["paths"] == catalan, rep["failure"]
 
 
 def test_iter_sorted_triples_completeness():

@@ -81,21 +81,6 @@ def test_sub_y_matches_plethysm_route():
             assert rep["equal"], rep["first_discrepancy"]
 
 
-def test_omega_t_degree_slices_reassemble():
-    q = OmegaQuery(2, 1, 2, 3)
-    full = omega_series(q)
-    from qtnabla.scalar import TSeries, ZERO
-    merged = {}
-    for d in range(4):
-        part = omega_series(q, t_degrees=[d])
-        for key, ts in part.table.items():
-            slot = merged.setdefault(key, [ZERO] * 4)
-            slot[d] = ts[d]
-    from qtnabla.scalar import MonomialSeries
-    rebuilt = MonomialSeries(2, 2, 3, {k: TSeries(3, v) for k, v in merged.items()})
-    assert rebuilt == full
-
-
 def test_sub_y_attack_constraints():
     # n = 2, k = 1, m = (0,0): constant m attacks, so b entries must differ
     series = omega_sub_y(OmegaQuery(2, 1, 2, 0))

@@ -166,9 +166,11 @@ def test_cancellation_check_reports_discrepancy(monkeypatch):
     monkeypatch.setattr(shuffle, "parking_sum", perturbed)
     rep = cancellation_check(2, 1, 3, 2)
     assert not rep["ok"] and rep["witness"] is None
-    assert rep["first_discrepancy"]["x_exp"] == [1, 1]
-    assert rep["first_discrepancy"]["lhs"] == str(true_sum(2, 1, 2).terms[bad])
-    assert rep["first_discrepancy"]["rhs"] == str(true_sum(2, 1, 2).terms[bad] + Q)
+    # the shared shape of scalar.discrepancy: the t^0 coefficient differs by q
+    true = true_sum(2, 1, 2).terms[bad].t_expand(2)
+    assert rep["first_discrepancy"] == {
+        "x_exp": [1, 1], "y_exp": [], "t_deg": 0,
+        "lhs": str(true[0]), "rhs": str(true[0] + Q)}
 
 
 def test_survivors_have_l0_m1_zero():
