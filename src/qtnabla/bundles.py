@@ -8,6 +8,11 @@ line bundles O(m_i; a_i, b_i); sortedness agrees with the total order
 supported on the window delta(a_j < a_i) <= e <= m_i - m_j - delta(b_j < b_i);
 the a-side condition removes the constant term (vanishing at 0), the b-side
 removes the top term (vanishing at infinity).
+
+|Aut| and |Nilp_k| are counted at a prime by aut_count and nilp_count.  The
+bundle series takes the same exponents, aut_exponent and nilp_exponent,
+with q symbolic: each triple adds q^{nilp - aut} / aut_q(mu) to an integer
+count, scaled by 1/(q-1)^n once per coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q, discrepancy
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, discrepancy
 from .labels import (is_sorted_triple, iter_sorted_triples, mu_partition,
                      sort_triple)
 
@@ -54,39 +59,33 @@ def aut_exponent(m, a, b):
 
 
 def nilp_exponent(m, a, b, k):
+    """|Nilp_k| = q^{nilp_exponent}: sum over i < j of max(1 - k + c_ij, 0),
+    plus the nilpotent cone of each diagonal block at k = 0."""
     c = _c_matrix(m, a, b)
     n = len(m)
-    return sum(max(1 - k + c[i][j], 0) for i in range(n) for j in range(i + 1, n))
+    e = sum(max(1 - k + c[i][j], 0) for i in range(n) for j in range(i + 1, n))
+    if k == 0:
+        e += sum(comb(r, 2) for r in mu_partition(zip(m, a, b)))
+    return e
 
 
-def aut_count(m, a, b, q=None):
-    """|Aut|: (q-1)^n aut_q q^{aut_exponent}; symbolic, or an integer at a
-    prime q."""
+def aut_count(m, a, b, q):
+    """|Aut| over F_q: (q-1)^n q^{aut_exponent} prod_r [r]_q! over the
+    multiplicities r of the columns."""
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
-    n = len(m)
-    mult = mu_partition(list(zip(m, a, b)))
-    if q is None:
-        return ((Q - ONE) ** n * aut_q(mult)
-                * QtScalar.monomial(q=aut_exponent(m, a, b)))
-    out = (q - 1) ** n * q ** aut_exponent(m, a, b)
-    for r in mult:
+    out = (q - 1) ** len(m) * q ** aut_exponent(m, a, b)
+    for r in mu_partition(zip(m, a, b)):
         for j in range(2, r + 1):
             out *= (q ** j - 1) // (q - 1)
     return out
 
 
-def nilp_count(m, a, b, k, q=None):
-    """|Nilp_k|: q^{nilp_exponent}, with the diagonal-block factor at k = 0."""
+def nilp_count(m, a, b, k, q):
+    """|Nilp_k| over F_q."""
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
-    extra = 0
-    if k == 0:
-        extra = sum(comb(r, 2) for r in mu_partition(list(zip(m, a, b))))
-    e = nilp_exponent(m, a, b, k) + extra
-    if q is None:
-        return QtScalar.monomial(q=e)
-    return q ** e
+    return q ** nilp_exponent(m, a, b, k)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +206,20 @@ def brute_force_counts(m, a, b, p, k, points):
 
 def bundle_side_series(n, k, N, degree):
     """q^{k binom(n,2)} sum over sorted triples of t^{|m|} X_a Y_b
-    |Nilp_k| / |Aut| with symbolic q."""
+    |Nilp_k| / |Aut| with symbolic q.
+
+    |Nilp_k| / |Aut| is q^{nilp_exponent - aut_exponent} / ((q-1)^n aut_q(mu))
+    for the column multiplicities mu, so each triple is counted as one
+    q-power over aut_q(mu) and 1/(q-1)^n scales the sum."""
     builder = SeriesBuilder(N, N, degree)
-    pref = QtScalar.monomial(q=k * comb(n, 2))
+    pref = k * comb(n, 2)
     for d in range(degree + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
-            num = nilp_count(m, a, b, k) * pref
-            den = aut_count(m, a, b)
+            e = pref + nilp_exponent(m, a, b, k) - aut_exponent(m, a, b)
             xe = tuple(a.count(v) for v in range(1, N + 1))
             ye = tuple(b.count(v) for v in range(1, N + 1))
-            builder.add((xe, ye), d, num, den)
-    return builder.build()
+            builder.add((xe, ye), d, e, mu_partition(zip(m, a, b)))
+    return builder.build(scale=ONE / (Q - ONE) ** n)
 
 
 def product_side_expansion(max_total, N, t_degree, q_degree):

@@ -108,7 +108,7 @@ def cmd_verify_xi_impl(args):
 
 
 def cmd_compute(args):
-    from .symfunc import SymFunc, poly_to_symfunc
+    from .symfunc import SymFunc
     if args.what == "macdonald":
         from .macdonald import htilde_schur
         report = {"command": "compute-macdonald", "lambda": list(args.lam),
@@ -126,16 +126,9 @@ def cmd_compute(args):
                   "N": args.N, "D": args.D,
                   "series": series.to_json(), "equal": True}
     elif args.what == "parking":
-        from .shuffle import nabla_en_expansion, parking_sum
-        lhs = nabla_en_expansion(args.n, args.k, args.N)
-        rhs = parking_sum(args.n, args.k, args.N)
-        report = {"command": "compute-parking", "n": args.n, "k": args.k,
-                  "N": args.N,
-                  "parking_monomial": str(poly_to_symfunc(rhs, "x", "m")),
-                  "parking_schur": str(poly_to_symfunc(rhs, "x", "s")),
-                  "nabla_monomial": str(poly_to_symfunc(lhs, "x", "m")),
-                  "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
-                  "equal": lhs == rhs}
+        from .shuffle import compute_parking
+        report = compute_parking(args.n, args.k, args.N)
+        report["command"] = "compute-parking"
     else:  # pragma: no cover
         return 2
     return _emit(report, args)

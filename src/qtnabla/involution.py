@@ -259,8 +259,8 @@ def signed_quadruple_series(n, k, N, D):
     for quad in enumerate_van(n, k, D, N):
         xe = tuple(quad.a.count(v) for v in range(1, N + 1))
         ye = tuple(quad.b.count(v) for v in range(1, N + 1))
-        weight = QtScalar.monomial(c=(-1) ** quad.l, q=d_k_rev(quad.m, quad.b, k))
-        builder.add((xe, ye), sum(quad.m), weight)
+        builder.add((xe, ye), sum(quad.m), d_k_rev(quad.m, quad.b, k),
+                    count=(-1) ** quad.l)
     return builder.build()
 
 

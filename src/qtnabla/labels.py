@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 
-from .scalar import ONE, Q, QtScalar, aut_q
+from .scalar import ONE, Q, QtScalar
 from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
 
 
@@ -55,11 +55,6 @@ def alpha_composition(values):
 
 def mu_partition(values):
     return sort_partition(alpha_composition(values))
-
-
-def aut_q_of(*cols):
-    """aut_q of the multiplicity partition of the column tuples."""
-    return aut_q(mu_partition(list(zip(*cols))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 from functools import lru_cache
 from math import factorial
 
-from .scalar import ONE, Q, QtScalar, T, MonomialSeries, ZERO
+from .scalar import ONE, Q, QtScalar, T, MonomialSeries, ZERO, q_multinomial
 from .symfunc import SymFunc, conjugate, dominance_leq, partitions
 
 
@@ -119,22 +119,6 @@ def _take(counts, x):
     return counts[:x] + (counts[x] - 1,) + counts[x + 1:]
 
 
-@lru_cache(maxsize=None)
-def _word_inversions(counts):
-    """{inv: number} over the distinct words with these letter counts, the
-    q-multinomial coefficient."""
-    if not any(counts):
-        return {0: 1}
-    out = {}
-    for x, c in enumerate(counts):
-        if c:
-            rest = _take(counts, x)
-            shift = sum(rest[:x])  # the later letters below x
-            for i, v in _word_inversions(rest).items():
-                out[i + shift] = out.get(i + shift, 0) + v
-    return out
-
-
 def _hhl_htilde(lam):
     """H~_lam = sum over fillings s of q^{inv s} t^{maj s} x^s, the
     Haglund-Haiman-Loehr formula, as one integer polynomial per content.
@@ -144,7 +128,7 @@ def _hhl_htilde(lam):
     only its own row and the row above, so the fillings of the rows below
     are summed once per (row, word of the row above, letters left).  In the
     bottom row, only the columns under the row above are filled one by one;
-    the rest add inversions alone, counted by _word_inversions.
+    the rest add inversions alone, counted by q_multinomial.
     """
     rows = tuple(lam)[::-1]
     if not rows:
@@ -167,7 +151,7 @@ def _hhl_htilde(lam):
                 else:  # bottom row: its free tail follows every letter of word
                     cross = sum(sum(left[:y]) for y in word)
                     rest = {(i + cross, 0): v
-                            for i, v in _word_inversions(left).items()}
+                            for i, v in q_multinomial(left).items()}
                 for (i, m), v in rest.items():
                     key = (i + inv, m + maj)
                     out[key] = out.get(key, 0) + v

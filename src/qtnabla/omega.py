@@ -3,7 +3,10 @@ xi-factored and label-substituted forms, the full-twist series, and the
 squarefree (Hilbert-type) coefficient.
 
 Every series is graded exactly by t-degree = |m|, so truncation never
-loses information below the cut.
+loses information below the cut.  The enumerators hand each term to
+scalar.SeriesBuilder as an integer count of q^e / aut_q(mu), with mu the
+multiplicity partition of the columns; each coefficient is then one integer
+polynomial over [n]_q!, reduced once.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from itertools import product
 from .scalar import (ONE, Q, QtScalar, SeriesBuilder, TSeries, MonomialSeries,
                      discrepancy)
 from .labels import (
-    attack_path, aut_q_of, dinv_k, dinv_k_pair, iter_sorted_pairs,
-    iter_sorted_triples, xi_pi,
+    attack_path, dinv_k, dinv_k_pair, iter_sorted_pairs, iter_sorted_triples,
+    mu_partition, xi_pi,
 )
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
@@ -38,15 +41,24 @@ def _exps(label, N):
     return tuple(label.count(v) for v in range(1, N + 1))
 
 
+def _add_q_polynomial(builder, key, d, q_exp, mu, c):
+    """Add q^q_exp c / aut_q(mu) for a polynomial c in q alone."""
+    if not (c.is_polynomial() and c.is_t_free()):
+        raise AssertionError(f"label coefficient {c} is not a polynomial in q")
+    for (e, _), v in c.num.items():
+        builder.add(key, d, q_exp + e, mu, v)
+
+
 def omega_series(query):
     """Sum over sorted triples of t^{|m|} q^{dinv_k} X_a Y_b
-    / ((1-q)^n aut_q(m, a, b)), per t-degree."""
+    / ((1-q)^n aut_q(m, a, b)), per t-degree; aut_q(m, a, b) is aut_q of
+    the multiplicity partition of the columns (m_i, a_i, b_i)."""
     n, k, N, D = query.n, query.k, query.N, query.D
     builder = SeriesBuilder(N, N, D)
     for d in range(D + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
-            num = QtScalar.monomial(q=dinv_k(m, a, b, k))
-            builder.add((_exps(a, N), _exps(b, N)), d, num, aut_q_of(m, a, b))
+            builder.add((_exps(a, N), _exps(b, N)), d, dinv_k(m, a, b, k),
+                        mu_partition(zip(m, a, b)))
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 
@@ -55,14 +67,17 @@ def omega_via_xi(query):
     function xi supplying the y side."""
     n, k, N, D = query.n, query.k, query.N, query.D
     builder = SeriesBuilder(N, N, D)
+    xis = {}  # attack path -> its xi terms; many pairs share a path
     for d in range(D + 1):
         for m, a in iter_sorted_pairs(n, N, d):
             path = attack_path(m, a, k)
-            base = QtScalar.monomial(q=dinv_k_pair(m, a, k))
-            den = aut_q_of(m, a)
+            if path not in xis:
+                xis[path] = xi_pi(path, N).terms.items()
+            base = dinv_k_pair(m, a, k)
+            mu = mu_partition(zip(m, a))
             xa = _exps(a, N)
-            for (_, ye), c in xi_pi(path, N).terms.items():
-                builder.add((xa, ye), d, base * c, den)
+            for (_, ye), c in xis[path]:
+                _add_q_polynomial(builder, (xa, ye), d, base, mu, c)
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 
@@ -76,8 +91,7 @@ def omega_sub_y(query):
             path = attack_path(m, a, k)
             if any(b[i - 1] == b[j - 1] for i, j in path.dset):
                 continue
-            builder.add((_exps(a, N), _exps(b, N)), d,
-                        QtScalar.monomial(q=dinv_k(m, a, b, k)))
+            builder.add((_exps(a, N), _exps(b, N)), d, dinv_k(m, a, b, k))
     return builder.build(scale=QtScalar.from_int((-1) ** n))
 
 
@@ -86,16 +100,19 @@ def omega_sub_y_via_plethysm(query):
     the power-sum route, never touching the triple enumeration."""
     n, k, N, D = query.n, query.k, query.N, query.D
     builder = SeriesBuilder(N, N, D)
+    subs = {}  # attack path -> its substituted xi terms
     for d in range(D + 1):
         for m, a in iter_sorted_pairs(n, N, d):
             path = attack_path(m, a, k)
-            xi = poly_to_symfunc(xi_pi(path, N), alphabet="y")
-            sub = plethysm_p_scale(xi, lambda r: Q ** r - ONE).expand(N, "y")
-            base = QtScalar.monomial(q=dinv_k_pair(m, a, k))
-            den = aut_q_of(m, a)
+            if path not in subs:
+                xi = poly_to_symfunc(xi_pi(path, N), alphabet="y")
+                subs[path] = plethysm_p_scale(
+                    xi, lambda r: Q ** r - ONE).expand(N, "y").terms.items()
+            base = dinv_k_pair(m, a, k)
+            mu = mu_partition(zip(m, a))
             xa = _exps(a, N)
-            for (_, ye), c in sub.terms.items():
-                builder.add((xa, ye), d, base * c, den)
+            for (_, ye), c in subs[path]:
+                _add_q_polynomial(builder, (xa, ye), d, base, mu, c)
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 
@@ -106,11 +123,9 @@ def cauchy_combinatorial(n, N, D):
     builder = SeriesBuilder(N, N, D)
     for d in range(D + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
-            cols = list(zip(m, a, b))
-            pairs = sum(1 for i in range(n) for j in range(i + 1, n)
-                        if cols[i] == cols[j])
-            builder.add((_exps(a, N), _exps(b, N)), d,
-                        QtScalar.monomial(q=pairs), aut_q_of(m, a, b))
+            mu = mu_partition(zip(m, a, b))
+            pairs = sum(r * (r - 1) // 2 for r in mu)
+            builder.add((_exps(a, N), _exps(b, N)), d, pairs, mu)
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 

@@ -1,9 +1,14 @@
 """Exact arithmetic in ZZ(q,t), plus truncated power series in t over ZZ(q).
 
 A polynomial is a sparse dict mapping (q_exponent, t_exponent) to a nonzero
-integer.  A QtScalar is a canonical fraction of two such polynomials: the
-gcd is divided out and the denominator's leading coefficient (lex order,
-q before t) is positive, so structural equality is mathematical equality.
+integer.  A QtScalar is a canonical fraction of two such polynomials: a
+Laurent monomial factor is moved into the denominator, so both exponents
+are nonnegative, the gcd is divided out, and the denominator's leading
+coefficient (lex order, q before t) is positive, so structural equality is
+mathematical equality.
+
+SeriesBuilder assembles the enumerator series: it counts the terms
+c q^e / aut_q(mu) in integers over [n]_q! and reduces each coefficient once.
 
 Everything here is immutable after construction, so values may be shared
 freely.
@@ -12,7 +17,9 @@ freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd
+from operator import itemgetter
 
 Mono = tuple[int, int]
 
@@ -52,6 +59,8 @@ def _pd_mul(p, q):
 
 
 _ONE_PD = {(0, 0): 1}
+
+_t_exp = itemgetter(1)  # the t-exponent of a monomial
 
 
 def _pd_render(p):
@@ -412,6 +421,13 @@ class QtScalar:
     def _reduce(num, den):
         if not num:
             return {}, dict(_ONE_PD)
+        # a Laurent monomial factor moves into the denominator, so num and
+        # den are polynomials and q^0 t^0 is the only unit the gcd leaves
+        sq = min(min(num)[0], min(den)[0], 0)
+        st = min(min(num, key=_t_exp)[1], min(den, key=_t_exp)[1], 0)
+        if sq or st:
+            num = {(i - sq, j - st): c for (i, j), c in num.items()}
+            den = {(i - sq, j - st): c for (i, j), c in den.items()}
         if den != _ONE_PD:
             g = _pd_gcd(num, den)
             if g != _ONE_PD:
@@ -655,32 +671,20 @@ def aut_q(parts):
     return out
 
 
-class RationalSum:
-    """Accumulates sum of num/den pairs grouped by denominator.
-
-    Cheaper than repeated QtScalar addition when denominators repeat,
-    which they do heavily in the enumeration sums (aut_q values).
-    """
-
-    __slots__ = ("_groups",)
-
-    def __init__(self):
-        self._groups = {}
-
-    def add(self, num_scalar, den_scalar=None):
-        den = den_scalar if den_scalar is not None else ONE
-        key = den._key
-        group = self._groups.get(key)
-        if group is None:
-            self._groups[key] = [den, num_scalar]
-        else:
-            group[1] = group[1] + num_scalar
-
-    def total(self):
-        out = ZERO
-        for den, num in self._groups.values():
-            out = out + num / den
-        return out
+@lru_cache(maxsize=None)
+def q_multinomial(counts):
+    """{inv: number} over the distinct words with these letter counts: the
+    q-multinomial coefficient [sum counts]_q! / prod_i [counts_i]_q!."""
+    if not any(counts):
+        return {0: 1}
+    out = {}
+    for x, c in enumerate(counts):
+        if c:
+            rest = counts[:x] + (c - 1,) + counts[x + 1:]
+            shift = sum(rest[:x])  # the later letters below x
+            for i, v in q_multinomial(rest).items():
+                out[i + shift] = out.get(i + shift, 0) + v
+    return out
 
 
 class TSeries:
@@ -845,27 +849,60 @@ def discrepancy(lhs, rhs):
 
 
 class SeriesBuilder:
-    """Accumulates monomial-keyed per-t-degree rational sums, then finalizes."""
+    """Counts the terms count * q^q_exp / aut_q(mu) of a monomial-keyed
+    series in integers, then forms each coefficient in one reduction.
+
+    Each aut_q(mu) divides [n]_q!, where n is the largest |mu| added, with
+    the q-multinomial [n]_q! / aut_q(mu) as cofactor.  So a coefficient is
+    one integer polynomial over [n]_q!, and build() reduces it once per
+    (key, t-degree) instead of adding each term as a QtScalar.
+    """
 
     def __init__(self, nx, ny, degree):
         self.nx = nx
         self.ny = ny
         self.degree = degree
-        self._acc = {}
+        self._acc = {}  # key -> per t-degree {mu: {q_exp: count}} or None
 
-    def add(self, key, t_deg, num, den=None):
-        slot = self._acc.get(key)
-        if slot is None:
-            slot = self._acc[key] = [None] * (self.degree + 1)
-        if slot[t_deg] is None:
-            slot[t_deg] = RationalSum()
-        slot[t_deg].add(num, den)
+    def add(self, key, t_deg, q_exp, mu=(), count=1):
+        """Add count * q^q_exp / aut_q(mu) at t^t_deg; q_exp may be negative."""
+        slots = self._acc.get(key)
+        if slots is None:
+            slots = self._acc[key] = [None] * (self.degree + 1)
+        tally = slots[t_deg]
+        if tally is None:
+            tally = slots[t_deg] = {}
+        weights = tally.get(mu)
+        if weights is None:
+            weights = tally[mu] = {}
+        weights[q_exp] = weights.get(q_exp, 0) + count
 
-    def build(self, scale=None):
+    def build(self, scale=ONE):
+        """The MonomialSeries of the counted terms, each coefficient
+        multiplied by the t-free scalar scale."""
+        n = max((sum(mu) for slots in self._acc.values() for tally in slots
+                 if tally for mu in tally), default=0)
+        den = _pd_mul(q_factorial(n).num, scale.den)
+        cofactors = {}  # mu -> {q-degree: coefficient of [n]_q! / aut_q(mu)}
         table = {}
         for key, slots in self._acc.items():
-            coeffs = [s.total() if s is not None else ZERO for s in slots]
-            if scale is not None:
-                coeffs = [c * scale for c in coeffs]
+            coeffs = []
+            for tally in slots:
+                if not tally:
+                    coeffs.append(ZERO)
+                    continue
+                num = {}
+                for mu, weights in tally.items():
+                    cof = cofactors.get(mu)
+                    if cof is None:
+                        cof = cofactors[mu] = q_multinomial(
+                            mu + (1,) * (n - sum(mu)))
+                    for e, c in weights.items():
+                        for i, v in cof.items():
+                            num[e + i] = num.get(e + i, 0) + c * v
+                num = {(e, 0): c for e, c in num.items() if c}
+                if scale.num != _ONE_PD:
+                    num = _pd_mul(num, scale.num)
+                coeffs.append(QtScalar(num, den))
             table[key] = TSeries(self.degree, coeffs)
         return MonomialSeries(self.nx, self.ny, self.degree, table)

@@ -172,6 +172,18 @@ def verify_shuffle(n, k, N):
             if equal else None}
 
 
+def compute_parking(n, k, N):
+    """The parking sum and nabla^k e_n over x_1..x_N, each rendered in the
+    monomial and the Schur basis, and whether the two agree."""
+    lhs = nabla_en_expansion(n, k, N)
+    rhs = parking_sum(n, k, N)
+    return {"n": n, "k": k, "N": N, "equal": lhs == rhs,
+            "nabla_monomial": str(poly_to_symfunc(lhs, "x", "m")),
+            "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
+            "parking_monomial": str(poly_to_symfunc(rhs, "x", "m")),
+            "parking_schur": str(poly_to_symfunc(rhs, "x", "s"))}
+
+
 # ---------------------------------------------------------------------------
 # cancellation analysis
 

@@ -54,7 +54,8 @@ def test_via_xi_matches_direct():
 
 def test_via_xi_single_orbit_slice():
     # one (m, a) orbit contributes t^{|m|} q^{dinv} X_a xi(Y)/aut
-    from qtnabla.labels import attack_path, dinv_k_pair, xi_pi, aut_q_of
+    from oracles import aut_q_of
+    from qtnabla.labels import attack_path, dinv_k_pair, xi_pi
     n, k, N = 2, 1, 2
     m, a = (1, 0), (2, 1)
     path = attack_path(m, a, k)
@@ -62,7 +63,6 @@ def test_via_xi_single_orbit_slice():
     xi = xi_pi(path, N)
     # direct regrouping of omega_series terms with that (m, a)
     from qtnabla.labels import iter_sorted_triples, dinv_k, sort_triple
-    from qtnabla.scalar import RationalSum
     for (_, ye), c in xi.terms.items():
         acc = QtScalar.from_int(0)
         for mm, aa, bb in iter_sorted_triples(n, N, sum(m)):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import RationalSum
 from qtnabla.scalar import (
-    ONE, Q, T, ZERO, MonomialSeries, QtScalar, RationalSum,
-    aut_q, q_bracket, q_factorial,
+    ONE, Q, T, ZERO, MonomialSeries, QtScalar,
+    aut_q, q_bracket, q_factorial, q_multinomial,
 )
 
 
@@ -93,6 +94,22 @@ def test_q_bracket_and_factorial():
 def test_aut_q_from_paper_multiplicities():
     # label (1,1,1,4,4,2,1,4) has multiplicity partition (4,3,1)
     assert aut_q((4, 3, 1)) == q_factorial(4) * q_factorial(3) * q_factorial(1)
+
+
+def test_q_multinomial_is_the_factorial_quotient():
+    for counts in ((), (1,), (2, 1), (1, 2, 0), (3, 2, 1), (2, 2, 1, 1)):
+        cofactor = QtScalar({(i, 0): v for i, v in q_multinomial(counts).items()})
+        assert cofactor * aut_q(counts) == q_factorial(sum(counts))
+
+
+def test_laurent_values_are_canonical():
+    assert QtScalar.monomial(q=-1) == Q ** -1
+    assert (QtScalar.monomial(q=-1) + ONE) / (ONE - Q) == (1 + Q) / (Q - Q * Q)
+    s = QtScalar.monomial(c=3, q=-2, t=-1)
+    assert (s.num, s.den) == ({(0, 0): 3}, {(2, 1): 1})
+    assert s * Q ** 2 * T == 3
+    assert not s.is_polynomial()
+    assert QtScalar({(-1, 2): 1, (0, 0): 1}, {(0, 1): 1}) == (T * T + Q) / (Q * T)
 
 
 def test_t_expand_geometric():

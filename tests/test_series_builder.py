@@ -1,0 +1,88 @@
+"""scalar.SeriesBuilder counts each series in integers and reduces one
+coefficient at a time over [n]_q!.  Every series it builds is compared, bit
+for bit, with the same terms added one by one as rational functions, the
+route it replaced (tests/oracles.py)."""
+
+from itertools import product
+
+import pytest
+
+import oracles
+from qtnabla import bundles, involution, omega
+from qtnabla.omega import OmegaQuery
+from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
+
+# n, k, N at D = 4: every series is graded by t-degree, so the series at
+# D = 4 holds the ones at D < 4 as truncations, which is checked at k = 1
+GRID = list(product((1, 2, 3), (0, 1, 2), (1, 2, 3), (4,)))
+
+
+def _omega(fn):
+    return lambda n, k, N, D: fn(OmegaQuery(n, k, N, D))
+
+
+# each caller with its sizes: the grid, plus the sizes the benchmark runs
+# outside it (verify-main, and the product identity of verify-bundles)
+CALLERS = {
+    "omega_series": (_omega(omega.omega_series), GRID + [(3, 2, 3, 5)]),
+    "omega_via_xi": (_omega(omega.omega_via_xi), GRID),
+    "omega_sub_y": (_omega(omega.omega_sub_y), GRID),
+    "omega_sub_y_via_plethysm": (_omega(omega.omega_sub_y_via_plethysm), GRID),
+    "cauchy_combinatorial": (
+        lambda n, k, N, D: omega.cauchy_combinatorial(n, N, D),
+        [s for s in GRID if s[1] == 0]),
+    "signed_quadruple_series": (involution.signed_quadruple_series, GRID),
+    "bundle_side_series": (bundles.bundle_side_series,
+                           GRID + [(n, 0, 3, 3) for n in (1, 2, 3)]),
+}
+
+
+class _Replay:
+    """Records the terms a caller adds, then builds them through both
+    SeriesBuilder and the per-term route and checks the two agree."""
+
+    def __init__(self, nx, ny, degree):
+        self.builders = (SeriesBuilder(nx, ny, degree),
+                         oracles.PerTermBuilder(nx, ny, degree))
+
+    def add(self, *term, **kw):
+        for builder in self.builders:
+            builder.add(*term, **kw)
+
+    def build(self, scale=ONE):
+        fast, per_term = (builder.build(scale) for builder in self.builders)
+        assert fast == per_term
+        return fast
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_integer_counts_match_per_term_route(name, monkeypatch):
+    build, sizes = CALLERS[name]
+    with monkeypatch.context() as patch:
+        for module in (bundles, involution, omega):
+            patch.setattr(module, "SeriesBuilder", _Replay)
+        checked = [build(*s) for s in sizes]
+    for (n, k, N, D), series in zip(sizes, checked):
+        for d in range(D if k == 1 else 0):
+            assert build(n, k, N, d) == series.truncate(d), (n, k, N, d)
+
+
+def test_bundle_series_matches_symbolic_counts():
+    for n, k, N, D in [s for s in GRID if s[2] <= 2] + [(3, 1, 2, 4)]:
+        assert (bundles.bundle_side_series(n, k, N, D)
+                == oracles.bundle_side_series_per_term(n, k, N, D))
+
+
+def test_builder_mixes_sizes_signs_and_laurent_exponents():
+    builder = SeriesBuilder(1, 1, 1)
+    key = ((1,), (1,))
+    builder.add(key, 0, -2, (2, 1), 3)
+    builder.add(key, 0, 1, (), -1)
+    builder.add(key, 0, 1, (), 1)
+    builder.add(key, 1, 0, (2,))
+    builder.add(key, 1, 0, (2,), -1)
+    scale = ONE / (ONE - Q)
+    got = builder.build(scale).series(key)
+    assert got[0] == 3 * QtScalar.monomial(q=-2) / aut_q((2, 1)) * scale
+    assert got[1].is_zero()
+    assert SeriesBuilder(1, 1, 0).build().table == {}

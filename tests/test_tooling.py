@@ -1,14 +1,18 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps package functions
-by name, and its install step raises on a name that is gone. This test
-resolves every target the same way, so a rename fails the test suite
-instead of only the traced benchmark run."""
+by name, and its install step raises on a name that is gone; its enum-sweep
+workload (perfbench/run.py) calls package functions by name, and counts a
+call that raises as a failed operation. These tests resolve every such name
+the same way, so a rename fails the test suite instead of only the
+benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pathlib
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_targets():
@@ -32,3 +36,24 @@ def test_tracer_targets_resolve():
         assert callable(fn), qualname
         if yields:
             assert inspect.isgeneratorfunction(fn), qualname
+
+
+def _enum_cases():
+    """ENUM_CASES of perfbench/run.py, read from its source."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "ENUM_CASES"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no ENUM_CASES")
+
+
+def test_bench_cases_resolve():
+    cases = _enum_cases()
+    assert cases
+    for module_name, name, args in cases:
+        module = importlib.import_module("qtnabla." + module_name)
+        fn = getattr(module, name, None)
+        assert callable(fn), (module_name, name)
+        inspect.signature(fn).bind(*args)  # TypeError when they do not fit
