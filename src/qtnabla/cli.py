@@ -16,22 +16,24 @@ from math import isqrt
 
 def _parse_partition(text):
     parts = tuple(int(p) for p in text.split(",") if p)
-    if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
+    if not parts or any(p <= 0 for p in parts) \
+            or list(parts) != sorted(parts, reverse=True):
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
     return parts
 
 
 def _parse_primes(text):
-    """The comma-separated --primes list; ValueError unless all are primes."""
+    """The comma-separated --primes list; ValueError unless all are primes
+    and none is repeated."""
     try:
         primes = tuple(int(p) for p in text.split(","))
     except ValueError:
         primes = ()
     prime = [p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
              for p in primes]
-    if not primes or not all(prime):
-        raise ValueError(f"--primes must be a comma-separated list of primes, "
-                         f"got {text!r}")
+    if not primes or not all(prime) or len(set(primes)) < len(primes):
+        raise ValueError(f"--primes must be a comma-separated list of distinct "
+                         f"primes, got {text!r}")
     return primes
 
 

@@ -31,13 +31,20 @@ def sort_triple(m, a, b):
             tuple(r[2] for r in rows))
 
 
+def _ascending(keys):
+    return all(u <= v for u, v in zip(keys, keys[1:]))
+
+
 def is_sorted_triple(m, a, b):
-    return sort_triple(m, a, b) == (tuple(m), tuple(a), tuple(b))
+    """Is (m, a, b) its own sort_triple?  Adjacent columns compared under
+    the same key, without sorting."""
+    if not (len(m) == len(a) == len(b)):
+        raise ValueError("sequences must have equal length")
+    return _ascending([(-x, y, z) for x, y, z in zip(m, a, b)])
 
 
 def is_sorted_pair(m, a):
-    rows = sorted(zip(m, a), key=lambda r: (-r[0], r[1]))
-    return rows == list(zip(m, a))
+    return _ascending([(-x, y) for x, y in zip(m, a)])
 
 
 def alpha_composition(values):

@@ -437,6 +437,14 @@ class SymFunc:
             return w
         return self._p_pairing(other, weight)
 
+    def star_inner(self, other):
+        """The *-pairing, for which the modified Macdonald polynomials are
+        orthogonal: <p_rho, p_rho>_* = z_rho prod_r (-1)^{r-1}(1-q^r)(1-t^r)."""
+        def weight(rho):
+            return zee(rho) * _prod((ONE - Q ** r) * (ONE - T ** r) * (-1) ** (r - 1)
+                                    for r in rho)
+        return self._p_pairing(other, weight)
+
     def omega(self):
         return plethysm_p_scale(self, lambda r: (-1) ** (r - 1))
 
@@ -585,7 +593,9 @@ def poly_to_symfunc(poly, alphabet="x", basis="m"):
     """Read a symmetric polynomial back off as a symmetric function.
 
     Raises ValueError if the polynomial is not symmetric in the alphabet
-    (verified by re-expanding the result).
+    (verified by re-expanding the result).  In the Schur basis only the s_lam
+    with l(lam) <= N are kept: the others vanish on N variables, so the
+    polynomial does not determine their coefficients.
     """
     N = poly.nx if alphabet == "x" else poly.ny
     terms = {}
@@ -600,6 +610,9 @@ def poly_to_symfunc(poly, alphabet="x", basis="m"):
     f = SymFunc("m", terms)
     if f.expand(N, alphabet) != poly:
         raise ValueError("polynomial is not symmetric")
+    if basis == "s":
+        return SymFunc("s", {lam: c for lam, c in f.convert("s").terms.items()
+                             if len(lam) <= N})
     return f.convert(basis) if basis != "m" else f
 
 

@@ -4,12 +4,15 @@ Each was the production route until a faster one replaced it; the tests
 compare the replacement with it wherever it can still run.
 """
 
+from functools import lru_cache
 from math import comb
 
 from qtnabla.bundles import aut_exponent, nilp_exponent
 from qtnabla.labels import is_sorted_triple, iter_sorted_triples, mu_partition
+from qtnabla.macdonald import modified_macdonald
 from qtnabla.scalar import (ONE, Q, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
+from qtnabla.symfunc import partitions
 
 
 # ---------------------------------------------------------------------------
@@ -113,3 +116,51 @@ def bundle_side_series_per_term(n, k, N, degree):
             builder.add_term((xe, ye), d, nilp_count_symbolic(m, a, b, k) * pref,
                              aut_count_symbolic(m, a, b))
     return builder.build()
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination, the route that the *-pairing expansion replaced
+
+
+@lru_cache(maxsize=None)
+def htilde_inverse_by_elimination(n):
+    """For each partition mu of n, the expansion of m_mu in the H-tilde
+    basis, by inverting the (H~_lam -> monomial) matrix."""
+    lams = list(partitions(n))
+    idx = {lam: i for i, lam in enumerate(lams)}
+    size = len(lams)
+    mat = [[ZERO] * size for _ in range(size)]
+    inv = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    for i, lam in enumerate(lams):
+        for mu, c in modified_macdonald(lam).terms.items():
+            mat[i][idx[mu]] = c
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not mat[r][col].is_zero()), None)
+        if pivot is None:
+            raise AssertionError("H-tilde to monomial matrix is singular")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        lead = mat[col][col]
+        mat[col] = [c / lead for c in mat[col]]
+        inv[col] = [c / lead for c in inv[col]]
+        for r in range(size):
+            if r != col and not mat[r][col].is_zero():
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    # row i now reads: m_{lams[i]} = sum_j inv[i][j] * H-tilde_{lams[j]}
+    return {lams[i]: {lams[j]: inv[i][j] for j in range(size)
+                      if not inv[i][j].is_zero()}
+            for i in range(size)}
+
+
+def to_htilde_dict_by_elimination(f):
+    """macdonald.to_htilde_dict through the inverted matrix."""
+    f = f.convert("m")
+    out = {}
+    for mu, c in f.terms.items():
+        for lam, v in htilde_inverse_by_elimination(sum(mu))[mu].items():
+            prev = out.get(lam)
+            val = c * v
+            out[lam] = val if prev is None else prev + val
+    return {lam: c for lam, c in out.items() if not c.is_zero()}

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import product
 
 from qtnabla.cli import main
 
@@ -133,7 +134,12 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    for primes in ("4", "1"):
+    for lam in ("", ","):
+        code, out = run_cli("compute", "macdonald", "--lambda", lam)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), lam
+        assert "not a partition" in err, (lam, err)
+    for primes in ("4", "1", "2,2", "3,2,3"):
         code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
                             "--primes", primes)
         err = capsys.readouterr().err
@@ -141,6 +147,23 @@ def test_config_errors(capsys):
         assert err.startswith("error: --primes ") and err.count("\n") == 1, err
     # k = 0 stays a valid input where the series is defined
     assert run_cli("compute", "omega", "--n", "2", "--k", "0", "--D", "1")[0] == 0
+
+
+def test_schur_report_keeps_only_rows_that_N_variables_determine():
+    """With --N below --n, the s_lam with more than N rows vanish on the
+    alphabet; the report used to print wrong coefficients for them."""
+    code, out = run_cli("compute", "parking", "--n", "3", "--N", "2",
+                        "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    full = "s[3] + (q^2 + q t + q + t^2 + t) s[2,1]"
+    assert report["nabla_schur"] == report["parking_schur"] == full
+    code, out = run_cli("compute", "nabla", "--n", "3", "--format", "json")
+    assert json.loads(out)["schur"].startswith(full + " + ")
+    code, out = run_cli("verify-shuffle", "--n", "2", "--N", "1",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)["nabla_schur"] == "s[2]"
 
 
 def test_bundle_cap_fails_before_the_oracle(monkeypatch, capsys):
@@ -230,3 +253,47 @@ def test_console_entry_point(child_env):
         [sys.executable, "-m", "qtnabla.cli", "verify-shuffle", "--n", "2"],
         env=child_env, capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def _fuzz_grid():
+    """Every subcommand over small, zero, negative and odd option values."""
+    small = (-1, 0, 1, 2)
+    for n, k, N, D in product(small, small, (0, 1, 2), (-1, 0, 1)):
+        sizes = ("--n", str(n), "--k", str(k), "--N", str(N), "--D", str(D))
+        for command in ("verify-main", "verify-involution", "verify-paff",
+                        "verify-bundles"):
+            yield (command, *sizes)
+        yield ("compute", "omega", *sizes)
+        if D == 0:
+            yield ("verify-shuffle", *sizes[:6])
+            yield ("compute", "parking", *sizes[:6])
+        if N == 1:
+            yield ("verify-fulltwist", *sizes[:4], *sizes[6:])
+            yield ("verify-fulltwist", *sizes[:4], *sizes[6:], "--hilbert")
+        if N == 1 and D == 0:
+            yield ("compute", "nabla", *sizes[:4])
+            if k == 1:
+                yield ("verify-xi", *sizes[:2])
+    for lam in ("", ",", "0", "-1", "1,2", "2,,1", "a", "2.5", "9", "1",
+                "2,1", "1,1,1"):
+        yield ("compute", "macdonald", "--lambda", lam)
+    for primes in ("", ",", "2,", "0", "-2", "1", "4", "a", "2,2", "3,2,3",
+                   "7", "2", "3,2"):
+        yield ("verify-bundles", "--n", "1", "--D", "1", "--primes", primes)
+
+
+def test_cli_fuzz_grid_exits_zero_or_two(capsys):
+    """No input on the grid raises, reports a counterexample or fails a
+    self-check; bad input exits 2 with one error line or the usage message."""
+    seen = set()
+    for argv in _fuzz_grid():
+        code, _ = run_cli(*argv)
+        err = capsys.readouterr().err
+        seen.add(code)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert ((err.startswith("error: ") and err.count("\n") == 1)
+                    or err.startswith("usage: ")), (argv, err)
+        else:
+            assert err == "", (argv, err)
+    assert seen == {0, 2}

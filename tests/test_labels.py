@@ -5,7 +5,7 @@ import pytest
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
     DyckPath, alpha_composition, attack_path, attacks,
-    chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_triple,
+    chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_pair, is_sorted_triple,
     iter_sorted_pairs, iter_sorted_triples, mu_partition, sort_columns,
     sort_triple, verify_xi, xi_pi,
 )
@@ -25,6 +25,20 @@ def test_sort_columns_idempotent():
 def test_sort_triple_worked_example():
     got = sort_triple((1, 0, 1, 0), (2, 1, 1, 1), (1, 2, 2, 1))
     assert got == ((1, 1, 0, 0), (1, 2, 1, 1), (2, 1, 1, 2))
+
+
+def test_sortedness_agrees_with_sorting():
+    """is_sorted_* compare adjacent columns; a column sequence is sorted
+    exactly when sorting leaves it unchanged."""
+    for n in range(5):
+        for m, a in product(product(range(3), repeat=n), repeat=2):
+            rows = sorted(zip(m, a), key=lambda r: (-r[0], r[1]))
+            assert is_sorted_pair(m, a) == (rows == list(zip(m, a)))
+            for b in product(range(2), repeat=n):
+                assert is_sorted_triple(m, a, b) == \
+                    (sort_triple(m, a, b) == (m, a, b)), (m, a, b)
+    with pytest.raises(ValueError):
+        is_sorted_triple((1, 0), (1,), (1, 1))
 
 
 def test_alpha_mu_worked_example():

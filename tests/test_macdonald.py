@@ -5,11 +5,14 @@ import pytest
 
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.macdonald import (
-    MacdonaldCache, _build_htilde, _hhl_htilde, _validate_htilde,
-    cauchy_macdonald_series, cells, eigenvalue, integral_J, macdonald_P,
-    modified_macdonald, nabla_power, nstat, to_htilde_dict, w_denominator,
+    MacdonaldCache, _build_htilde, _hhl_htilde, _htilde_inverse_matrix,
+    _validate_htilde, cauchy_macdonald_series, cells, eigenvalue,
+    from_htilde_dict, htilde_norm, integral_J, macdonald_P, modified_macdonald,
+    nabla_power, nstat, to_htilde_dict, w_denominator,
 )
 from qtnabla.symfunc import SymFunc, conjugate, partitions
+
+from oracles import htilde_inverse_by_elimination, to_htilde_dict_by_elimination
 
 
 def test_nstat():
@@ -280,6 +283,37 @@ def test_to_htilde_roundtrip():
             for mu, c in coeffs.items():
                 back = back + modified_macdonald(mu).scale(c)
             assert back == f
+
+
+def _bits(f):
+    """Every coefficient's canonical numerator and denominator."""
+    return {lam: (c.num, c.den) for lam, c in f.items()}
+
+
+def test_star_pairing_matches_elimination_oracle():
+    for n in range(6):
+        for mu in partitions(n):
+            for f in (SymFunc.m(mu), SymFunc.s(mu)):
+                assert _bits(to_htilde_dict(f)) == \
+                    _bits(to_htilde_dict_by_elimination(f)), (n, mu, f.basis)
+        if n:
+            coeffs = to_htilde_dict_by_elimination(SymFunc.e(n))
+            for k in (1, 2, -1):
+                want = from_htilde_dict({lam: c * eigenvalue(lam, k)
+                                         for lam, c in coeffs.items()})
+                got = nabla_power(SymFunc.e(n), k)
+                assert _bits(got.terms) == _bits(want.terms), (n, k)
+    for n in range(4):
+        assert _htilde_inverse_matrix(n) == htilde_inverse_by_elimination(n)
+
+
+def test_htilde_is_star_orthogonal():
+    for n in range(5):
+        for lam in partitions(n):
+            h = modified_macdonald(lam)
+            for mu in partitions(n):
+                want = htilde_norm(lam) if mu == lam else ZERO
+                assert h.star_inner(modified_macdonald(mu)) == want, (lam, mu)
 
 
 def _direct_cauchy_expand(n, N, D):

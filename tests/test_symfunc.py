@@ -124,6 +124,10 @@ def test_expand_roundtrip_via_poly_to_symfunc():
     poly = f.expand(3)
     back = poly_to_symfunc(poly, "x", "s")
     assert back == f
+    # on N variables only the s_lam with at most N rows are determined
+    f = SymFunc("s", {(2, 1): ONE, (1, 1, 1): Q + 5})
+    assert poly_to_symfunc(f.expand(3), "x", "s").terms == f.terms
+    assert poly_to_symfunc(f.expand(2), "x", "s").terms == {(2, 1): ONE}
 
 
 def test_poly_to_symfunc_rejects_asymmetric():
