@@ -248,9 +248,8 @@ def macdonald_substituted_series(n, k, N, D):
     from .macdonald import _cauchy_outer_product
     return _cauchy_outer_product(
         n, k, N, D,
-        lambda h: plethysm_p_scale(
-            h, lambda r: QtScalar.monomial(t=r) - ONE).expand(N, "x"),
-        lambda h: plethysm_p_scale(h, lambda r: Q ** r - ONE).expand(N, "y"))
+        lambda h: plethysm_p_scale(h, lambda r: QtScalar.monomial(t=r) - ONE),
+        lambda h: plethysm_p_scale(h, lambda r: Q ** r - ONE))
 
 
 def signed_quadruple_series(n, k, N, D):

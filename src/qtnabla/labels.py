@@ -44,6 +44,10 @@ def is_sorted_triple(m, a, b):
 
 
 def is_sorted_pair(m, a):
+    """Is every adjacent column of (m, a) in order: m decreasing, ties by a
+    increasing?"""
+    if len(m) != len(a):
+        raise ValueError("sequences must have equal length")
     return _ascending([(-x, y) for x, y in zip(m, a)])
 
 

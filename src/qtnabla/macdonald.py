@@ -9,6 +9,13 @@ independent oracle that the tests compare it with.
 
 The H-tilde are orthogonal for the *-pairing, so nabla reads the coefficients
 of f off as <f, H~_lam>_* / `htilde_norm`; no matrix is inverted.
+
+The Cauchy series divides each term by w_lam.  Its factors with leg 0 multiply
+to (q-1)^{lam_1} aut_q(rho(lam)), which divides [n]_q! (q-1)^n; every other
+factor q^b - t^m has m >= 1 and t-expands as an integer Laurent series.  So
+the series is counted in integers by scalar.SeriesBuilder, one key per pair
+of partitions.  The per-term route it replaced, one QtScalar and one t_expand
+per (lam, x-monomial, y-monomial), is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ from __future__ import annotations
 import json
 import os
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .scalar import ONE, Q, QtScalar, T, MonomialSeries, ZERO, q_multinomial
-from .symfunc import SymFunc, conjugate, dominance_leq, partitions
+from .scalar import (ONE, Q, QtScalar, T, MonomialSeries, SeriesBuilder, ZERO,
+                     q_multinomial)
+from .symfunc import (SymFunc, conjugate, distinct_permutations, dominance_leq,
+                      partitions)
 
 
 def nstat(lam):
@@ -317,28 +326,112 @@ def nabla_power(f, k):
         {lam: c * eigenvalue(lam, k) for lam, c in coeffs.items()})
 
 
-def _cauchy_outer_product(n, k, N, D, x_side, y_side):
-    """sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam) divided by
-    the norm <H~_lam, H~_lam>_*, t-expanded to D.
+def _rho(lam):
+    """The nonzero row differences lam_i - lam_{i+1} (lam_{l+1} = 0), as a
+    partition."""
+    rows = tuple(lam)
+    return tuple(sorted((a - b for a, b in zip(rows, rows[1:] + (0,)) if a > b),
+                        reverse=True))
 
-    x_side and y_side turn H~_lam into its Poly over x_1..x_N and y_1..y_N.
+
+def _w_inverse_series(lam, D):
+    """(q-1)^{lam_1} aut_q(rho(lam)) / w_denominator(lam) as an integer
+    t-series to t^D: per t-degree, {q-exponent: integer}.
+
+    The factors q^{a+1} - t^l of w with leg l = 0 are the q^{a+1} - 1 of the
+    column tops; row i holds q - 1, ..., q^{lam_i - lam_{i+1}} - 1, so their
+    product is (q-1)^{lam_1} aut_q(rho(lam)).  Every other factor is
+    q^b - t^m with m >= 1, whose inverse is sum_i q^{-b(i+1)} t^{mi}.
     """
-    table = {}
+    series = [{} for _ in range(D + 1)]
+    series[0][0] = 1
+    shift = 0  # the q^{-b} of each factor, applied once at the end
+    for a, l in cells(lam):
+        for b, m in ((a + 1, l), (a, l + 1)):
+            if m == 0:
+                continue
+            shift += b
+            # divide by 1 - q^{-b} t^m: S'[d] = S[d] + q^{-b} S'[d - m]
+            for d in range(m, D + 1):
+                row = series[d]
+                for e, c in series[d - m].items():
+                    row[e - b] = row.get(e - b, 0) + c
+    return [{e - shift: c for e, c in row.items() if c} for row in series]
+
+
+def _times_polynomial(series, poly, D):
+    """An integer t-series times a polynomial {(q_exp, t_exp): integer},
+    truncated at t^D."""
+    out = [{} for _ in range(D + 1)]
+    for (i, j), c in poly.items():
+        for d in range(min(len(series), D + 1 - j)):
+            row = out[d + j]
+            for e, v in series[d].items():
+                row[e + i] = row.get(e + i, 0) + c * v
+    return out
+
+
+def _partition_terms(f, N):
+    """The m-coefficients of f on the partitions with at most N parts, as
+    integer polynomials {(q_exp, t_exp): integer}."""
+    out = {}
+    for mu, c in f.convert("m").terms.items():
+        if len(mu) > N:
+            continue
+        if not c.is_polynomial():
+            raise AssertionError(f"coefficient {c} of m_{mu} is not a polynomial")
+        out[mu] = c.num
+    return out
+
+
+def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
+    """sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam) divided by
+    the norm <H~_lam, H~_lam>_* = (-1)^n w_lam, t-expanded to D and
+    multiplied by the t-free scalar scale, over x_1..x_N and y_1..y_N.
+
+    x_side and y_side map H~_lam to a symmetric function whose m-coefficients
+    are polynomials.  Write w_lam = (q-1)^{lam_1} aut_q(rho(lam)) W_lam (see
+    _w_inverse_series).  Each term is cx cy (-1)^n T_lam^k (q-1)^{n-lam_1}
+    / W_lam over aut_q(rho(lam)) (q-1)^n, and 1/W_lam t-expands with integer
+    coefficients, so SeriesBuilder counts the terms in integers and reduces
+    each coefficient once.  Both sides are symmetric: the terms are keyed by
+    pairs of partitions with at most N parts, and the distinct permutations
+    of a pair share its TSeries.
+    """
+    builder = SeriesBuilder(N, N, D)
     for lam in partitions(n):
+        t_shift = k * nstat(lam)  # the t-degree of eigenvalue(lam, k)
+        if t_shift > D:
+            continue  # every term of lam lies above the truncation
+        r = n - max(lam, default=0)
+        q_shift = k * nstat(conjugate(lam))
+        factor = {(q_shift + i, t_shift): (-1) ** (n + r - i) * comb(r, i)
+                  for i in range(r + 1)}
+        per_lam = _times_polynomial(_w_inverse_series(lam, D - t_shift),
+                                    factor, D)
+        rho = _rho(lam)
         h = modified_macdonald(lam)
-        hx = x_side(h)
-        hy = y_side(h)
-        scale = eigenvalue(lam, k) / htilde_norm(lam)
-        for (xe, _), cx in hx.terms.items():
-            for (_, ye), cy in hy.terms.items():
-                series = (cx * cy * scale).t_expand(D)
-                key = (xe, ye)
-                prev = table.get(key)
-                table[key] = series if prev is None else prev + series
+        ys = _partition_terms(y_side(h), N)
+        for mu, cx in _partition_terms(x_side(h), N).items():
+            with_x = _times_polynomial(per_lam, cx, D)
+            for nu, cy in ys.items():
+                for d, row in enumerate(_times_polynomial(with_x, cy, D)):
+                    for e, c in row.items():
+                        if c:
+                            builder.add((mu, nu), d, e, rho, c)
+    perms = {}
+    table = {}
+    for (mu, nu), series in builder.build(scale / (Q - ONE) ** n).table.items():
+        for exps in (mu, nu):
+            if exps not in perms:
+                perms[exps] = distinct_permutations(exps + (0,) * (N - len(exps)))
+        for xe in perms[mu]:
+            for ye in perms[nu]:
+                table[(xe, ye)] = series
     return MonomialSeries(N, N, D, table)
 
 
-def cauchy_macdonald_series(n, k, N, D):
-    """nabla^k e_n[XY/((1-q)(1-t))] over x_1..x_N, y_1..y_N, t-expanded to D."""
-    return _cauchy_outer_product(n, k, N, D, lambda h: h.expand(N, "x"),
-                                 lambda h: h.expand(N, "y"))
+def cauchy_macdonald_series(n, k, N, D, scale=ONE):
+    """nabla^k e_n[XY/((1-q)(1-t))] over x_1..x_N, y_1..y_N, t-expanded to D,
+    times the t-free scalar scale."""
+    return _cauchy_outer_product(n, k, N, D, lambda h: h, lambda h: h, scale)

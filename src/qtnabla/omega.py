@@ -220,7 +220,7 @@ def verify_main(n, k, N, D):
         raise ValueError("k must be positive")
     from .macdonald import cauchy_macdonald_series
     scale = (ONE - Q) ** n
-    lhs = cauchy_macdonald_series(n, k, N, D).scale(scale)
+    lhs = cauchy_macdonald_series(n, k, N, D, scale)
     rhs = omega_series(OmegaQuery(n, k, N, D)).scale(scale)
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 

@@ -808,9 +808,16 @@ class MonomialSeries:
         return self.table.get(key, TSeries.zero(self.degree))
 
     def scale(self, s):
-        """Multiply every coefficient by a t-free scalar."""
-        return MonomialSeries(self.nx, self.ny, self.degree,
-                              {k: v * s for k, v in self.table.items()})
+        """Multiply every coefficient by a t-free scalar; keys with equal
+        series, such as the permutations of a symmetric one, share one
+        product."""
+        scaled = {}
+        table = {}
+        for k, v in self.table.items():
+            if v not in scaled:
+                scaled[v] = v * s
+            table[k] = scaled[v]
+        return MonomialSeries(self.nx, self.ny, self.degree, table)
 
     def truncate(self, degree):
         return MonomialSeries(self.nx, self.ny, degree,

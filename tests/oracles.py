@@ -9,10 +9,10 @@ from math import comb
 
 from qtnabla.bundles import aut_exponent, nilp_exponent
 from qtnabla.labels import is_sorted_triple, iter_sorted_triples, mu_partition
-from qtnabla.macdonald import modified_macdonald
-from qtnabla.scalar import (ONE, Q, ZERO, MonomialSeries, QtScalar, TSeries,
+from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
+from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
-from qtnabla.symfunc import partitions
+from qtnabla.symfunc import partitions, plethysm_p_scale
 
 
 # ---------------------------------------------------------------------------
@@ -164,3 +164,44 @@ def to_htilde_dict_by_elimination(f):
             val = c * v
             out[lam] = val if prev is None else prev + val
     return {lam: c for lam, c in out.items() if not c.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy outer product term by term, the route that the integer
+# t-expansion of each 1/w_lam replaced
+
+
+def cauchy_outer_product_per_term(n, k, N, D, x_side, y_side):
+    """sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam) divided by
+    the norm <H~_lam, H~_lam>_*, one QtScalar and one t_expand per
+    (lam, x-monomial, y-monomial).
+
+    x_side and y_side turn H~_lam into its Poly over x_1..x_N and y_1..y_N.
+    """
+    table = {}
+    for lam in partitions(n):
+        h = modified_macdonald(lam)
+        hx = x_side(h)
+        hy = y_side(h)
+        scale = eigenvalue(lam, k) / htilde_norm(lam)
+        for (xe, _), cx in hx.terms.items():
+            for (_, ye), cy in hy.terms.items():
+                series = (cx * cy * scale).t_expand(D)
+                key = (xe, ye)
+                prev = table.get(key)
+                table[key] = series if prev is None else prev + series
+    return MonomialSeries(N, N, D, table)
+
+
+def cauchy_macdonald_series_per_term(n, k, N, D):
+    """macdonald.cauchy_macdonald_series through the per-term route."""
+    return cauchy_outer_product_per_term(
+        n, k, N, D, lambda h: h.expand(N, "x"), lambda h: h.expand(N, "y"))
+
+
+def macdonald_substituted_series_per_term(n, k, N, D):
+    """involution.macdonald_substituted_series through the per-term route."""
+    return cauchy_outer_product_per_term(
+        n, k, N, D,
+        lambda h: plethysm_p_scale(h, lambda r: T ** r - ONE).expand(N, "x"),
+        lambda h: plethysm_p_scale(h, lambda r: Q ** r - ONE).expand(N, "y"))

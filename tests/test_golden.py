@@ -31,6 +31,14 @@ CASES = {
                               "--D", "3", "--hilbert", "--format", "json"),
     "verify-involution.json": ("verify-involution", "--n", "2", "--k", "1",
                                "--N", "2", "--D", "2", "--format", "json"),
+    # N < n: the Macdonald side drops the partitions of length > N and
+    # spreads each remaining one over its distinct permutations
+    "verify-main-short-alphabet.json": (
+        "verify-main", "--n", "3", "--k", "1", "--N", "2", "--D", "3",
+        "--format", "json"),
+    "verify-involution-short-alphabet.json": (
+        "verify-involution", "--n", "3", "--k", "2", "--N", "2", "--D", "3",
+        "--format", "json"),
     "verify-paff.json": ("verify-paff", "--n", "2", "--k", "1", "--N", "2",
                          "--D", "2", "--format", "json"),
     "verify-bundles.json": ("verify-bundles", "--n", "2", "--k", "1",

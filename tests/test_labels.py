@@ -41,6 +41,14 @@ def test_sortedness_agrees_with_sorting():
         is_sorted_triple((1, 0), (1,), (1, 1))
 
 
+def test_sorted_pair_rejects_unequal_lengths():
+    # the common prefix ((2,), (1,)) is sorted; the lengths still differ
+    with pytest.raises(ValueError):
+        is_sorted_pair((2, 1), (1,))
+    with pytest.raises(ValueError):
+        is_sorted_pair((), (1,))
+
+
 def test_alpha_mu_worked_example():
     a = (1, 1, 1, 4, 4, 2, 1, 4)
     assert alpha_composition(a) == (4, 1, 3)

@@ -3,16 +3,20 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
+from qtnabla.scalar import ONE, Q, QtScalar, T, TSeries, ZERO, aut_q
+from qtnabla.involution import macdonald_substituted_series
 from qtnabla.macdonald import (
-    MacdonaldCache, _build_htilde, _hhl_htilde, _htilde_inverse_matrix,
-    _validate_htilde, cauchy_macdonald_series, cells, eigenvalue,
-    from_htilde_dict, htilde_norm, integral_J, macdonald_P, modified_macdonald,
-    nabla_power, nstat, to_htilde_dict, w_denominator,
+    MacdonaldCache, _build_htilde, _hhl_htilde, _htilde_inverse_matrix, _rho,
+    _validate_htilde, _w_inverse_series, cauchy_macdonald_series, cells,
+    eigenvalue, from_htilde_dict, htilde_norm, integral_J, macdonald_P,
+    modified_macdonald, nabla_power, nstat, to_htilde_dict, w_denominator,
 )
 from qtnabla.symfunc import SymFunc, conjugate, partitions
 
-from oracles import htilde_inverse_by_elimination, to_htilde_dict_by_elimination
+from oracles import (
+    cauchy_macdonald_series_per_term, htilde_inverse_by_elimination,
+    macdonald_substituted_series_per_term, to_htilde_dict_by_elimination,
+)
 
 
 def test_nstat():
@@ -340,6 +344,52 @@ def test_cauchy_series_n1():
     ts = series.series(((1,), (1,)))
     assert ts == (ONE / ((ONE - Q) * (ONE - T))).t_expand(3)
     assert list(series.table) == [((1,), (1,))]
+
+
+# every n <= 3, k <= 2 and 1 <= N <= n + 1 at D = 4, each truncated to
+# every D < 4 as well, plus the verify-main bench size and one at n = 4
+CAUCHY_SIZES = [(n, k, N, 4) for n in (1, 2, 3) for k in (0, 1, 2)
+                for N in range(1, n + 2)] + [(3, 2, 3, 5), (4, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("route, oracle", [
+    (cauchy_macdonald_series, cauchy_macdonald_series_per_term),
+    (macdonald_substituted_series, macdonald_substituted_series_per_term),
+], ids=["plain", "substituted"])
+def test_cauchy_outer_product_matches_per_term_route(route, oracle):
+    for n, k, N, D in CAUCHY_SIZES:
+        expected = oracle(n, k, N, D)
+        assert route(n, k, N, D) == expected, (n, k, N, D)
+        if D == 4 and n <= 3:
+            for d in range(D):
+                assert route(n, k, N, d) == expected.truncate(d), (n, k, N, d)
+
+
+def test_cauchy_series_scale_is_exact():
+    scale = (ONE - Q) ** 3
+    assert (cauchy_macdonald_series(3, 2, 2, 4, scale)
+            == cauchy_macdonald_series(3, 2, 2, 4).scale(scale))
+
+
+def test_rho_is_the_partition_of_row_differences():
+    assert _rho(()) == ()
+    assert _rho((3,)) == (3,)
+    assert _rho((1, 1, 1)) == (1,)
+    assert _rho((5, 3, 3, 1)) == (2, 2, 1)
+
+
+def test_w_inverse_series_factors_w():
+    # 1/w = (integer t-series) / ((q-1)^{lam_1} aut_q(rho(lam))), and the
+    # series at D is the truncation of the series at 6
+    for n in range(7):
+        for lam in partitions(n):
+            full = _w_inverse_series(lam, 6)
+            column_tops = (Q - ONE) ** (lam[0] if lam else 0) * aut_q(_rho(lam))
+            got = TSeries(6, [QtScalar({(e, 0): c for e, c in row.items()})
+                              / column_tops for row in full])
+            assert got == (ONE / w_denominator(lam)).t_expand(6), lam
+            for D in range(6):
+                assert _w_inverse_series(lam, D) == full[:D + 1], (lam, D)
 
 
 def test_w_denominator_unit_in_t():

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 import oracles
-from qtnabla import bundles, involution, omega
+from qtnabla import bundles, involution, macdonald, omega
 from qtnabla.omega import OmegaQuery
 from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
 
@@ -32,6 +32,10 @@ CALLERS = {
         lambda n, k, N, D: omega.cauchy_combinatorial(n, N, D),
         [s for s in GRID if s[1] == 0]),
     "signed_quadruple_series": (involution.signed_quadruple_series, GRID),
+    "cauchy_macdonald_series": (macdonald.cauchy_macdonald_series,
+                                GRID + [(3, 2, 3, 5)]),
+    "macdonald_substituted_series": (involution.macdonald_substituted_series,
+                                     GRID),
     "bundle_side_series": (bundles.bundle_side_series,
                            GRID + [(n, 0, 3, 3) for n in (1, 2, 3)]),
 }
@@ -59,7 +63,7 @@ class _Replay:
 def test_integer_counts_match_per_term_route(name, monkeypatch):
     build, sizes = CALLERS[name]
     with monkeypatch.context() as patch:
-        for module in (bundles, involution, omega):
+        for module in (bundles, involution, macdonald, omega):
             patch.setattr(module, "SeriesBuilder", _Replay)
         checked = [build(*s) for s in sizes]
     for (n, k, N, D), series in zip(sizes, checked):
