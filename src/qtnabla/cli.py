@@ -4,11 +4,17 @@ Every subcommand prints a deterministic report (text or JSON) and exits 0
 when all assertions pass, 1 on a counterexample, 2 on a configuration
 error, 3 when an internal self-check fails (one ``internal error:`` line
 on stderr, no report).  Reports are byte-identical across runs.
+
+``COMMANDS`` is the one list of subcommands: a row names the library check
+it runs and the options it reads, which ``OPTIONS`` defines.  The parser is
+built from the two tables, and ``_run`` is the one path that checks sizes,
+imports the check's module and emits its report.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from math import isqrt
@@ -37,117 +43,76 @@ def _parse_primes(text):
     return primes
 
 
+# subcommand -> (help, module, library check, the options it reads in call
+# order); the row compute-<what> is the subcommand `compute <what>`
+COMMANDS = {
+    "verify-main": ("Macdonald side vs enumerator", "omega", "verify_main",
+                    ("n", "k", "N", "D")),
+    "verify-shuffle": ("parking sum vs nabla^k e_n", "shuffle",
+                       "verify_shuffle", ("n", "k", "N")),
+    "verify-fulltwist": ("exponent-sum series vs coefficient extraction",
+                         "omega", "verify_fulltwist", ("n", "k", "D", "hilbert")),
+    "verify-involution": ("fixed points, weights, and the signed sum",
+                          "involution", "verify_vanishing", ("n", "k", "D", "N")),
+    "verify-paff": ("triples-to-permutations bijection sweep", "affine",
+                    "verify_paff", ("n", "k", "D", "N")),
+    "verify-bundles": ("counting formulas vs the finite-field oracle",
+                       "bundles", "verify_bundles", ("n", "k", "N", "D>=1",
+                       "primes", "mmax", "lmax", "qdegree")),
+    "verify-xi": ("label generating function vs chromatic route", "labels",
+                  "verify_xi", ("n",)),
+    "compute-macdonald": ("H-tilde_lambda in the Schur basis", "macdonald",
+                          "compute_macdonald", ("lambda",)),
+    "compute-nabla": ("nabla^k e_n", "macdonald", "compute_nabla",
+                      ("n=1", "k=1")),
+    "compute-omega": ("the combinatorial series", "omega", "compute_omega",
+                      ("n=1", "k=1", "N", "D")),
+    "compute-parking": ("the parking sum and nabla^k e_n", "shuffle",
+                        "compute_parking", ("n=1", "k=1", "N")),
+}
+
+# option -> (flags, argparse settings, least allowed value); each parser
+# takes its options in this order
+OPTIONS = {
+    "n": (("--n",), {"type": int, "required": True}, 1),
+    "k": (("--k",), {"type": int, "default": 1}, 0),
+    "N": (("--N",), {"type": int, "default": None, "help": "number of "
+                     "variables per alphabet (default: --n)"}, 1),
+    "D": (("--D", "--t-degree"), {"dest": "D", "type": int, "default": 4}, 0),
+    # verify-bundles compares its product identity through t-degree D - 1
+    "D>=1": (("--D", "--t-degree"), {"dest": "D", "type": int, "default": 4},
+             1),
+    "hilbert": (("--hilbert",), {"action": "store_true", "help": "also "
+                "compare the squarefree coefficient with the "
+                "affine-permutation series"}, None),
+    "primes": (("--primes",), {"default": "2,3"}, None),
+    "mmax": (("--mmax",), {"type": int, "default": 2}, 0),
+    "lmax": (("--lmax",), {"type": int, "default": 2}, 1),
+    "qdegree": (("--qdegree",), {"type": int, "default": 4}, 0),
+    "lambda": (("--lambda",), {"dest": "lam", "type": _parse_partition,
+                               "required": True}, None),
+    # compute takes --n and --k after its other options, --n defaulting to 1
+    "n=1": (("--n",), {"dest": "n", "type": int, "default": 1}, 1),
+    "k=1": (("--k",), {"dest": "k", "type": int, "default": 1}, 0),
+}
+
+SIZES = ("n", "k", "N", "D", "mmax", "lmax", "qdegree")  # checked in order
+
+
 def _emit(report, args):
+    ok = report.get("equal", report.get("ok", False))
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if args.format == "text":
-        lines = []
-        ok = report.get("equal", report.get("ok", False))
-        lines.append(f"{report.get('command', 'report')}: "
-                     f"{'PASS' if ok else 'FAIL'}")
-        for key in sorted(report):
-            if key in ("lhs", "rhs", "command"):
-                continue
-            lines.append(f"  {key} = {json.dumps(report[key], sort_keys=True, default=str)}")
-        text = "\n".join(lines)
+        text = "\n".join(
+            [f"{report.get('command', 'report')}: {'PASS' if ok else 'FAIL'}"]
+            + [f"  {key} = {json.dumps(report[key], sort_keys=True, default=str)}"
+               for key in sorted(report) if key not in ("lhs", "rhs", "command")])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0 if report.get("equal", report.get("ok", False)) else 1
-
-
-def cmd_verify_main(args):
-    from .omega import verify_main
-    report = verify_main(args.n, args.k, args.N, args.D)
-    report["command"] = "verify-main"
-    return _emit(report, args)
-
-
-def cmd_verify_shuffle(args):
-    from .shuffle import verify_shuffle
-    report = verify_shuffle(args.n, args.k, args.N)
-    report["command"] = "verify-shuffle"
-    return _emit(report, args)
-
-
-def cmd_verify_fulltwist(args):
-    from .omega import verify_fulltwist, verify_fulltwist_and_hilbert
-    check = verify_fulltwist_and_hilbert if args.hilbert else verify_fulltwist
-    report = check(args.n, args.k, args.D)
-    report["command"] = "verify-fulltwist"
-    return _emit(report, args)
-
-
-def cmd_verify_involution(args):
-    from .involution import verify_vanishing
-    report = verify_vanishing(args.n, args.k, args.D, args.N)
-    report["command"] = "verify-involution"
-    return _emit(report, args)
-
-
-def cmd_verify_paff(args):
-    from .affine import verify_paff
-    report = verify_paff(args.n, args.k, args.D, args.N)
-    report["command"] = "verify-paff"
-    return _emit(report, args)
-
-
-def cmd_verify_bundles(args):
-    from .bundles import verify_bundles
-    report = verify_bundles(args.n, args.k, args.N, args.D,
-                            _parse_primes(args.primes), args.mmax, args.lmax,
-                            args.qdegree)
-    report["command"] = "verify-bundles"
-    return _emit(report, args)
-
-
-def cmd_verify_xi_impl(args):
-    from .labels import verify_xi
-    report = verify_xi(args.n)
-    report["command"] = "verify-xi"
-    return _emit(report, args)
-
-
-def cmd_compute(args):
-    from .symfunc import SymFunc
-    if args.what == "macdonald":
-        from .macdonald import htilde_schur
-        report = {"command": "compute-macdonald", "lambda": list(args.lam),
-                  "schur": str(htilde_schur(args.lam)), "equal": True}
-    elif args.what == "nabla":
-        from .macdonald import nabla_power
-        out = nabla_power(SymFunc.e(args.n), args.k)
-        report = {"command": "compute-nabla", "n": args.n, "k": args.k,
-                  "monomial": str(out), "schur": str(out.convert("s")),
-                  "equal": True}
-    elif args.what == "omega":
-        from .omega import OmegaQuery, omega_series
-        series = omega_series(OmegaQuery(args.n, args.k, args.N, args.D))
-        report = {"command": "compute-omega", "n": args.n, "k": args.k,
-                  "N": args.N, "D": args.D,
-                  "series": series.to_json(), "equal": True}
-    elif args.what == "parking":
-        from .shuffle import compute_parking
-        report = compute_parking(args.n, args.k, args.N)
-        report["command"] = "compute-parking"
-    else:  # pragma: no cover
-        return 2
-    return _emit(report, args)
-
-
-def _add_common(sub, n=True, k=True, N=False, D=False):
-    sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--out", default=None)
-    if n:
-        sub.add_argument("--n", type=int, required=True)
-    if k:
-        sub.add_argument("--k", type=int, default=1)
-    if N:
-        sub.add_argument("--N", type=int, default=None,
-                         help="number of variables per alphabet (default: --n)")
-    if D:
-        sub.add_argument("--D", "--t-degree", dest="D", type=int, default=4)
+    return 0 if ok else 1
 
 
 def build_parser():
@@ -156,72 +121,43 @@ def build_parser():
         description="Exact verification of the nabla-operator identities "
                     "and their combinatorial sides.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify-main", help="Macdonald side vs enumerator")
-    _add_common(p, N=True, D=True)
-    p.set_defaults(fn=cmd_verify_main)
-
-    p = subs.add_parser("verify-shuffle", help="parking sum vs nabla^k e_n")
-    _add_common(p, N=True)
-    p.set_defaults(fn=cmd_verify_shuffle)
-
-    p = subs.add_parser("verify-fulltwist", help="exponent-sum series vs coefficient extraction")
-    _add_common(p, D=True)
-    p.add_argument("--hilbert", action="store_true",
-                   help="also compare the squarefree coefficient with the "
-                        "affine-permutation series")
-    p.set_defaults(fn=cmd_verify_fulltwist)
-
-    p = subs.add_parser("verify-involution", help="fixed points, weights, and the signed sum")
-    _add_common(p, N=True, D=True)
-    p.set_defaults(fn=cmd_verify_involution)
-
-    p = subs.add_parser("verify-paff", help="triples-to-permutations bijection sweep")
-    _add_common(p, N=True, D=True)
-    p.set_defaults(fn=cmd_verify_paff)
-
-    p = subs.add_parser("verify-bundles", help="counting formulas vs the finite-field oracle")
-    _add_common(p, N=True, D=True)
-    p.add_argument("--primes", default="2,3")
-    p.add_argument("--mmax", type=int, default=2)
-    p.add_argument("--lmax", type=int, default=2)
-    p.add_argument("--qdegree", type=int, default=4)
-    p.set_defaults(fn=cmd_verify_bundles)
-
-    p = subs.add_parser("verify-xi", help="label generating function vs chromatic route")
-    _add_common(p, k=False)
-    p.set_defaults(fn=cmd_verify_xi_impl)
-
-    p = subs.add_parser("compute", help="render one object")
-    targets = p.add_subparsers(dest="what", required=True)
-    t = targets.add_parser("macdonald", help="H-tilde_lambda in the Schur basis")
-    _add_common(t, n=False, k=False)
-    t.add_argument("--lambda", dest="lam", type=_parse_partition,
-                   required=True)
-    for what, N, D, text in (
-            ("nabla", False, False, "nabla^k e_n"),
-            ("omega", True, True, "the combinatorial series"),
-            ("parking", True, False, "the parking sum and nabla^k e_n")):
-        t = targets.add_parser(what, help=text)
-        _add_common(t, n=False, k=False, N=N, D=D)
-        t.add_argument("--n", type=int, default=1)
-        t.add_argument("--k", type=int, default=1)
-    p.set_defaults(fn=cmd_compute)
-
+    targets = None  # compute is added at its first row, so it is listed last
+    for name, (text, _, _, options) in COMMANDS.items():
+        if name.startswith("compute-"):
+            if targets is None:
+                targets = subs.add_parser(
+                    "compute", help="render one object").add_subparsers(
+                        dest="what", required=True)
+            sub = targets.add_parser(name[len("compute-"):], help=text)
+        else:
+            sub = subs.add_parser(name, help=text)
+        sub.add_argument("--format", choices=("json", "text"), default="text")
+        sub.add_argument("--out", default=None)
+        for option, (flags, settings, _) in OPTIONS.items():
+            if option in options:
+                sub.add_argument(*flags, **settings)
+        sub.set_defaults(row=name)
     return parser
 
 
-def _check_sizes(args):
-    """Default --N to --n, then reject any size below its least value."""
+def _run(args):
+    """Default --N to --n, reject any size below its least value, parse
+    --primes, then call the row's library check and emit its report."""
+    _, module, check, options = COMMANDS[args.row]
     if getattr(args, "N", 1) is None:
         args.N = args.n
-    # verify-bundles compares its product identity through t-degree D - 1
-    least_D = 1 if args.command == "verify-bundles" else 0
-    for name, least in (("n", 1), ("k", 0), ("N", 1), ("D", least_D),
-                        ("mmax", 0), ("lmax", 1), ("qdegree", 0)):
-        value = getattr(args, name, least)
-        if value < least:
-            raise ValueError(f"--{name} must be at least {least}, got {value}")
+    dests = [OPTIONS[option][1].get("dest", option) for option in options]
+    least = {dest: OPTIONS[option][2] for dest, option in zip(dests, options)}
+    for name in SIZES:
+        if name in least and getattr(args, name) < least[name]:
+            raise ValueError(f"--{name} must be at least {least[name]}, "
+                             f"got {getattr(args, name)}")
+    if "primes" in options:
+        args.primes = _parse_primes(args.primes)
+    fn = getattr(importlib.import_module(f"qtnabla.{module}"), check)
+    report = fn(*(getattr(args, dest) for dest in dests))
+    report["command"] = args.row
+    return _emit(report, args)
 
 
 def main(argv=None):
@@ -231,8 +167,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_sizes(args)
-        return args.fn(args)
+        return _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -326,6 +326,19 @@ def nabla_power(f, k):
         {lam: c * eigenvalue(lam, k) for lam, c in coeffs.items()})
 
 
+def compute_macdonald(lam):
+    """H-tilde_lam in the Schur basis, as a report."""
+    return {"lambda": list(lam), "schur": str(htilde_schur(lam)),
+            "equal": True}
+
+
+def compute_nabla(n, k):
+    """nabla^k e_n in the monomial and the Schur basis, as a report."""
+    out = nabla_power(SymFunc.e(n), k)
+    return {"n": n, "k": k, "monomial": str(out),
+            "schur": str(out.convert("s")), "equal": True}
+
+
 def _rho(lam):
     """The nonzero row differences lam_i - lam_{i+1} (lam_{l+1} = 0), as a
     partition."""

@@ -62,23 +62,29 @@ def omega_series(query):
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 
-def omega_via_xi(query):
-    """The same series grouped over sorted pairs, with the label generating
-    function xi supplying the y side."""
+def _pair_sum(query, y_side):
+    """The series grouped over sorted pairs (m, a): y_side(path, N) supplies
+    the y side of each attack path, once per path."""
     n, k, N, D = query.n, query.k, query.N, query.D
     builder = SeriesBuilder(N, N, D)
-    xis = {}  # attack path -> its xi terms; many pairs share a path
+    ys = {}  # attack path -> its y terms; many pairs share a path
     for d in range(D + 1):
         for m, a in iter_sorted_pairs(n, N, d):
             path = attack_path(m, a, k)
-            if path not in xis:
-                xis[path] = xi_pi(path, N).terms.items()
+            if path not in ys:
+                ys[path] = y_side(path, N).terms.items()
             base = dinv_k_pair(m, a, k)
             mu = mu_partition(zip(m, a))
             xa = _exps(a, N)
-            for (_, ye), c in xis[path]:
+            for (_, ye), c in ys[path]:
                 _add_q_polynomial(builder, (xa, ye), d, base, mu, c)
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
+
+
+def omega_via_xi(query):
+    """The same series grouped over sorted pairs, with the label generating
+    function xi supplying the y side."""
+    return _pair_sum(query, xi_pi)
 
 
 def omega_sub_y(query):
@@ -95,25 +101,15 @@ def omega_sub_y(query):
     return builder.build(scale=QtScalar.from_int((-1) ** n))
 
 
+def _xi_sub_y(path, N):
+    xi = poly_to_symfunc(xi_pi(path, N), alphabet="y")
+    return plethysm_p_scale(xi, lambda r: Q ** r - ONE).expand(N, "y")
+
+
 def omega_sub_y_via_plethysm(query):
     """Oracle for omega_sub_y: substitute Y(q-1) into each xi factor through
     the power-sum route, never touching the triple enumeration."""
-    n, k, N, D = query.n, query.k, query.N, query.D
-    builder = SeriesBuilder(N, N, D)
-    subs = {}  # attack path -> its substituted xi terms
-    for d in range(D + 1):
-        for m, a in iter_sorted_pairs(n, N, d):
-            path = attack_path(m, a, k)
-            if path not in subs:
-                xi = poly_to_symfunc(xi_pi(path, N), alphabet="y")
-                subs[path] = plethysm_p_scale(
-                    xi, lambda r: Q ** r - ONE).expand(N, "y").terms.items()
-            base = dinv_k_pair(m, a, k)
-            mu = mu_partition(zip(m, a))
-            xa = _exps(a, N)
-            for (_, ye), c in subs[path]:
-                _add_q_polynomial(builder, (xa, ye), d, base, mu, c)
-    return builder.build(scale=(ONE / (ONE - Q)) ** n)
+    return _pair_sum(query, _xi_sub_y)
 
 
 def cauchy_combinatorial(n, N, D):
@@ -237,10 +233,18 @@ def verify_sub_y(n, k, N, D):
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
-def verify_fulltwist(n, k, D):
-    lhs = fulltwist_series(n, k, D)
-    rhs = fulltwist_extraction(n, k, D)
-    return _pair_report(lhs, rhs, n=n, k=k, D=D)
+def verify_fulltwist(n, k, D, hilbert=False):
+    """The exponent-sum series against coefficient extraction; with hilbert,
+    also the squarefree check, nested under "hilbert" and folded into
+    "equal"."""
+    report = _pair_report(fulltwist_series(n, k, D),
+                          fulltwist_extraction(n, k, D), n=n, k=k, D=D)
+    if hilbert:
+        sub = verify_hilbert(n, k, D)
+        report["hilbert"] = {"equal": sub["equal"],
+                             "first_discrepancy": sub["first_discrepancy"]}
+        report["equal"] = report["equal"] and sub["equal"]
+    return report
 
 
 def verify_hilbert(n, k, D):
@@ -252,15 +256,11 @@ def verify_hilbert(n, k, D):
                         normalization=f"(1-q)^{n - n} = 1")
 
 
-def verify_fulltwist_and_hilbert(n, k, D):
-    """The full-twist report, with the squarefree check nested under
-    "hilbert" and folded into "equal"."""
-    report = verify_fulltwist(n, k, D)
-    sub = verify_hilbert(n, k, D)
-    report["hilbert"] = {"equal": sub["equal"],
-                         "first_discrepancy": sub["first_discrepancy"]}
-    report["equal"] = report["equal"] and sub["equal"]
-    return report
+def compute_omega(n, k, N, D):
+    """The combinatorial series, as a report."""
+    series = omega_series(OmegaQuery(n, k, N, D))
+    return {"n": n, "k": k, "N": N, "D": D, "series": series.to_json(),
+            "equal": True}
 
 
 def xy_swap(series):

@@ -1,9 +1,12 @@
+import argparse
+import importlib
+import inspect
 import json
 import subprocess
 import sys
 from itertools import product
 
-from qtnabla.cli import main
+from qtnabla.cli import COMMANDS, OPTIONS, build_parser, main
 
 
 def run_cli(*argv):
@@ -228,6 +231,66 @@ def test_N_defaults_to_n():
         assert (code, out) == with_N, argv
 
 
+def test_first_error_follows_the_fixed_size_order(capsys):
+    """Sizes are checked n, k, N, D, mmax, lmax, qdegree, whatever order
+    the library check reads them in, and --primes is parsed after them."""
+    for argv, err in (
+            (("verify-involution", "--n", "2", "--D", "-1", "--N", "0"),
+             "error: --N must be at least 1, got 0\n"),
+            (("verify-bundles", "--n", "1", "--D", "1", "--mmax", "-1",
+              "--primes", "4"),
+             "error: --mmax must be at least 0, got -1\n")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert capsys.readouterr().err == err, argv
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand words, parser) for every parser that runs a check."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def _row_argv(row):
+    """The shortest argv that runs a row: its words and required options."""
+    argv = row.split("-", 1) if row.startswith("compute-") else [row]
+    for option in COMMANDS[row][3]:
+        flags, settings, _ = OPTIONS[option]
+        if settings.get("required"):
+            argv += [flags[0], "1"]
+    return argv
+
+
+def test_every_command_row_binds_its_check():
+    parser = build_parser()
+    for row, (_, module, check, options) in COMMANDS.items():
+        fn = getattr(importlib.import_module("qtnabla." + module), check, None)
+        assert callable(fn), row
+        args = parser.parse_args(_row_argv(row))
+        assert args.row == row
+        values = [getattr(args, OPTIONS[option][1].get("dest", option))
+                  for option in options]
+        inspect.signature(fn).bind(*values)  # TypeError when they do not fit
+
+
+def test_each_parser_takes_exactly_its_row_options():
+    rows = set()
+    for path, sub in _leaf_parsers(build_parser()):
+        row = sub.get_default("row")
+        assert row == "-".join(path)
+        rows.add(row)
+        flags = {flag for action in sub._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        expected = {flag for option in COMMANDS[row][3]
+                    for flag in OPTIONS[option][0]}
+        assert flags == expected | {"--format", "--out"}, row
+    assert rows == set(COMMANDS)
+
+
 def test_failing_report_exits_one(capsys):
     from qtnabla.cli import _emit
     import argparse
@@ -253,6 +316,18 @@ def test_console_entry_point(child_env):
         [sys.executable, "-m", "qtnabla.cli", "verify-shuffle", "--n", "2"],
         env=child_env, capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_loads_no_library_module(child_env):
+    """A library module is imported only when a subcommand runs its check:
+    importing the CLI adds nothing to what `import qtnabla` loads."""
+    code = ("import json, sys, qtnabla; before = set(sys.modules); "
+            "import qtnabla.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, check=True)
+    added = [m for m in json.loads(proc.stdout) if m.startswith("qtnabla")]
+    assert added == ["qtnabla.cli"]
 
 
 def _fuzz_grid():

@@ -29,6 +29,10 @@ CASES = {
                             "--format", "json"),
     "verify-fulltwist.json": ("verify-fulltwist", "--n", "2", "--k", "1",
                               "--D", "3", "--hilbert", "--format", "json"),
+    # without --hilbert the report has no "hilbert" entry
+    "verify-fulltwist-no-hilbert.json": (
+        "verify-fulltwist", "--n", "2", "--k", "1", "--D", "3",
+        "--format", "json"),
     "verify-involution.json": ("verify-involution", "--n", "2", "--k", "1",
                                "--N", "2", "--D", "2", "--format", "json"),
     # N < n: the Macdonald side drops the partitions of length > N and
@@ -45,11 +49,18 @@ CASES = {
                             "--N", "2", "--D", "2", "--mmax", "1",
                             "--lmax", "2", "--qdegree", "3",
                             "--format", "json"),
+    # the text format renders the nested dicts of this report as JSON
+    "verify-bundles.txt": ("verify-bundles", "--n", "2", "--k", "1",
+                           "--N", "2", "--D", "2", "--mmax", "1",
+                           "--lmax", "2", "--qdegree", "3",
+                           "--format", "text"),
     "verify-xi.json": ("verify-xi", "--n", "3", "--format", "json"),
     "compute-macdonald.json": ("compute", "macdonald", "--lambda", "2",
                                "--format", "json"),
     "compute-nabla.json": ("compute", "nabla", "--n", "2", "--k", "1",
                            "--format", "json"),
+    "compute-nabla.txt": ("compute", "nabla", "--n", "2", "--k", "1",
+                          "--format", "text"),
     "compute-parking.json": ("compute", "parking", "--n", "2", "--k", "1",
                              "--format", "json"),
     "compute-omega.json": ("compute", "omega", "--n", "1", "--k", "1",

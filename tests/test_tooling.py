@@ -1,9 +1,10 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps package functions
 by name, and its install step raises on a name that is gone; its enum-sweep
 workload (perfbench/run.py) calls package functions by name, and counts a
-call that raises as a failed operation. These tests resolve every such name
-the same way, so a rename fails the test suite instead of only the
-benchmark run."""
+call that raises as a failed operation; its cli workloads run command lines.
+These tests resolve every such name and parse every such command line the
+same way, so a rename fails the test suite instead of only the benchmark
+run."""
 
 import ast
 import importlib
@@ -38,22 +39,32 @@ def test_tracer_targets_resolve():
             assert inspect.isgeneratorfunction(fn), qualname
 
 
-def _enum_cases():
-    """ENUM_CASES of perfbench/run.py, read from its source."""
+def _bench_cases(name):
+    """The case list `name` of perfbench/run.py, read from its source."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                getattr(target, "id", None) == "ENUM_CASES"
+                getattr(target, "id", None) == name
                 for target in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no ENUM_CASES")
+    raise AssertionError(f"perfbench/run.py defines no {name}")
 
 
 def test_bench_cases_resolve():
-    cases = _enum_cases()
+    cases = _bench_cases("ENUM_CASES")
     assert cases
     for module_name, name, args in cases:
         module = importlib.import_module("qtnabla." + module_name)
         fn = getattr(module, name, None)
         assert callable(fn), (module_name, name)
         inspect.signature(fn).bind(*args)  # TypeError when they do not fit
+
+
+def test_bench_cli_cases_parse():
+    """Every command line of the cli workloads parses, as the benchmark runs
+    it (with --format json); a renamed subcommand or option fails here."""
+    from qtnabla.cli import build_parser
+    cases = _bench_cases("CLI_CASES")
+    assert cases
+    for argv in cases:
+        build_parser().parse_args([*argv, "--format", "json"])
