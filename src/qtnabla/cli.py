@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from math import isqrt
 
@@ -111,7 +112,12 @@ def _emit(report, args):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed early, which is not an error of the input:
+            # point stdout at devnull so the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 

@@ -16,6 +16,11 @@ factor q^b - t^m has m >= 1 and t-expands as an integer Laurent series.  So
 the series is counted in integers by scalar.SeriesBuilder, one key per pair
 of partitions.  The per-term route it replaced, one QtScalar and one t_expand
 per (lam, x-monomial, y-monomial), is the oracle in tests/oracles.py.
+
+nabla^k e_n, the only nabla that the checks serve, is counted the same way
+by nabla_en: <e_n, H~_lam>_* has a closed form, and each lam shares its
+per-lam series with the Cauchy series.  nabla_power, the general operator,
+is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -334,7 +339,7 @@ def compute_macdonald(lam):
 
 def compute_nabla(n, k):
     """nabla^k e_n in the monomial and the Schur basis, as a report."""
-    out = nabla_power(SymFunc.e(n), k)
+    out = nabla_en(n, k)
     return {"n": n, "k": k, "monomial": str(out),
             "schur": str(out.convert("s")), "equal": True}
 
@@ -384,6 +389,22 @@ def _times_polynomial(series, poly, D):
     return out
 
 
+def _signed_w_inverse_series(lam, k, D):
+    """(-1)^n eigenvalue(lam, k) (q-1)^{n-lam_1} times _w_inverse_series, to
+    t^D, with n = |lam|: the part of the H~_lam term over the norm (-1)^n w_lam
+    that is not divided by aut_q(rho(lam)) (q-1)^n.  None when the eigenvalue
+    alone lies above t^D."""
+    n = sum(lam)
+    t_shift = k * nstat(lam)
+    if t_shift > D:
+        return None
+    r = n - max(lam, default=0)
+    q_shift = k * nstat(conjugate(lam))
+    factor = {(q_shift + i, t_shift): (-1) ** (n + r - i) * comb(r, i)
+              for i in range(r + 1)}
+    return _times_polynomial(_w_inverse_series(lam, D - t_shift), factor, D)
+
+
 def _partition_terms(f, N):
     """The m-coefficients of f on the partitions with at most N parts, as
     integer polynomials {(q_exp, t_exp): integer}."""
@@ -413,15 +434,9 @@ def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
     """
     builder = SeriesBuilder(N, N, D)
     for lam in partitions(n):
-        t_shift = k * nstat(lam)  # the t-degree of eigenvalue(lam, k)
-        if t_shift > D:
+        per_lam = _signed_w_inverse_series(lam, k, D)
+        if per_lam is None:
             continue  # every term of lam lies above the truncation
-        r = n - max(lam, default=0)
-        q_shift = k * nstat(conjugate(lam))
-        factor = {(q_shift + i, t_shift): (-1) ** (n + r - i) * comb(r, i)
-                  for i in range(r + 1)}
-        per_lam = _times_polynomial(_w_inverse_series(lam, D - t_shift),
-                                    factor, D)
         rho = _rho(lam)
         h = modified_macdonald(lam)
         ys = _partition_terms(y_side(h), N)
@@ -448,3 +463,66 @@ def cauchy_macdonald_series(n, k, N, D, scale=ONE):
     """nabla^k e_n[XY/((1-q)(1-t))] over x_1..x_N, y_1..y_N, t-expanded to D,
     times the t-free scalar scale."""
     return _cauchy_outer_product(n, k, N, D, lambda h: h, lambda h: h, scale)
+
+
+# ---------------------------------------------------------------------------
+# nabla^k e_n counted in integers: the route that compute_nabla and the
+# shuffle checks serve; nabla_power is its oracle in the tests
+
+
+def _e_star_pairing(lam):
+    """<e_n, H~_lam>_* = (1-q)(1-t) B_lam Pi_lam for n = |lam| >= 1, where
+    B_lam = sum over cells of q^{a'} t^{l'} and Pi_lam = prod over cells other
+    than (0, 0) of (1 - q^{a'} t^{l'}), with a' the coarm and l' the coleg
+    (Bergeron-Garsia-Haiman-Tesler: e_n = sum over mu of
+    M B_mu Pi_mu H~_mu / w_mu, M = (1-q)(1-t))."""
+    coarm_coleg = [(j, i) for i, part in enumerate(lam) for j in range(part)]
+    out = (ONE - Q) * (ONE - T) * QtScalar({c: 1 for c in coarm_coleg})
+    for a, l in coarm_coleg[1:]:
+        out = out * (ONE - Q ** a * T ** l)
+    return out
+
+
+def nabla_en(n, k):
+    """nabla^k e_n in the monomial basis, for n >= 1 and k >= 0.
+
+    The H~_lam coefficient of e_n is <e_n, H~_lam>_* / ((-1)^n w_lam), so each
+    lam adds _e_star_pairing(lam) times _signed_w_inverse_series(lam, k, D)
+    times each m-coefficient of H~_lam, in integers, over aut_q(rho(lam))
+    (q-1)^n; SeriesBuilder reduces each (m_mu, t^d) coefficient once.
+
+    The t-degree at t = infinity is a valuation, so deg_t nabla^k e_n is at
+    most the largest deg_t of a term: k n(lam) from the eigenvalue, n(lam)
+    from H~_lam, l(lam) + n(lam) from the pairing, less 2 n(lam) + n from
+    w_lam, so k n(lam) + l(lam) - n <= k C(n, 2) = D, and the truncation at
+    t^D drops nothing.  Two self-checks raise AssertionError: every t^d
+    coefficient must be a polynomial in q, and the series is counted to
+    t^{D+1}, whose row must vanish.
+    """
+    if n < 1 or k < 0:
+        raise ValueError(f"nabla^k e_n needs n >= 1 and k >= 0, got n = {n}, "
+                         f"k = {k}")
+    D = k * comb(n, 2)
+    builder = SeriesBuilder(0, 0, D + 1)  # keyed by partitions, not monomials
+    for lam in partitions(n):
+        per_lam = _times_polynomial(_signed_w_inverse_series(lam, k, D + 1),
+                                    _e_star_pairing(lam).num, D + 1)
+        rho = _rho(lam)
+        for mu, c in _partition_terms(modified_macdonald(lam), n).items():
+            for d, row in enumerate(_times_polynomial(per_lam, c, D + 1)):
+                for e, v in row.items():
+                    if v:
+                        builder.add(mu, d, e, rho, v)
+    terms = {}
+    for mu, series in builder.build(ONE / (Q - ONE) ** n).table.items():
+        if not series[D + 1].is_zero():
+            raise AssertionError(f"nabla^{k} e_{n} has a term t^{D + 1} at "
+                                 f"m_{mu}, above the bound k C(n, 2)")
+        num = {}
+        for d, c in enumerate(series.coeffs[:D + 1]):
+            if not c.is_polynomial():
+                raise AssertionError(f"the t^{d} coefficient {c} of m_{mu} in "
+                                     f"nabla^{k} e_{n} is not a polynomial")
+            num.update(((e, d), v) for (e, _), v in c.num.items())
+        terms[mu] = QtScalar(num)
+    return SymFunc("m", terms)

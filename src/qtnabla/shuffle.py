@@ -153,10 +153,9 @@ def parking_sum(n, k, N):
 
 
 def nabla_en_expansion(n, k, N):
-    """The Macdonald-side oracle: nabla^k e_n expanded over x_1..x_N."""
-    from .macdonald import nabla_power
-    from .symfunc import SymFunc
-    return nabla_power(SymFunc.e(n), k).expand(N, "x")
+    """The Macdonald side: nabla^k e_n expanded over x_1..x_N."""
+    from .macdonald import nabla_en
+    return nabla_en(n, k).expand(N, "x")
 
 
 def verify_shuffle(n, k, N):

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from itertools import product
@@ -309,6 +310,32 @@ def test_out_file(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["equal"] is True
+
+
+def test_unwritable_out_file_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli("verify-shuffle", "--n", "2", "--out", str(target))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_reader_keeps_the_report_status(child_env):
+    """As in `qtnabla compute nabla ... | head -1`: a reader that is gone
+    before the report is written is not bad input, so the exit status is
+    the report's own and stderr stays empty."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtnabla.cli", "compute", "nabla",
+             "--n", "5", "--k", "1"],
+            env=child_env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_console_entry_point(child_env):

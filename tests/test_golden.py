@@ -61,6 +61,13 @@ CASES = {
                            "--format", "json"),
     "compute-nabla.txt": ("compute", "nabla", "--n", "2", "--k", "1",
                           "--format", "text"),
+    # the bench's largest case, a k above 1, and k = 0 (nabla^0 e_n = e_n)
+    "compute-nabla-n5-k1.json": ("compute", "nabla", "--n", "5", "--k", "1",
+                                 "--format", "json"),
+    "compute-nabla-n4-k2.json": ("compute", "nabla", "--n", "4", "--k", "2",
+                                 "--format", "json"),
+    "compute-nabla-n3-k0.json": ("compute", "nabla", "--n", "3", "--k", "0",
+                                 "--format", "json"),
     "compute-parking.json": ("compute", "parking", "--n", "2", "--k", "1",
                              "--format", "json"),
     "compute-omega.json": ("compute", "omega", "--n", "1", "--k", "1",

@@ -3,14 +3,17 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from qtnabla import cli, macdonald
 from qtnabla.scalar import ONE, Q, QtScalar, T, TSeries, ZERO, aut_q
 from qtnabla.involution import macdonald_substituted_series
 from qtnabla.macdonald import (
-    MacdonaldCache, _build_htilde, _hhl_htilde, _htilde_inverse_matrix, _rho,
-    _validate_htilde, _w_inverse_series, cauchy_macdonald_series, cells,
-    eigenvalue, from_htilde_dict, htilde_norm, integral_J, macdonald_P,
-    modified_macdonald, nabla_power, nstat, to_htilde_dict, w_denominator,
+    MacdonaldCache, _build_htilde, _e_star_pairing, _hhl_htilde,
+    _htilde_inverse_matrix, _rho, _validate_htilde, _w_inverse_series,
+    cauchy_macdonald_series, cells, eigenvalue, from_htilde_dict, htilde_norm,
+    integral_J, macdonald_P, modified_macdonald, nabla_en, nabla_power, nstat,
+    to_htilde_dict, w_denominator,
 )
+from qtnabla.shuffle import nabla_en_expansion
 from qtnabla.symfunc import SymFunc, conjugate, partitions
 
 from oracles import (
@@ -309,6 +312,55 @@ def test_star_pairing_matches_elimination_oracle():
                 assert _bits(got.terms) == _bits(want.terms), (n, k)
     for n in range(4):
         assert _htilde_inverse_matrix(n) == htilde_inverse_by_elimination(n)
+
+
+# ---------------------------------------------------------------------------
+# nabla^k e_n counted in integers, against nabla_power as the oracle
+
+
+def test_e_star_pairing_matches_p_basis_route():
+    for n in range(1, 7):
+        e_n = SymFunc.e(n).convert("p")
+        for lam in partitions(n):
+            want = e_n.star_inner(modified_macdonald(lam))
+            got = _e_star_pairing(lam)
+            assert (got.num, got.den) == (want.num, want.den), lam
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6)
+                                  for k in (0, 1, 2, 3)] + [(6, 1)])
+def test_nabla_en_is_bit_equal_to_nabla_power(n, k):
+    want = nabla_power(SymFunc.e(n), k)
+    assert _bits(nabla_en(n, k).terms) == _bits(want.terms)
+
+
+def test_shuffle_expansion_matches_nabla_power():
+    for n in range(1, 5):
+        for k in (0, 1, 2):
+            want = nabla_power(SymFunc.e(n), k)
+            for N in range(1, n + 1):
+                assert nabla_en_expansion(n, k, N) == want.expand(N), (n, k, N)
+
+
+@pytest.mark.parametrize("factor, check", [
+    (ONE - Q, "is not a polynomial"),
+    # nabla e_4 / (1-t) has a nonzero t^{D+1} row
+    (ONE - T, "above the bound"),
+], ids=["1-q", "1-t"])
+def test_nabla_en_self_checks_exit_three(monkeypatch, capsys, factor, check):
+    real = macdonald._e_star_pairing
+    monkeypatch.setattr(macdonald, "_e_star_pairing",
+                        lambda lam: real(lam) / factor)
+    assert cli.main(["compute", "nabla", "--n", "4", "--k", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert check in err
+
+
+def test_nabla_en_rejects_negative_k():
+    with pytest.raises(ValueError):
+        nabla_en(3, -1)
 
 
 def test_htilde_is_star_orthogonal():
