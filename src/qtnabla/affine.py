@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
 
-from .scalar import ONE, Q, QtScalar, TSeries
+from .scalar import ONE, Q, SeriesBuilder
 from .labels import dinv_k, is_sorted_triple, iter_sorted_triples
 
 
@@ -338,15 +338,12 @@ def raths_series(n, m, degree):
     truncated at t-degree `degree`; area(w) is the d-grade."""
     if m < 1:
         raise ValueError("m must be positive")
-    pref = (ONE / (ONE - Q)) ** gcd(n, m)
-    coeffs = []
+    builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
-        acc = QtScalar.from_int(0)
         for w in iter_wplus_graded(n, d):
             if is_m_restricted(w, m):
-                acc = acc + QtScalar.monomial(q=dimv(w, m))
-        coeffs.append(acc * pref)
-    return TSeries(degree, coeffs)
+                builder.add((), d, dimv(w, m))
+    return builder.build((ONE / (ONE - Q)) ** gcd(n, m)).series(())
 
 
 def b_poly_degree(w, k):

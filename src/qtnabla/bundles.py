@@ -112,9 +112,13 @@ def _endomorphism_slots(m, a, b):
 
 
 def _check_dim_cap(dim, p):
-    """ValueError when F_p^dim is too large to enumerate."""
+    """ValueError when the oracle has no cap for p, or F_p^dim is too large
+    to enumerate."""
     cap = _DIM_CAPS.get(p)
-    if cap is None or dim > cap:
+    if cap is None:
+        raise ValueError(f"the finite-field oracle supports only the primes "
+                         f"{', '.join(map(str, _DIM_CAPS))}, got {p}")
+    if dim > cap:
         raise ValueError(f"endomorphism dimension {dim} over F_{p} exceeds the cap")
 
 

@@ -22,8 +22,9 @@ from math import isqrt
 
 
 def _parse_partition(text):
-    parts = tuple(int(p) for p in text.split(",") if p)
-    if not parts or any(p <= 0 for p in parts) \
+    pieces = text.split(",")
+    parts = tuple(int(p) for p in pieces if p)
+    if len(parts) < len(pieces) or any(p <= 0 for p in parts) \
             or list(parts) != sorted(parts, reverse=True):
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")
     return parts

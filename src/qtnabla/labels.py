@@ -178,32 +178,29 @@ def inv_pi(path, b):
     return sum(1 for i, j in path.dset if b[i - 1] > b[j - 1])
 
 
+def _label_sum(path, N, proper):
+    """Sum over labels b with entries <= N of q^{inv} Y_b, counted in
+    integers per monomial; proper keeps only the labels with distinct
+    entries on every pair of the D-set."""
+    counts = {}  # y exponents -> {(inv, 0): number of labels}
+    for b in product(range(1, N + 1), repeat=path.n):
+        if proper and any(b[i - 1] == b[j - 1] for i, j in path.dset):
+            continue
+        exps = tuple(b.count(v) for v in range(1, N + 1))
+        tally = counts.setdefault(exps, {})
+        qt = (inv_pi(path, b), 0)
+        tally[qt] = tally.get(qt, 0) + 1
+    return Poly(0, N, {((), exps): QtScalar(c) for exps, c in counts.items()})
+
+
 def xi_pi(path, N):
     """xi_pi[Y; q] = sum over labels b with entries <= N of q^{inv} Y_b."""
-    n = path.n
-    terms = {}
-    for b in product(range(1, N + 1), repeat=n):
-        exps = tuple(b.count(v) for v in range(1, N + 1))
-        key = ((), exps)
-        c = QtScalar.monomial(q=inv_pi(path, b))
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return Poly(0, N, terms)
+    return _label_sum(path, N, False)
 
 
 def chromatic(path, N):
     """Stanley's chromatic symmetric function: proper labels only."""
-    n = path.n
-    terms = {}
-    for b in product(range(1, N + 1), repeat=n):
-        if any(b[i - 1] == b[j - 1] for i, j in path.dset):
-            continue
-        exps = tuple(b.count(v) for v in range(1, N + 1))
-        key = ((), exps)
-        c = QtScalar.monomial(q=inv_pi(path, b))
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return Poly(0, N, terms)
+    return _label_sum(path, N, True)
 
 
 def verify_xi(n):

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .scalar import (ONE, Q, QtScalar, SeriesBuilder, TSeries, MonomialSeries,
-                     discrepancy)
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, MonomialSeries, discrepancy
 from .labels import (
     attack_path, dinv_k, dinv_k_pair, iter_sorted_pairs, iter_sorted_triples,
     mu_partition, xi_pi,
@@ -150,15 +149,12 @@ def fulltwist_series(n, k, degree):
     """(1/(1-q)^n) sum over m in Z_{>=0}^n of t^{|m|} q^{d_k(m)}."""
     if k < 1:
         raise ValueError("k must be positive")
-    pref = (ONE / (ONE - Q)) ** n
-    coeffs = []
+    builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
-        acc = QtScalar.from_int(0)
         for m in product(range(d + 1), repeat=n):
             if sum(m) == d:
-                acc = acc + QtScalar.monomial(q=fulltwist_dk(m, k))
-        coeffs.append(acc * pref)
-    return TSeries(degree, coeffs)
+                builder.add((), d, fulltwist_dk(m, k))
+    return builder.build((ONE / (ONE - Q)) ** n).series(())
 
 
 def _permutation_coefficient(n, k, degree, b_choices):
@@ -166,17 +162,14 @@ def _permutation_coefficient(n, k, degree, b_choices):
     b over the given tuples, with the triple-sorting constraint."""
     from itertools import permutations
     from .labels import _sorted_m_vectors, is_sorted_triple
-    coeffs = []
+    builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
-        acc = QtScalar.from_int(0)
         for m in _sorted_m_vectors(n, d):
             for a in permutations(range(1, n + 1)):
                 for b in b_choices:
                     if is_sorted_triple(m, a, b):
-                        acc = acc + QtScalar.monomial(q=dinv_k(m, a, b, k))
-        coeffs.append(acc)
-    pref = (ONE / (ONE - Q)) ** n
-    return TSeries(degree, [c * pref for c in coeffs])
+                        builder.add((), d, dinv_k(m, a, b, k))
+    return builder.build((ONE / (ONE - Q)) ** n).series(())
 
 
 def fulltwist_extraction(n, k, degree):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .scalar import MonomialSeries, QtScalar, discrepancy
+from .scalar import MonomialSeries, QtScalar, SeriesBuilder, discrepancy
 from .involution import d_k_rev
 from .symfunc import Poly, fundamental_monomials, poly_to_symfunc
 
@@ -301,8 +301,9 @@ def _satisfy(constraints, n, N):
 
 def signed_truncated_sum(n, k, degree, N):
     """The signed dividing-line sum with rho-paired terms removed, per the
-    cancellation bookkeeping; exact through t-degree (degree - 1)."""
-    terms = {}
+    cancellation bookkeeping, as a MonomialSeries through t-degree degree;
+    exact through t-degree (degree - 1)."""
+    builder = SeriesBuilder(N, 0, degree)
     for mvec in product(range(degree + 1), repeat=n):
         if sum(mvec) > degree:
             continue
@@ -319,13 +320,10 @@ def signed_truncated_sum(n, k, degree, N):
                 weight = sum(mvec) + l
                 if weight > degree:
                     continue
-                sign = (-1) ** l
                 exps = tuple(a.count(v) for v in range(1, N + 1))
-                key = (exps, ())
-                mono = QtScalar.monomial(c=sign, q=d_k_rev(mvec, a, k), t=weight)
-                prev = terms.get(key)
-                terms[key] = mono if prev is None else prev + mono
-    return Poly(N, 0, terms)
+                builder.add((exps, ()), weight, d_k_rev(mvec, a, k),
+                            count=(-1) ** l)
+    return builder.build()
 
 
 def cancellation_check(n, k, degree, N):
@@ -340,7 +338,7 @@ def cancellation_check(n, k, degree, N):
         report["witness"] = {"l": witness[0], "m": list(witness[1]),
                              "a": list(witness[2])}
         return report
-    lhs = _t_series(signed_truncated_sum(n, k, degree, N), degree - 1)
+    lhs = signed_truncated_sum(n, k, degree, N).truncate(degree - 1)
     rhs = _t_series(parking_sum(n, k, N), degree - 1)
     report["first_discrepancy"] = discrepancy(lhs, rhs)
     report["ok"] = report["first_discrepancy"] is None

@@ -5,14 +5,16 @@ compare the replacement with it wherever it can still run.
 """
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from qtnabla.bundles import aut_exponent, nilp_exponent
-from qtnabla.labels import is_sorted_triple, iter_sorted_triples, mu_partition
+from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
+                            mu_partition)
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
-from qtnabla.symfunc import partitions, plethysm_p_scale
+from qtnabla.symfunc import Poly, partitions, plethysm_p_scale
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,20 @@ class PerTermBuilder:
                      for s in slots])
                  for key, slots in self._acc.items()}
         return MonomialSeries(self.nx, self.ny, self.degree, table)
+
+
+def label_sum_per_term(path, N, proper):
+    """labels.xi_pi (proper false) or labels.chromatic (proper true), one
+    QtScalar monomial added per label word."""
+    terms = {}
+    for b in product(range(1, N + 1), repeat=path.n):
+        if proper and any(b[i - 1] == b[j - 1] for i, j in path.dset):
+            continue
+        key = ((), tuple(b.count(v) for v in range(1, N + 1)))
+        c = QtScalar.monomial(q=inv_pi(path, b))
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
+    return Poly(0, N, terms)
 
 
 def aut_q_of(*cols):

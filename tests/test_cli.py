@@ -138,7 +138,7 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    for lam in ("", ","):
+    for lam in ("", ",", "3,,2", "2,1,"):
         code, out = run_cli("compute", "macdonald", "--lambda", lam)
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), lam
@@ -181,6 +181,15 @@ def test_bundle_cap_fails_before_the_oracle(monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == \
         "error: endomorphism dimension 11 over F_3 exceeds the cap\n"
+
+
+def test_prime_without_a_cap_names_the_supported_primes(capsys):
+    code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
+                        "--primes", "7")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == ("error: the finite-field oracle "
+                                       "supports only the primes 2, 3, 5, "
+                                       "got 7\n")
 
 
 def test_failed_self_check_exits_three(monkeypatch, capsys):

@@ -55,6 +55,11 @@ CASES = {
                            "--lmax", "2", "--qdegree", "3",
                            "--format", "text"),
     "verify-xi.json": ("verify-xi", "--n", "3", "--format", "json"),
+    # the sizes the cold CLI benchmark runs
+    "verify-fulltwist-n3-k2-D5.json": (
+        "verify-fulltwist", "--n", "3", "--k", "2", "--D", "5", "--hilbert",
+        "--format", "json"),
+    "verify-xi-n4.json": ("verify-xi", "--n", "4", "--format", "json"),
     "compute-macdonald.json": ("compute", "macdonald", "--lambda", "2",
                                "--format", "json"),
     "compute-nabla.json": ("compute", "nabla", "--n", "2", "--k", "1",

@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
+import oracles
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
-    DyckPath, alpha_composition, attack_path, attacks,
+    DyckPath, all_dyck_paths, alpha_composition, attack_path, attacks,
     chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_pair, is_sorted_triple,
     iter_sorted_pairs, iter_sorted_triples, mu_partition, sort_columns,
     sort_triple, verify_xi, xi_pi,
@@ -168,6 +169,17 @@ def test_chromatic_full_path_n2():
     path = DyckPath(2, {(1, 2)})
     krom = chromatic(path, 2)
     assert krom == Poly(0, 2, {((), (1, 1)): ONE + Q})
+
+
+def test_label_sums_match_per_term_route():
+    # counted in integers, bit for bit the words added one monomial at a time
+    for n in range(1, 5):
+        for path in all_dyck_paths(n):
+            for N in range(1, n + 2):
+                assert xi_pi(path, N) == oracles.label_sum_per_term(
+                    path, N, False), (path, N)
+                assert chromatic(path, N) == oracles.label_sum_per_term(
+                    path, N, True), (path, N)
 
 
 def test_xi_chromatic_identity():

@@ -3,12 +3,15 @@ coefficient at a time over [n]_q!.  Every series it builds is compared, bit
 for bit, with the same terms added one by one as rational functions, the
 route it replaced (tests/oracles.py)."""
 
+import importlib
+import pkgutil
 from itertools import product
 
 import pytest
 
 import oracles
-from qtnabla import bundles, involution, macdonald, omega
+import qtnabla
+from qtnabla import affine, bundles, involution, macdonald, omega, shuffle
 from qtnabla.omega import OmegaQuery
 from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
 
@@ -17,8 +20,17 @@ from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
 GRID = list(product((1, 2, 3), (0, 1, 2), (1, 2, 3), (4,)))
 
 
+# n, k, N, D for the single-key series, which need k >= 1 and read no N;
+# (3, 2, 3, 5) is the size of the benchmark's verify-fulltwist
+SINGLE = [(n, k, n, 4) for n in (1, 2, 3) for k in (1, 2)] + [(3, 2, 3, 5)]
+
+
 def _omega(fn):
     return lambda n, k, N, D: fn(OmegaQuery(n, k, N, D))
+
+
+def _single(fn):
+    return lambda n, k, N, D: fn(n, k, D)
 
 
 # each caller with its sizes: the grid, plus the sizes the benchmark runs
@@ -38,7 +50,25 @@ CALLERS = {
                                      GRID),
     "bundle_side_series": (bundles.bundle_side_series,
                            GRID + [(n, 0, 3, 3) for n in (1, 2, 3)]),
+    "fulltwist_series": (_single(omega.fulltwist_series), SINGLE),
+    "fulltwist_extraction": (_single(omega.fulltwist_extraction), SINGLE),
+    "hilbert_coefficient": (_single(omega.hilbert_coefficient), SINGLE),
+    "raths_series": (lambda n, k, N, D: affine.raths_series(n, k * n, D),
+                     SINGLE),
+    "signed_truncated_sum": (
+        lambda n, k, N, D: shuffle.signed_truncated_sum(n, k, D, N),
+        # the sizes of test_cancellation_check
+        [(n, k, n, k * n * (n - 1) // 2 + 2) for n in (1, 2, 3)
+         for k in (1, 2)]),
 }
+
+# every module of the package that binds SeriesBuilder, so that a new
+# caller cannot bypass the replay
+BUILDER_MODULES = [
+    module for module in (importlib.import_module(f"qtnabla.{info.name}")
+                          for info in pkgutil.iter_modules(qtnabla.__path__))
+    if module.__name__ != "qtnabla.scalar"
+    and getattr(module, "SeriesBuilder", None) is SeriesBuilder]
 
 
 class _Replay:
@@ -63,7 +93,7 @@ class _Replay:
 def test_integer_counts_match_per_term_route(name, monkeypatch):
     build, sizes = CALLERS[name]
     with monkeypatch.context() as patch:
-        for module in (bundles, involution, macdonald, omega):
+        for module in BUILDER_MODULES:
             patch.setattr(module, "SeriesBuilder", _Replay)
         checked = [build(*s) for s in sizes]
     for (n, k, N, D), series in zip(sizes, checked):
