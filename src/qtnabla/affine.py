@@ -14,7 +14,8 @@ from itertools import permutations, product
 from math import gcd
 
 from .scalar import ONE, Q, SeriesBuilder
-from .labels import dinv_k, is_sorted_triple, iter_sorted_triples
+from .labels import (alpha_composition, attack_path, compositions, dinv_k,
+                     is_sorted_triple, iter_sorted_triples)
 
 
 class AffinePermutation:
@@ -128,10 +129,6 @@ def canonical_transposition(n, a, b):
         a, b = b, a
     shift = ((a - 1) % n) - (a - 1)
     return (a + shift, b + shift)
-
-
-def height(pair):
-    return abs(pair[0] - pair[1])
 
 
 def is_m_stable(w, m):
@@ -318,19 +315,9 @@ def iter_wplus(n, max_grade):
 
 
 def iter_wplus_graded(n, d):
-    for qs in _compositions(d, n):
+    for qs in compositions(d, n):
         for perm in permutations(range(1, n + 1)):
             yield AffinePermutation(tuple(perm[i] + n * qs[i] for i in range(n)))
-
-
-def _compositions(total, slots):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 def raths_series(n, m, degree):
@@ -374,8 +361,6 @@ def verify_paff(n, k, degree, N):
     pin that identity and b_poly_degree against dimv.
     Returns a report dict; "ok" is False on the first counterexample.
     """
-    from .labels import alpha_composition, attack_path, dinv_k_pair
-
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "triples": 0, "failures": []}
 

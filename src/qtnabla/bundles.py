@@ -20,9 +20,9 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, discrepancy
-from .labels import (is_sorted_triple, iter_sorted_triples, mu_partition,
-                     sort_triple)
+from .scalar import ONE, Q, QtScalar, discrepancy
+from .labels import (_sorted_m_vectors, _sorted_triples_over,
+                     is_sorted_triple, mu_partition, triple_series)
 
 
 def hom_dim(src, dst):
@@ -215,15 +215,13 @@ def bundle_side_series(n, k, N, degree):
     |Nilp_k| / |Aut| is q^{nilp_exponent - aut_exponent} / ((q-1)^n aut_q(mu))
     for the column multiplicities mu, so each triple is counted as one
     q-power over aut_q(mu) and 1/(q-1)^n scales the sum."""
-    builder = SeriesBuilder(N, N, degree)
     pref = k * comb(n, 2)
-    for d in range(degree + 1):
-        for m, a, b in iter_sorted_triples(n, N, d):
-            e = pref + nilp_exponent(m, a, b, k) - aut_exponent(m, a, b)
-            xe = tuple(a.count(v) for v in range(1, N + 1))
-            ye = tuple(b.count(v) for v in range(1, N + 1))
-            builder.add((xe, ye), d, e, mu_partition(zip(m, a, b)))
-    return builder.build(scale=ONE / (Q - ONE) ** n)
+
+    def term(m, a, b):
+        return (pref + nilp_exponent(m, a, b, k) - aut_exponent(m, a, b),
+                mu_partition(zip(m, a, b)))
+
+    return triple_series(n, N, degree, term, ONE / (Q - ONE) ** n)
 
 
 def product_side_expansion(max_total, N, t_degree, q_degree):
@@ -260,16 +258,9 @@ def verify_bundle_counts(nmax, mmax, lmax, primes, ks):
     Every (triple, prime) the sweep will enumerate is checked against the
     dimension cap first, so an oversized sweep fails before any work.
     """
-    triples = []
-    for n in range(1, nmax + 1):
-        seen = set()
-        for mvec in product(range(mmax + 1), repeat=n):
-            for avec in product(range(1, lmax + 1), repeat=n):
-                for bvec in product(range(1, lmax + 1), repeat=n):
-                    triple = sort_triple(mvec, avec, bvec)
-                    if triple not in seen:
-                        seen.add(triple)
-                        triples.append(triple)
+    m_vectors = [m for n in range(1, nmax + 1) for d in range(n * mmax + 1)
+                 for m in _sorted_m_vectors(n, d, mmax)]
+    triples = list(_sorted_triples_over(m_vectors, lmax))
     # the vanishing points 1..k must avoid 0 mod p
     cases = [(p, k) for p in primes for k in ks if k < p]
     for m, a, b in triples:

@@ -23,7 +23,10 @@ from math import isqrt
 
 def _parse_partition(text):
     pieces = text.split(",")
-    parts = tuple(int(p) for p in pieces if p)
+    try:
+        parts = tuple(int(p) for p in pieces if p)
+    except ValueError:
+        parts = ()
     if len(parts) < len(pieces) or any(p <= 0 for p in parts) \
             or list(parts) != sorted(parts, reverse=True):
         raise argparse.ArgumentTypeError(f"not a partition: {text!r}")

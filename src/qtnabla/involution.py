@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, discrepancy
-from .labels import mu_partition
+from .labels import alpha_composition, content, mu_partition
+from .macdonald import _cauchy_outer_product, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
 
 
@@ -245,7 +246,6 @@ def canonical_fixed_point(lam, k):
 
 def macdonald_substituted_series(n, k, N, D):
     """The Macdonald side with X -> X(t-1), Y -> Y(q-1), t-expanded."""
-    from .macdonald import _cauchy_outer_product
     return _cauchy_outer_product(
         n, k, N, D,
         lambda h: plethysm_p_scale(h, lambda r: QtScalar.monomial(t=r) - ONE),
@@ -256,10 +256,8 @@ def signed_quadruple_series(n, k, N, D):
     """sum over the quadruple set of (-1)^l t^{|m|} q^{d_k} X_a Y_b."""
     builder = SeriesBuilder(N, N, D)
     for quad in enumerate_van(n, k, D, N):
-        xe = tuple(quad.a.count(v) for v in range(1, N + 1))
-        ye = tuple(quad.b.count(v) for v in range(1, N + 1))
-        builder.add((xe, ye), sum(quad.m), d_k_rev(quad.m, quad.b, k),
-                    count=(-1) ** quad.l)
+        builder.add((content(quad.a, N), content(quad.b, N)), sum(quad.m),
+                    d_k_rev(quad.m, quad.b, k), count=(-1) ** quad.l)
     return builder.build()
 
 
@@ -289,7 +287,6 @@ def verify_vanishing(n, k, degree, N):
             lam = mu_partition(quad.a)
             mu = mu_partition(quad.b)
             census.setdefault((lam, mu), []).append(quad)
-            from .labels import alpha_composition
             alab = alpha_composition(quad.a)
             blab = alpha_composition(quad.b)
             by_composition.setdefault((alab, blab), []).append(quad)
@@ -352,7 +349,6 @@ def verify_vanishing(n, k, degree, N):
             return report
         weight = QtScalar.monomial(q=d_k_rev(quad.m, quad.b, k),
                                    t=sum(quad.m))
-        from .macdonald import nstat
         expected = QtScalar.monomial(q=k * nstat(conjugate(lam)),
                                      t=k * nstat(lam))
         if weight != expected or quad.l != 0:

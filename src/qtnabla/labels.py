@@ -1,5 +1,8 @@
 """Labels, sorted triples, the dinv statistics, attack Dyck paths, and the
 inversion-weighted label generating functions (xi and the chromatic one).
+Each combinatorial family has one enumerator here: weakly decreasing
+m-vectors, weak compositions, sorted pairs and triples, and one sorted-triple
+series that every triple-weighted series goes through.
 
 Sorting conventions: a triple (m, a, b) is sorted when m is weakly
 decreasing, ties are broken by a increasing, then by b increasing.  All
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 
-from .scalar import ONE, Q, QtScalar
+from .scalar import ONE, Q, QtScalar, SeriesBuilder
 from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
 
 
@@ -66,6 +69,12 @@ def alpha_composition(values):
 
 def mu_partition(values):
     return sort_partition(alpha_composition(values))
+
+
+def content(word, N):
+    """The label content of a word over 1..N: how often each value occurs,
+    the exponent vector of its monomial X_word."""
+    return tuple(word.count(v) for v in range(1, N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +195,7 @@ def _label_sum(path, N, proper):
     for b in product(range(1, N + 1), repeat=path.n):
         if proper and any(b[i - 1] == b[j - 1] for i, j in path.dset):
             continue
-        exps = tuple(b.count(v) for v in range(1, N + 1))
-        tally = counts.setdefault(exps, {})
+        tally = counts.setdefault(content(b, N), {})
         qt = (inv_pi(path, b), 0)
         tally[qt] = tally.get(qt, 0) + 1
     return Poly(0, N, {((), exps): QtScalar(c) for exps, c in counts.items()})
@@ -224,8 +232,9 @@ def verify_xi(n):
 # enumeration of sorted tuples
 
 
-def _sorted_m_vectors(n, total):
-    """Weakly decreasing nonnegative n-vectors with the given sum."""
+def _sorted_m_vectors(n, total, biggest=None):
+    """Weakly decreasing nonnegative n-vectors with the given sum, every entry
+    at most biggest (unbounded when None)."""
     out = []
 
     def rec(rest, slots, biggest, prefix):
@@ -239,14 +248,26 @@ def _sorted_m_vectors(n, total):
                 rec(rest - v, slots - 1, v, prefix)
                 prefix.pop()
 
-    rec(total, n, total, [])
+    rec(total, n, total if biggest is None else biggest, [])
     return out
+
+
+def compositions(total, slots):
+    """Weak compositions of total into the given number of slots, in
+    lexicographic order."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, slots - 1):
+            yield (first,) + rest
 
 
 def iter_sorted_pairs(n, N, degree):
     """Sorted pairs (m, a) with |m| = degree and labels bounded by N."""
     for m in _sorted_m_vectors(n, degree):
-        runs = _runs(m)
+        runs = alpha_composition(m)[::-1]
         choices = [combinations_with_replacement(range(1, N + 1), r) for r in runs]
         for parts in product(*choices):
             a = tuple(v for block in parts for v in block)
@@ -255,9 +276,15 @@ def iter_sorted_pairs(n, N, degree):
 
 def iter_sorted_triples(n, N, degree):
     """Sorted triples (m, a, b) with |m| = degree and labels bounded by N."""
+    yield from _sorted_triples_over(_sorted_m_vectors(n, degree), N)
+
+
+def _sorted_triples_over(m_vectors, N):
+    """Sorted triples (m, a, b) for the given weakly decreasing m-vectors,
+    with labels bounded by N."""
     pairs = list(product(range(1, N + 1), repeat=2))
-    for m in _sorted_m_vectors(n, degree):
-        runs = _runs(m)
+    for m in m_vectors:
+        runs = alpha_composition(m)[::-1]
         choices = [combinations_with_replacement(pairs, r) for r in runs]
         for parts in product(*choices):
             a = tuple(p[0] for block in parts for p in block)
@@ -265,12 +292,14 @@ def iter_sorted_triples(n, N, degree):
             yield m, a, b
 
 
-def _runs(m):
-    runs = []
-    for v in m:
-        if runs and v == prev:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-        prev = v
-    return runs
+def triple_series(n, N, D, term, scale):
+    """scale times the sum over sorted triples (m, a, b) with |m| <= D and
+    labels bounded by N of t^{|m|} q^{q_exp} X_a Y_b / aut_q(mu), where
+    term(m, a, b) gives (q_exp, mu), or None to leave the triple out."""
+    builder = SeriesBuilder(N, N, D)
+    for d in range(D + 1):
+        for m, a, b in iter_sorted_triples(n, N, d):
+            weight = term(m, a, b)
+            if weight is not None:
+                builder.add((content(a, N), content(b, N)), d, *weight)
+    return builder.build(scale)

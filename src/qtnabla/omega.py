@@ -12,12 +12,12 @@ polynomial over [n]_q!, reduced once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, MonomialSeries, discrepancy
 from .labels import (
-    attack_path, dinv_k, dinv_k_pair, iter_sorted_pairs, iter_sorted_triples,
-    mu_partition, xi_pi,
+    _sorted_m_vectors, attack_path, compositions, content, dinv_k, dinv_k_pair,
+    is_sorted_triple, iter_sorted_pairs, mu_partition, triple_series, xi_pi,
 )
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
@@ -36,10 +36,6 @@ class OmegaQuery:
             raise ValueError("need n >= 1, k >= 0, N >= 1, D >= 0")
 
 
-def _exps(label, N):
-    return tuple(label.count(v) for v in range(1, N + 1))
-
-
 def _add_q_polynomial(builder, key, d, q_exp, mu, c):
     """Add q^q_exp c / aut_q(mu) for a polynomial c in q alone."""
     if not (c.is_polynomial() and c.is_t_free()):
@@ -53,12 +49,11 @@ def omega_series(query):
     / ((1-q)^n aut_q(m, a, b)), per t-degree; aut_q(m, a, b) is aut_q of
     the multiplicity partition of the columns (m_i, a_i, b_i)."""
     n, k, N, D = query.n, query.k, query.N, query.D
-    builder = SeriesBuilder(N, N, D)
-    for d in range(D + 1):
-        for m, a, b in iter_sorted_triples(n, N, d):
-            builder.add((_exps(a, N), _exps(b, N)), d, dinv_k(m, a, b, k),
-                        mu_partition(zip(m, a, b)))
-    return builder.build(scale=(ONE / (ONE - Q)) ** n)
+
+    def term(m, a, b):
+        return dinv_k(m, a, b, k), mu_partition(zip(m, a, b))
+
+    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
 
 
 def _pair_sum(query, y_side):
@@ -74,7 +69,7 @@ def _pair_sum(query, y_side):
                 ys[path] = y_side(path, N).terms.items()
             base = dinv_k_pair(m, a, k)
             mu = mu_partition(zip(m, a))
-            xa = _exps(a, N)
+            xa = content(a, N)
             for (_, ye), c in ys[path]:
                 _add_q_polynomial(builder, (xa, ye), d, base, mu, c)
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
@@ -90,14 +85,14 @@ def omega_sub_y(query):
     """Omega with Y replaced by Y(q-1): (-1)^n times the attack-distinct
     triple sum, with all automorphism factors gone."""
     n, k, N, D = query.n, query.k, query.N, query.D
-    builder = SeriesBuilder(N, N, D)
-    for d in range(D + 1):
-        for m, a, b in iter_sorted_triples(n, N, d):
-            path = attack_path(m, a, k)
-            if any(b[i - 1] == b[j - 1] for i, j in path.dset):
-                continue
-            builder.add((_exps(a, N), _exps(b, N)), d, dinv_k(m, a, b, k))
-    return builder.build(scale=QtScalar.from_int((-1) ** n))
+
+    def term(m, a, b):
+        path = attack_path(m, a, k)
+        if any(b[i - 1] == b[j - 1] for i, j in path.dset):
+            return None
+        return dinv_k(m, a, b, k), ()
+
+    return triple_series(n, N, D, term, QtScalar.from_int((-1) ** n))
 
 
 def _xi_sub_y(path, N):
@@ -115,13 +110,11 @@ def cauchy_combinatorial(n, N, D):
     """The k = 0 Cauchy sum: t^{|m|} q^{n(mu')} X_a Y_b / ((1-q)^n aut_q)
     over sorted triples, where mu is the multiplicity partition of the
     (m_i, a_i, b_i) columns, so n(mu') counts equal-column pairs."""
-    builder = SeriesBuilder(N, N, D)
-    for d in range(D + 1):
-        for m, a, b in iter_sorted_triples(n, N, d):
-            mu = mu_partition(zip(m, a, b))
-            pairs = sum(r * (r - 1) // 2 for r in mu)
-            builder.add((_exps(a, N), _exps(b, N)), d, pairs, mu)
-    return builder.build(scale=(ONE / (ONE - Q)) ** n)
+    def term(m, a, b):
+        mu = mu_partition(zip(m, a, b))
+        return sum(r * (r - 1) // 2 for r in mu), mu
+
+    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +144,14 @@ def fulltwist_series(n, k, degree):
         raise ValueError("k must be positive")
     builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
-        for m in product(range(d + 1), repeat=n):
-            if sum(m) == d:
-                builder.add((), d, fulltwist_dk(m, k))
+        for m in compositions(d, n):
+            builder.add((), d, fulltwist_dk(m, k))
     return builder.build((ONE / (ONE - Q)) ** n).series(())
 
 
 def _permutation_coefficient(n, k, degree, b_choices):
     """Coefficient series for x-squarefree keys: a runs over permutations,
     b over the given tuples, with the triple-sorting constraint."""
-    from itertools import permutations
-    from .labels import _sorted_m_vectors, is_sorted_triple
     builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
         for m in _sorted_m_vectors(n, d):
@@ -183,7 +173,6 @@ def hilbert_coefficient(n, k, degree):
     The normalization factor (1-q)^(n - gcd(n, kn)) is identically 1 here
     and is reported rather than folded in.
     """
-    from itertools import permutations
     return _permutation_coefficient(n, k, degree,
                                     list(permutations(range(1, n + 1))))
 

@@ -14,6 +14,8 @@ from itertools import product
 
 from .scalar import MonomialSeries, QtScalar, SeriesBuilder, discrepancy
 from .involution import d_k_rev
+from .labels import content
+from .macdonald import nabla_en
 from .symfunc import Poly, fundamental_monomials, poly_to_symfunc
 
 
@@ -154,7 +156,6 @@ def parking_sum(n, k, N):
 
 def nabla_en_expansion(n, k, N):
     """The Macdonald side: nabla^k e_n expanded over x_1..x_N."""
-    from .macdonald import nabla_en
     return nabla_en(n, k).expand(N, "x")
 
 
@@ -320,8 +321,7 @@ def signed_truncated_sum(n, k, degree, N):
                 weight = sum(mvec) + l
                 if weight > degree:
                     continue
-                exps = tuple(a.count(v) for v in range(1, N + 1))
-                builder.add((exps, ()), weight, d_k_rev(mvec, a, k),
+                builder.add((content(a, N), ()), weight, d_k_rev(mvec, a, k),
                             count=(-1) ** l)
     return builder.build()
 

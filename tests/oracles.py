@@ -10,7 +10,7 @@ from math import comb
 
 from qtnabla.bundles import aut_exponent, nilp_exponent
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
-                            mu_partition)
+                            mu_partition, sort_triple)
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
@@ -93,6 +93,23 @@ def label_sum_per_term(path, N, proper):
         prev = terms.get(key)
         terms[key] = c if prev is None else prev + c
     return Poly(0, N, terms)
+
+
+def bundle_sweep_triples(nmax, mmax, lmax):
+    """The triples of bundles.verify_bundle_counts by sorting every word
+    (m, a, b) of rank up to nmax, with m-entries up to mmax and labels up
+    to lmax, keeping the first occurrence of each."""
+    triples = []
+    for n in range(1, nmax + 1):
+        seen = set()
+        for mvec in product(range(mmax + 1), repeat=n):
+            for avec in product(range(1, lmax + 1), repeat=n):
+                for bvec in product(range(1, lmax + 1), repeat=n):
+                    triple = sort_triple(mvec, avec, bvec)
+                    if triple not in seen:
+                        seen.add(triple)
+                        triples.append(triple)
+    return triples
 
 
 def aut_q_of(*cols):

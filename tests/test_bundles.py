@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import aut_count_symbolic
+from oracles import aut_count_symbolic, bundle_sweep_triples
 from qtnabla.scalar import ONE, Q, QtScalar, T, q_factorial
 from qtnabla.bundles import (
     aut_count, brute_force_counts, bundle_le, bundle_side_series, ext_dim,
@@ -113,7 +113,7 @@ def test_counts_sweep_checks_the_cap_before_any_oracle_work(monkeypatch):
     monkeypatch.setattr(bundles, "_det_mod",
                         lambda *args: calls.append(args) or real(*args))
     # m = (7, 0) is the only triple over the F_3 cap, and the sweep reaches
-    # it after eight rank-1 and seven rank-2 triples that fit
+    # it after eight rank-1 and sixteen rank-2 triples that fit
     with pytest.raises(ValueError,
                        match=r"^endomorphism dimension 10 over F_3 exceeds the cap$"):
         verify_bundle_counts(2, 7, 1, (3,), (0,))
@@ -121,6 +121,25 @@ def test_counts_sweep_checks_the_cap_before_any_oracle_work(monkeypatch):
     # a sweep inside the cap does reach the oracle
     assert verify_bundle_counts(2, 2, 1, (3,), (0,))["ok"]
     assert calls
+
+
+@pytest.mark.parametrize("nmax, mmax, lmax",
+                         [(2, 2, 2), (3, 1, 2), (2, 3, 3), (3, 2, 2)])
+def test_counts_sweep_walks_the_triples_of_the_sorting_route(
+        nmax, mmax, lmax, monkeypatch):
+    import qtnabla.bundles as bundles
+    walked = []
+
+    def formula(m, a, b, p, k, points):
+        walked.append((m, a, b))
+        return aut_count(m, a, b, q=p), nilp_count(m, a, b, k, q=p)
+
+    monkeypatch.setattr(bundles, "brute_force_counts", formula)
+    report = verify_bundle_counts(nmax, mmax, lmax, (2,), (0,))
+    expected = bundle_sweep_triples(nmax, mmax, lmax)
+    assert report["ok"] and report["cases"] == len(walked)
+    assert len(set(walked)) == len(walked) == len(expected)
+    assert set(walked) == set(expected)
 
 
 def test_counts_sweep_small():

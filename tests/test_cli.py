@@ -138,7 +138,7 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    for lam in ("", ",", "3,,2", "2,1,"):
+    for lam in ("", ",", "3,,2", "2,1,", "a", "2.5"):
         code, out = run_cli("compute", "macdonald", "--lambda", lam)
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), lam

@@ -1,14 +1,15 @@
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
 import oracles
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
-    DyckPath, all_dyck_paths, alpha_composition, attack_path, attacks,
-    chromatic, dinv_k, dinv_k_pair, inv_pi, is_sorted_pair, is_sorted_triple,
-    iter_sorted_pairs, iter_sorted_triples, mu_partition, sort_columns,
-    sort_triple, verify_xi, xi_pi,
+    DyckPath, _sorted_m_vectors, all_dyck_paths, alpha_composition,
+    attack_path, attacks, chromatic, compositions, dinv_k, dinv_k_pair,
+    inv_pi, is_sorted_pair, is_sorted_triple, iter_sorted_pairs,
+    iter_sorted_triples, mu_partition, sort_columns, sort_triple, verify_xi,
+    xi_pi,
 )
 from qtnabla.symfunc import Poly
 
@@ -203,6 +204,33 @@ def test_iter_sorted_triples_completeness():
     assert got == brute
     for m, a, b in got:
         assert is_sorted_triple(m, a, b)
+
+
+def test_sorted_m_vectors_cost_follows_the_output():
+    # a walk over all partitions of the total would never finish here
+    assert _sorted_m_vectors(1, 200) == [(200,)]
+    assert _sorted_m_vectors(2, 200) == [(200 - v, v) for v in range(101)]
+    assert _sorted_m_vectors(3, 200, 2) == []
+    assert _sorted_m_vectors(3, 5, 2) == [(2, 2, 1)]
+
+
+def test_compositions_and_runs_match_filtered_products():
+    # one product per n, split by sum, keeps the lexicographic order
+    for n in range(7):
+        by_sum = {}
+        for word in product(range(11), repeat=n):
+            total = sum(word)
+            if total <= 10:
+                by_sum.setdefault(total, []).append(word)
+        for total in range(11):
+            words = by_sum.get(total, [])
+            assert list(compositions(total, n)) == words, (n, total)
+            decreasing = [m for m in words
+                          if all(u >= v for u, v in zip(m, m[1:]))]
+            assert _sorted_m_vectors(n, total) == decreasing[::-1]
+            for m in decreasing:
+                runs = tuple(len(list(run)) for _, run in groupby(m))
+                assert alpha_composition(m)[::-1] == runs, m
 
 
 def test_iter_sorted_pairs_matches_triples():

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import qtnabla
-from qtnabla import affine, bundles, involution, macdonald, omega, shuffle
+from qtnabla import affine, bundles, involution, labels, macdonald, omega, shuffle
 from qtnabla.omega import OmegaQuery
 from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
 
@@ -99,6 +99,12 @@ def test_integer_counts_match_per_term_route(name, monkeypatch):
     for (n, k, N, D), series in zip(sizes, checked):
         for d in range(D if k == 1 else 0):
             assert build(n, k, N, d) == series.truncate(d), (n, k, N, d)
+
+
+def test_replay_reaches_the_sorted_triple_walk():
+    # omega_series, omega_sub_y, cauchy_combinatorial and bundle_side_series
+    # build through labels.triple_series, so the replay must patch labels
+    assert labels in BUILDER_MODULES
 
 
 def test_bundle_series_matches_symbolic_counts():
