@@ -17,7 +17,7 @@ count, scaled by 1/(q-1)^n once per coefficient.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 from .scalar import ONE, Q, QtScalar, discrepancy
@@ -148,7 +148,6 @@ def _mat_mul_mod(A, B, p, n):
 def _det_mod(A, p, n):
     """Determinant of the polynomial matrix; a bundle endomorphism always
     has constant determinant, asserted here."""
-    from itertools import permutations
     total = {}
     for sigma in permutations(range(n)):
         invs = sum(1 for i in range(n) for j in range(i + 1, n)
@@ -298,7 +297,13 @@ def verify_bundle_series(n, k, N, degree):
 def verify_bundles(n, k, N, D, primes, mmax, lmax, qdegree):
     """The counting formulas against the finite-field oracle over ranks up to
     n and automorphism degrees 0..k, the bundle series at rank n, and the
-    product identity through t-degree D - 1, in one report."""
+    product identity through t-degree D - 1, in one report.
+
+    Each k is checked only over the primes p > k, so every k in 0..k needs
+    the largest prime above it; otherwise this is a ValueError."""
+    if max(primes) <= k:
+        raise ValueError(f"--k {k} needs a prime above it in --primes, "
+                         f"got largest prime {max(primes)}")
     counts = verify_bundle_counts(n, mmax, lmax, primes, tuple(range(k + 1)))
     series = verify_bundle_series(n, max(k, 1), N, D)
     prod = verify_product_identity(min(n + 1, 3), N, D - 1, qdegree)

@@ -10,6 +10,7 @@ forward, under the key (a ascending, m descending on ties, b ascending).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, discrepancy
@@ -38,6 +39,16 @@ class VanQuadruple:
 def _key(col):
     a, m, b = col
     return (a, -m, b)
+
+
+def _reversed_key(col):
+    a, m, b = col
+    return (-a, m, -b)
+
+
+def _from_columns(l, cols):
+    """The quadruple with these (a, m, b) columns; no columns give n = 0."""
+    return VanQuadruple(l, *(tuple(zip(*cols)) or ((), (), ())))
 
 
 def attacks_rev(mi, mj, k):
@@ -102,7 +113,8 @@ def enumerate_van(n, k, degree, N, l_values=None):
 
     Columns are appended in the sorted order of each side, and the attack
     constraint (equal b with nearby m) is enforced incrementally, which
-    prunes the search long before full sequences exist.
+    prunes the search long before full sequences exist: attacked[b][m]
+    counts the placed columns with label b that attack a later m.
     """
     left_pool = sorted(((a, m, b) for a in range(1, N + 1)
                         for m in range(1, degree + 1)
@@ -110,35 +122,34 @@ def enumerate_van(n, k, degree, N, l_values=None):
     right_pool = sorted(((a, m, b) for a in range(1, N + 1)
                          for m in range(degree + 1)
                          for b in range(1, N + 1)), key=_key)
+    attacked = [[0] * (degree + 1) for _ in range(N + 1)]
 
-    def compatible(acc, col):
-        mj, bj = col[1], col[2]
-        return not any(b == bj and attacks_rev(m, mj, k) for _, m, b in acc)
+    def mark(col, step):
+        # column (m_i, b) attacks m in m_i - k .. m_i + k - 1 (attacks_rev)
+        _, mi, b = col
+        row = attacked[b]
+        for m in range(max(mi - k, 0), min(mi + k - 1, degree) + 1):
+            row[m] += step
 
     def rec(l, acc, budget, start):
         pos = len(acc)
         if pos == n:
-            yield VanQuadruple(l,
-                               tuple(c[0] for c in acc),
-                               tuple(c[1] for c in acc),
-                               tuple(c[2] for c in acc))
+            yield _from_columns(l, acc)
             return
         on_left = pos < l
         pool = left_pool if on_left else right_pool
-        if on_left:
-            reserve = l - pos - 1  # each remaining left slot needs m >= 1
-        else:
-            reserve = 0
+        # each remaining left slot needs m >= 1
+        reserve = l - pos - 1 if on_left else 0
         if pos == l:
             start = 0
         for idx in range(start, len(pool)):
             col = pool[idx]
-            if col[1] + reserve > budget:
-                continue
-            if not compatible(acc, col):
+            if col[1] + reserve > budget or attacked[col[2]][col[1]]:
                 continue
             acc.append(col)
+            mark(col, 1)
             yield from rec(l, acc, budget - col[1], idx)
+            mark(col, -1)
             acc.pop()
 
     for l in (range(n + 1) if l_values is None else l_values):
@@ -155,34 +166,16 @@ def sigma_ranks(quad):
 
 
 def _move_unchecked(quad, i):
-    """Move column i (1-based) across the dividing line, re-sorting its side."""
+    """Move column i (1-based) across the dividing line, re-sorting its side:
+    the right side ascends under the key, the left side descends."""
     cols = quad.columns()
     col = cols.pop(i - 1)
     l = quad.l
     if i <= l:
-        newl = l - 1
-        right = cols[newl:]
-        pos = newl + _insert_position([_key(c) for c in right], _key(col))
-        cols.insert(pos, col)
-    else:
-        newl = l + 1
-        keys = [_key(c) for c in cols[:l]]
-        # descending side: insert keeping keys weakly decreasing
-        p = 0
-        while p < len(keys) and keys[p] >= _key(col):
-            p += 1
-        cols.insert(p, col)
-    return VanQuadruple(newl,
-                        tuple(c[0] for c in cols),
-                        tuple(c[1] for c in cols),
-                        tuple(c[2] for c in cols))
-
-
-def _insert_position(sorted_keys, key):
-    p = 0
-    while p < len(sorted_keys) and sorted_keys[p] <= key:
-        p += 1
-    return p
+        insort(cols, col, lo=l - 1, key=_key)
+        return _from_columns(l - 1, cols)
+    insort(cols, col, hi=l, key=_reversed_key)
+    return _from_columns(l + 1, cols)
 
 
 def move(quad, i, k=None):
@@ -193,27 +186,33 @@ def move(quad, i, k=None):
     return out
 
 
+def _landing(quad, i, k, ranks, table):
+    """The move of column i when it is movable, else None: every
+    sigma-earlier partner has both pairwise entries nonpositive, and the
+    move stays in the set."""
+    me = i - 1
+    if any(ranks[j] < ranks[me] and (table[me][j] > 0 or table[j][me] > 0)
+           for j in range(quad.n)):
+        return None
+    out = _move_unchecked(quad, i)
+    return out if in_vanset(out, k) else None
+
+
 def movable(quad, i, k):
     """Movability: the move stays in the set and every sigma-earlier partner
     has both pairwise entries nonpositive."""
-    if not in_vanset(_move_unchecked(quad, i), k):
-        return False
-    ranks = sigma_ranks(quad)
-    table = d_k_table(quad.m, quad.b, k)
-    me = i - 1
-    for j in range(quad.n):
-        if ranks[j] < ranks[me]:
-            if table[me][j] > 0 or table[j][me] > 0:
-                return False
-    return True
+    return _landing(quad, i, k, sigma_ranks(quad),
+                    d_k_table(quad.m, quad.b, k)) is not None
 
 
 def iota(quad, k):
     """The involution: move the movable column of smallest sigma rank."""
     ranks = sigma_ranks(quad)
+    table = d_k_table(quad.m, quad.b, k)
     for i in sorted(range(1, quad.n + 1), key=lambda i: ranks[i - 1]):
-        if movable(quad, i, k):
-            return _move_unchecked(quad, i)
+        out = _landing(quad, i, k, ranks, table)
+        if out is not None:
+            return out
     return quad
 
 
@@ -333,7 +332,7 @@ def verify_vanishing(n, k, degree, N):
     # uniqueness is graded by the exact compositions alpha(a) = lam,
     # alpha(b) = lam', at the normalized labels {1..len(lam)} x {1..lam_1}
     for lam in partitions(n):
-        if k * sum(i * part for i, part in enumerate(lam)) > degree \
+        if k * nstat(lam) > degree \
                 or len(lam) > N or (lam and lam[0] > N):
             continue  # the fixed point falls outside the truncation
         cell = by_composition.get((lam, conjugate(lam)), [])

@@ -14,7 +14,7 @@ from itertools import product
 
 from .scalar import MonomialSeries, QtScalar, SeriesBuilder, discrepancy
 from .involution import d_k_rev
-from .labels import content
+from .labels import compositions, content
 from .macdonald import nabla_en
 from .symfunc import Poly, fundamental_monomials, poly_to_symfunc
 
@@ -201,8 +201,8 @@ def five_condition_witness(n, k, degree, N):
     dynamic program over label values; the first satisfiable case is
     materialized into an explicit witness.  Returns None when empty.
     """
-    for mvec in product(range(degree + 1), repeat=n):
-        if sum(mvec) > degree or mvec[0] < 1:
+    for mvec in (m for d in range(degree + 1) for m in compositions(d, n)):
+        if mvec[0] < 1:
             continue  # (3B)
         for l in range(1, n):  # (1A) and (1B)
             constraints = _constraints_for(l, mvec, n, k)
@@ -305,9 +305,7 @@ def signed_truncated_sum(n, k, degree, N):
     cancellation bookkeeping, as a MonomialSeries through t-degree degree;
     exact through t-degree (degree - 1)."""
     builder = SeriesBuilder(N, 0, degree)
-    for mvec in product(range(degree + 1), repeat=n):
-        if sum(mvec) > degree:
-            continue
+    for mvec in (m for d in range(degree + 1) for m in compositions(d, n)):
         for a in product(range(1, N + 1), repeat=n):
             for l in range(n + 1):
                 if not in_shuffle_set(l, mvec, a, k):

@@ -345,9 +345,6 @@ class SymFunc:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, lam):
-        return self.terms.get(tuple(lam), ZERO)
-
     # -- conversions
 
     def to_p_dict(self):
@@ -514,9 +511,6 @@ class Poly:
     @classmethod
     def constant(cls, nx, ny, c):
         return cls(nx, ny, {((0,) * nx, (0,) * ny): _qt(c)})
-
-    def coefficient(self, xe, ye=()):
-        return self.terms.get((tuple(xe), tuple(ye)), ZERO)
 
     def _check(self, other):
         if (self.nx, self.ny) != (other.nx, other.ny):

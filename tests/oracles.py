@@ -9,6 +9,8 @@ from itertools import product
 from math import comb
 
 from qtnabla.bundles import aut_exponent, nilp_exponent
+from qtnabla.involution import (VanQuadruple, _key, attacks_rev, d_k_table,
+                                in_vanset, sigma_ranks)
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
                             mu_partition, sort_triple)
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
@@ -207,7 +209,8 @@ def to_htilde_dict_by_elimination(f):
 def cauchy_outer_product_per_term(n, k, N, D, x_side, y_side):
     """sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam) divided by
     the norm <H~_lam, H~_lam>_*, one QtScalar and one t_expand per
-    (lam, x-monomial, y-monomial).
+    (lam, x-coefficient, y-coefficient): symmetric sides repeat each
+    coefficient pair across many monomials.
 
     x_side and y_side turn H~_lam into its Poly over x_1..x_N and y_1..y_N.
     """
@@ -217,9 +220,12 @@ def cauchy_outer_product_per_term(n, k, N, D, x_side, y_side):
         hx = x_side(h)
         hy = y_side(h)
         scale = eigenvalue(lam, k) / htilde_norm(lam)
+        expanded = {}
         for (xe, _), cx in hx.terms.items():
             for (_, ye), cy in hy.terms.items():
-                series = (cx * cy * scale).t_expand(D)
+                series = expanded.get((cx, cy))
+                if series is None:
+                    series = expanded[cx, cy] = (cx * cy * scale).t_expand(D)
                 key = (xe, ye)
                 prev = table.get(key)
                 table[key] = series if prev is None else prev + series
@@ -238,3 +244,106 @@ def macdonald_substituted_series_per_term(n, k, N, D):
         n, k, N, D,
         lambda h: plethysm_p_scale(h, lambda r: T ** r - ONE).expand(N, "x"),
         lambda h: plethysm_p_scale(h, lambda r: Q ** r - ONE).expand(N, "y"))
+
+
+# ---------------------------------------------------------------------------
+# the involution with per-column rescans: sigma and the pairwise table per
+# candidate column, hand-written insertion loops, and a prefix rescan for
+# attacks at every candidate column of the quadruple walk
+
+
+def enumerate_van_by_rescan(n, k, degree, N, l_values=None):
+    """involution.enumerate_van, rescanning the prefix for attacks."""
+    left_pool = sorted(((a, m, b) for a in range(1, N + 1)
+                        for m in range(1, degree + 1)
+                        for b in range(1, N + 1)), key=_key, reverse=True)
+    right_pool = sorted(((a, m, b) for a in range(1, N + 1)
+                         for m in range(degree + 1)
+                         for b in range(1, N + 1)), key=_key)
+
+    def compatible(acc, col):
+        mj, bj = col[1], col[2]
+        return not any(b == bj and attacks_rev(m, mj, k) for _, m, b in acc)
+
+    def rec(l, acc, budget, start):
+        pos = len(acc)
+        if pos == n:
+            yield VanQuadruple(l,
+                               tuple(c[0] for c in acc),
+                               tuple(c[1] for c in acc),
+                               tuple(c[2] for c in acc))
+            return
+        on_left = pos < l
+        pool = left_pool if on_left else right_pool
+        if on_left:
+            reserve = l - pos - 1  # each remaining left slot needs m >= 1
+        else:
+            reserve = 0
+        if pos == l:
+            start = 0
+        for idx in range(start, len(pool)):
+            col = pool[idx]
+            if col[1] + reserve > budget:
+                continue
+            if not compatible(acc, col):
+                continue
+            acc.append(col)
+            yield from rec(l, acc, budget - col[1], idx)
+            acc.pop()
+
+    for l in (range(n + 1) if l_values is None else l_values):
+        yield from rec(l, [], degree, 0)
+
+
+def _insert_position(sorted_keys, key):
+    p = 0
+    while p < len(sorted_keys) and sorted_keys[p] <= key:
+        p += 1
+    return p
+
+
+def move_by_scan(quad, i):
+    """involution._move_unchecked with hand-written insertion loops."""
+    cols = quad.columns()
+    col = cols.pop(i - 1)
+    l = quad.l
+    if i <= l:
+        newl = l - 1
+        right = cols[newl:]
+        pos = newl + _insert_position([_key(c) for c in right], _key(col))
+        cols.insert(pos, col)
+    else:
+        newl = l + 1
+        keys = [_key(c) for c in cols[:l]]
+        # descending side: insert keeping keys weakly decreasing
+        p = 0
+        while p < len(keys) and keys[p] >= _key(col):
+            p += 1
+        cols.insert(p, col)
+    return VanQuadruple(newl,
+                        tuple(c[0] for c in cols),
+                        tuple(c[1] for c in cols),
+                        tuple(c[2] for c in cols))
+
+
+def movable_by_rescan(quad, i, k):
+    """involution.movable, building the move, sigma and the table anew."""
+    if not in_vanset(move_by_scan(quad, i), k):
+        return False
+    ranks = sigma_ranks(quad)
+    table = d_k_table(quad.m, quad.b, k)
+    me = i - 1
+    for j in range(quad.n):
+        if ranks[j] < ranks[me]:
+            if table[me][j] > 0 or table[j][me] > 0:
+                return False
+    return True
+
+
+def iota_by_rescan(quad, k):
+    """involution.iota through movable_by_rescan for each column."""
+    ranks = sigma_ranks(quad)
+    for i in sorted(range(1, quad.n + 1), key=lambda i: ranks[i - 1]):
+        if movable_by_rescan(quad, i, k):
+            return move_by_scan(quad, i)
+    return quad

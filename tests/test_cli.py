@@ -149,6 +149,14 @@ def test_config_errors(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), primes
         assert err.startswith("error: --primes ") and err.count("\n") == 1, err
+    # each k is checked over the primes above it, so --k needs one
+    for k, primes in (("3", "2"), ("2", "2"), ("3", "2,3")):
+        code, out = run_cli("verify-bundles", "--n", "3", "--k", k, "--N", "2",
+                            "--D", "3", "--primes", primes)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), (k, primes)
+        assert err.startswith("error: --k ") and "--primes" in err \
+            and err.count("\n") == 1, err
     # k = 0 stays a valid input where the series is defined
     assert run_cli("compute", "omega", "--n", "2", "--k", "0", "--D", "1")[0] == 0
 

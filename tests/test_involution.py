@@ -105,6 +105,25 @@ def test_involution_sweep():
                     assert (-1) ** image.l == -((-1) ** quad.l)
 
 
+def test_one_pass_iota_matches_the_rescanning_route():
+    """The walk, iota, movable and the move against the retired route that
+    rebuilt sigma and the pairwise table per column and rescanned the
+    prefix for attacks: list equality of the walk, order included, and
+    equality for every quadruple and column."""
+    from oracles import (enumerate_van_by_rescan, iota_by_rescan,
+                         movable_by_rescan, move_by_scan)
+    sizes = [(n, k, D, N) for n in (1, 2, 3) for k in (1, 2)
+             for D in (0, 2, 4) for N in (1, 2, 3)] + [(4, 1, 2, 2)]
+    for n, k, D, N in sizes:
+        quads = list(enumerate_van(n, k, D, N))
+        assert quads == list(enumerate_van_by_rescan(n, k, D, N)), (n, k, D, N)
+        for quad in quads:
+            assert iota(quad, k) == iota_by_rescan(quad, k), quad
+            for i in range(1, n + 1):
+                assert movable(quad, i, k) == movable_by_rescan(quad, i, k)
+                assert move(quad, i) == move_by_scan(quad, i), (quad, i)
+
+
 def test_t_diagram_worked_example():
     quad = VanQuadruple(0, (2, 2, 1, 2, 1, 3, 1), (1, 0, 0, 1, 2, 1, 0),
                         (1, 1, 3, 2, 3, 1, 1))
