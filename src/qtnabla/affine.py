@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
 
-from .scalar import ONE, Q, SeriesBuilder
+from .scalar import ONE, Q, SeriesBuilder, fail
 from .labels import (alpha_composition, attack_path, compositions, dinv_k,
                      is_sorted_triple, iter_sorted_triples)
 
@@ -364,42 +364,35 @@ def verify_paff(n, k, degree, N):
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "triples": 0, "failures": []}
 
-    def fail(kind, data):
-        report["ok"] = False
-        report["failures"].append({"kind": kind, **data})
-
     seen = {}
     for d in range(degree + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
             report["triples"] += 1
             w = paff(m, a, b)
+            at = {"triple": (m, a, b), "w": w.window}
             if w.d_grade() != d:
-                fail("grade", {"triple": (m, a, b), "w": w.window})
-                return report
+                return fail(report, "grade", at)
             val_dinv = dinv_k(m, a, b, k)
             val_dimv = dimv(w, k * n)
             if val_dinv != val_dimv:
-                fail("dinv-dimv", {"triple": (m, a, b), "w": w.window,
-                                   "dinv": val_dinv, "dimv": val_dimv})
-                return report
+                return fail(report, "dinv-dimv",
+                            {**at, "dinv": val_dinv, "dimv": val_dimv})
             klass = (tuple(sorted(a)), tuple(sorted(b)))
             if (klass, w.window) in seen and seen[(klass, w.window)] != (m, a, b):
-                fail("injectivity", {"triple": (m, a, b),
-                                     "other": seen[(klass, w.window)]})
-                return report
+                return fail(report, "injectivity",
+                            {"triple": (m, a, b),
+                             "other": seen[(klass, w.window)]})
             seen[(klass, w.window)] = (m, a, b)
             alpha_a = alpha_composition(a)
             beta = tuple(reversed(alpha_composition(b)))
             lw = w.length()
             for v in double_coset(w, beta, alpha_a):
                 if v != w and v.length() >= lw:
-                    fail("coset-max", {"triple": (m, a, b), "w": w.window,
-                                       "v": v.window})
-                    return report
+                    return fail(report, "coset-max", {**at, "v": v.window})
             wmin, wmax = left_coset_min_max(w)
             diff = tuple(x - y for x, y in zip(rational_area_sequence(wmin, k * n),
                                               rational_area_sequence(wmax, k * n)))
             if diff != attack_path(m, a, k).area_sequence:
-                fail("area-difference", {"triple": (m, a, b), "diff": diff})
-                return report
+                return fail(report, "area-difference",
+                            {"triple": (m, a, b), "diff": diff})
     return report

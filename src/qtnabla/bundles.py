@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import comb
 
-from .scalar import ONE, Q, QtScalar, discrepancy
+from .scalar import ONE, Q, QtScalar, compare, fail
 from .labels import (_sorted_m_vectors, _sorted_triples_over,
                      is_sorted_triple, mu_partition, triple_series)
 
@@ -275,11 +275,9 @@ def verify_bundle_counts(nmax, mmax, lmax, primes, ks):
             fn = nilp_count(m, a, b, k, q=p)
             report["cases"] += 1
             if (auts, nilps) != (fa, fn):
-                report["ok"] = False
-                report["failures"].append({
+                return fail(report, "oracle", {
                     "triple": (m, a, b), "p": p, "k": k,
                     "oracle": (auts, nilps), "formula": (fa, fn)})
-                return report
     return report
 
 
@@ -289,9 +287,7 @@ def verify_bundle_series(n, k, N, degree):
     lhs = bundle_side_series(n, k, N, degree)
     rhs = omega_series(OmegaQuery(n, k, N, degree)).scale(
         QtScalar.from_int((-1) ** n))
-    disc = discrepancy(lhs, rhs)
-    return {"n": n, "k": k, "N": N, "D": degree, "equal": disc is None,
-            "first_discrepancy": disc}
+    return compare(lhs, rhs, n=n, k=k, N=N, D=degree)
 
 
 def verify_bundles(n, k, N, D, primes, mmax, lmax, qdegree):
@@ -307,9 +303,7 @@ def verify_bundles(n, k, N, D, primes, mmax, lmax, qdegree):
     counts = verify_bundle_counts(n, mmax, lmax, primes, tuple(range(k + 1)))
     series = verify_bundle_series(n, max(k, 1), N, D)
     prod = verify_product_identity(min(n + 1, 3), N, D - 1, qdegree)
-    return {"counts": {"ok": counts["ok"], "cases": counts["cases"],
-                       "failures": counts["failures"]},
-            "series": series, "product": prod,
+    return {"counts": counts, "series": series, "product": prod,
             "ok": counts["ok"] and series["equal"] and prod["equal"]}
 
 

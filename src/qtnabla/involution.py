@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, discrepancy
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import alpha_composition, content, mu_partition
 from .macdonald import _cauchy_outer_product, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
@@ -274,10 +274,6 @@ def verify_vanishing(n, k, degree, N):
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "failures": [], "fixed_points": []}
 
-    def fail(kind, data):
-        report["ok"] = False
-        report["failures"].append({"kind": kind, **data})
-
     census = {}
     by_composition = {}
     for quad in enumerate_van(n, k, degree, N):
@@ -290,11 +286,11 @@ def verify_vanishing(n, k, degree, N):
             blab = alpha_composition(quad.b)
             by_composition.setdefault((alab, blab), []).append(quad)
             if not dominance_leq(lam, conjugate(mu)):
-                fail("dominance", {"quad": quad})
+                fail(report, "dominance", {"quad": quad})
             diagram = t_diagram(quad)
             for r, row in enumerate(diagram, start=1):
                 if any(mval > (r - 1) * k for mval, _ in row):
-                    fail("m-bound", {"quad": quad, "row": r})
+                    fail(report, "m-bound", {"quad": quad, "row": r})
             # b-value occurrences per row, tracked on the quadruple itself so
             # the dividing-line side of each occurrence is visible
             values = sorted(set(quad.a))
@@ -305,23 +301,23 @@ def verify_vanishing(n, k, degree, N):
             for bval, hits in occ.items():
                 for r in range(1, len(diagram) + 1):
                     inside = [(row, pos) for row, pos in hits if row <= r]
+                    at = {"quad": quad, "b": bval, "row": r}
                     if len(inside) > r:
-                        fail("b-count", {"quad": quad, "b": bval, "row": r})
+                        fail(report, "b-count", at)
                     elif len(inside) == r and r > 0:
-                        rows_hit = [row for row, _ in inside]
-                        if len(set(rows_hit)) != r:
-                            fail("b-rows", {"quad": quad, "b": bval, "row": r})
+                        if len({row for row, _ in inside}) != r:
+                            fail(report, "b-rows", at)
                         if any(pos <= quad.l for _, pos in inside):
-                            fail("b-side", {"quad": quad, "b": bval, "row": r})
+                            fail(report, "b-side", at)
         else:
             if iota(image, k) != quad:
-                fail("involution", {"quad": quad, "image": image})
+                fail(report, "involution", {"quad": quad, "image": image})
             if sum(image.m) != sum(quad.m):
-                fail("t-weight", {"quad": quad, "image": image})
+                fail(report, "t-weight", {"quad": quad, "image": image})
             if d_k_rev(image.m, image.b, k) != d_k_rev(quad.m, quad.b, k):
-                fail("q-weight", {"quad": quad, "image": image})
+                fail(report, "q-weight", {"quad": quad, "image": image})
             if (-1) ** image.l != -((-1) ** quad.l):
-                fail("sign", {"quad": quad, "image": image})
+                fail(report, "sign", {"quad": quad, "image": image})
         if report["failures"]:
             return report
 
@@ -340,29 +336,27 @@ def verify_vanishing(n, k, degree, N):
                       if set(q.a) == set(range(1, len(lam) + 1))
                       and set(q.b) == set(range(1, lam[0] + 1))]
         if len(normalized) != 1:
-            fail("uniqueness", {"lambda": lam, "count": len(normalized)})
-            return report
+            return fail(report, "uniqueness",
+                        {"lambda": lam, "count": len(normalized)})
         quad = normalized[0]
         if quad != canonical_fixed_point(lam, k):
-            fail("canonical-form", {"lambda": lam, "quad": quad})
-            return report
+            return fail(report, "canonical-form",
+                        {"lambda": lam, "quad": quad})
         weight = QtScalar.monomial(q=d_k_rev(quad.m, quad.b, k),
                                    t=sum(quad.m))
         expected = QtScalar.monomial(q=k * nstat(conjugate(lam)),
                                      t=k * nstat(lam))
         if weight != expected or quad.l != 0:
-            fail("weight", {"lambda": lam, "weight": str(weight)})
-            return report
+            return fail(report, "weight",
+                        {"lambda": lam, "weight": str(weight)})
 
     lhs = signed_quadruple_series(n, k, N, degree)
     rhs = macdonald_substituted_series(n, k, N, degree)
     if degree >= 1:
-        cut_lhs = lhs.truncate(degree - 1)
-        cut_rhs = rhs.truncate(degree - 1)
-        report["lhs"] = cut_lhs.to_json()
-        report["rhs"] = cut_rhs.to_json()
-        disc = discrepancy(cut_lhs, cut_rhs)
-        if disc is not None:
-            fail("signed-sum", disc)
+        lhs, rhs = lhs.truncate(degree - 1), rhs.truncate(degree - 1)
+        report.update(lhs=lhs.to_json(), rhs=rhs.to_json())
+        signed = compare(lhs, rhs)
+        if not signed["equal"]:
+            fail(report, "signed-sum", signed["first_discrepancy"])
     report["equal"] = report["ok"]
     return report

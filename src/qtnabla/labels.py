@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
 
 
@@ -213,7 +213,8 @@ def chromatic(path, N):
 
 def verify_xi(n):
     """xi_pi[Y; q] = (1-q)^n omega X_pi[Y/(1-q); q] in n variables, for every
-    Dyck path of size n; stops at the first path where the two differ."""
+    Dyck path of size n; stops at the first path where the two differ, and
+    reports it with the first y-monomial where they do."""
     checked = 0
     failure = None
     for path in all_dyck_paths(n):
@@ -223,7 +224,7 @@ def verify_xi(n):
         rhs = scaled.omega().expand(n, "y").scale((ONE - Q) ** n)
         checked += 1
         if lhs != rhs:
-            failure = {"area_sequence": list(path.area_sequence)}
+            failure = compare(lhs, rhs, area_sequence=list(path.area_sequence))
             break
     return {"n": n, "paths": checked, "ok": failure is None, "failure": failure}
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, MonomialSeries, discrepancy
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, MonomialSeries, compare
 from .labels import (
     _sorted_m_vectors, attack_path, compositions, content, dinv_k, dinv_k_pair,
     is_sorted_triple, iter_sorted_pairs, mu_partition, triple_series, xi_pi,
@@ -182,10 +182,8 @@ def hilbert_coefficient(n, k, degree):
 
 
 def _pair_report(lhs, rhs, **params):
-    """The report shape shared by every two-route series check."""
-    disc = discrepancy(lhs, rhs)
-    return {**params, "equal": disc is None, "lhs": lhs.to_json(),
-            "rhs": rhs.to_json(), "first_discrepancy": disc}
+    """The comparison of two routes, with both sides rendered."""
+    return compare(lhs, rhs, **params, lhs=lhs.to_json(), rhs=rhs.to_json())
 
 
 def verify_main(n, k, N, D):
@@ -222,9 +220,9 @@ def verify_fulltwist(n, k, D, hilbert=False):
     report = _pair_report(fulltwist_series(n, k, D),
                           fulltwist_extraction(n, k, D), n=n, k=k, D=D)
     if hilbert:
-        sub = verify_hilbert(n, k, D)
-        report["hilbert"] = {"equal": sub["equal"],
-                             "first_discrepancy": sub["first_discrepancy"]}
+        from .affine import raths_series
+        sub = report["hilbert"] = compare(hilbert_coefficient(n, k, D),
+                                          raths_series(n, k * n, D))
         report["equal"] = report["equal"] and sub["equal"]
     return report
 
@@ -232,10 +230,8 @@ def verify_fulltwist(n, k, D, hilbert=False):
 def verify_hilbert(n, k, D):
     """The squarefree coefficient against the affine-permutation series."""
     from .affine import raths_series
-    lhs = hilbert_coefficient(n, k, D)
-    rhs = raths_series(n, k * n, D)
-    return _pair_report(lhs, rhs, n=n, k=k, D=D,
-                        normalization=f"(1-q)^{n - n} = 1")
+    return _pair_report(hilbert_coefficient(n, k, D), raths_series(n, k * n, D),
+                        n=n, k=k, D=D, normalization=f"(1-q)^{n - n} = 1")
 
 
 def compute_omega(n, k, N, D):

@@ -855,6 +855,35 @@ def discrepancy(lhs, rhs):
     return entry
 
 
+def t_series(poly, degree):
+    """A Poly as a MonomialSeries, t-expanded through `degree`."""
+    return MonomialSeries(poly.nx, poly.ny, degree,
+                          {key: c.t_expand(degree) for key, c in poly.terms.items()})
+
+
+def compare(lhs, rhs, /, **params):
+    """A two-route report: params, "equal", and the first coefficient where
+    two TSeries, MonomialSeries or Polys differ (None when they agree).
+    Polys that differ are t-expanded through the largest t-degree of a
+    numerator plus that of a denominator: distinct fractions differ there."""
+    disc = None
+    if lhs != rhs:
+        if not isinstance(lhs, (TSeries, MonomialSeries)):
+            coeffs = [c for poly in (lhs, rhs) for c in poly.terms.values()]
+            degree = (max(j for c in coeffs for _, j in c.num)
+                      + max(j for c in coeffs for _, j in c.den))
+            lhs, rhs = t_series(lhs, degree), t_series(rhs, degree)
+        disc = discrepancy(lhs, rhs)
+    return {**params, "equal": disc is None, "first_discrepancy": disc}
+
+
+def fail(report, kind, data):
+    """Log {"kind": kind, **data} as a failure of a sweep report; return it."""
+    report["failures"].append({"kind": kind, **data})
+    report["ok"] = False
+    return report
+
+
 class SeriesBuilder:
     """Counts the terms count * q^q_exp / aut_q(mu) of a monomial-keyed
     series in integers, then forms each coefficient in one reduction.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .scalar import MonomialSeries, QtScalar, SeriesBuilder, discrepancy
+from .scalar import QtScalar, SeriesBuilder, compare, t_series
 from .involution import d_k_rev
 from .labels import compositions, content
 from .macdonald import nabla_en
@@ -159,29 +159,34 @@ def nabla_en_expansion(n, k, N):
     return nabla_en(n, k).expand(N, "x")
 
 
+def _parking_report(n, k, N, renders):
+    """nabla^k e_n against the parking sum over x_1..x_N; each key in renders,
+    such as nabla_schur, renders that side in that basis. Only agreeing sides
+    render the parking side, and only differing ones keep first_discrepancy."""
+    sides = {"nabla": nabla_en_expansion(n, k, N),
+             "parking": parking_sum(n, k, N)}
+    report = compare(sides["nabla"], sides["parking"], n=n, k=k, N=N)
+    if report["equal"]:
+        del report["first_discrepancy"]
+    for key in renders:
+        side, basis = key.split("_")
+        report[key] = str(poly_to_symfunc(sides[side], "x", basis[0])) \
+            if report["equal"] or side == "nabla" else None
+    return report
+
+
 def verify_shuffle(n, k, N):
     """The parking sum against nabla^k e_n over x_1..x_N. The report renders
     nabla^k e_n in the Schur basis, and the parking sum in the monomial
     basis when the two agree."""
-    lhs = nabla_en_expansion(n, k, N)
-    rhs = parking_sum(n, k, N)
-    equal = lhs == rhs
-    return {"n": n, "k": k, "N": N, "equal": equal,
-            "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
-            "parking_monomial": str(poly_to_symfunc(rhs, "x", "m"))
-            if equal else None}
+    return _parking_report(n, k, N, ("nabla_schur", "parking_monomial"))
 
 
 def compute_parking(n, k, N):
     """The parking sum and nabla^k e_n over x_1..x_N, each rendered in the
     monomial and the Schur basis, and whether the two agree."""
-    lhs = nabla_en_expansion(n, k, N)
-    rhs = parking_sum(n, k, N)
-    return {"n": n, "k": k, "N": N, "equal": lhs == rhs,
-            "nabla_monomial": str(poly_to_symfunc(lhs, "x", "m")),
-            "nabla_schur": str(poly_to_symfunc(lhs, "x", "s")),
-            "parking_monomial": str(poly_to_symfunc(rhs, "x", "m")),
-            "parking_schur": str(poly_to_symfunc(rhs, "x", "s"))}
+    return _parking_report(n, k, N, ("nabla_monomial", "nabla_schur",
+                                     "parking_monomial", "parking_schur"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +333,14 @@ def cancellation_check(n, k, degree, N):
     """(i) the five-condition set is empty; (ii) after removing rho-paired
     terms, the signed truncated sum equals the parking sum through
     t-degree (degree - 1)."""
-    report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
-              "witness": None, "first_discrepancy": None}
+    params = {"n": n, "k": k, "D": degree, "N": N, "witness": None}
     witness = five_condition_witness(n, k, degree, N)
     if witness is not None:
-        report["ok"] = False
-        report["witness"] = {"l": witness[0], "m": list(witness[1]),
-                             "a": list(witness[2])}
-        return report
+        return {**params, "ok": False, "first_discrepancy": None,
+                "witness": {"l": witness[0], "m": list(witness[1]),
+                            "a": list(witness[2])}}
     lhs = signed_truncated_sum(n, k, degree, N).truncate(degree - 1)
-    rhs = _t_series(parking_sum(n, k, N), degree - 1)
-    report["first_discrepancy"] = discrepancy(lhs, rhs)
-    report["ok"] = report["first_discrepancy"] is None
+    rhs = t_series(parking_sum(n, k, N), degree - 1)
+    report = compare(lhs, rhs, **params)
+    report["ok"] = report.pop("equal")
     return report
-
-
-def _t_series(poly, degree):
-    """A Poly as a MonomialSeries, each coefficient truncated at t-degree
-    `degree`."""
-    return MonomialSeries(poly.nx, poly.ny, degree,
-                          {key: c.t_expand(degree) for key, c in poly.terms.items()})

@@ -320,6 +320,81 @@ def test_failing_report_exits_one(capsys):
     assert json.loads(out)["first_discrepancy"]["rhs"] == "q"
 
 
+def test_every_row_reports_one_boolean_verdict(monkeypatch):
+    """Each subcommand at its smallest valid size (k = 1, --hilbert on):
+    the key _emit reads, equal or else ok, holds a bool, and it passes."""
+    from qtnabla import cli
+    emitted = []
+
+    def emit(report, args):
+        code = real_emit(report, args)
+        emitted.append((report, code))
+        return code
+
+    real_emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", emit)
+    for name, (_, _, _, options) in COMMANDS.items():
+        argv = name.split("-", 1) if name.startswith("compute-") else [name]
+        for option in options:
+            flags, _, least = OPTIONS[option]
+            if option == "hilbert":
+                argv.append(flags[0])
+            elif option == "lambda":
+                argv += [flags[0], "1"]
+            elif least is not None:  # k = 0 is below what verify-main takes
+                argv += [flags[0], str(1 if option[0] == "k" else least)]
+        emitted.clear()
+        code, _ = run_cli(*argv, "--format", "json")
+        (report, emit_code), = emitted
+        verdict = report["equal"] if "equal" in report else report["ok"]
+        assert type(verdict) is bool, (argv, verdict)
+        assert emit_code == code == 0, argv
+
+
+def test_verify_shuffle_counterexample_exits_one(monkeypatch):
+    """The parking sum off by q at x_2^2: the report names that coefficient
+    and leaves the parking side unrendered."""
+    import qtnabla.shuffle as shuffle
+    from qtnabla.scalar import Q
+    from qtnabla.symfunc import Poly
+    real = shuffle.parking_sum
+
+    def perturbed(n, k, N):
+        terms = dict(real(n, k, N).terms)
+        terms[((0, 2), ())] = terms[((0, 2), ())] + Q
+        return Poly(N, 0, terms)
+
+    monkeypatch.setattr(shuffle, "parking_sum", perturbed)
+    disc = {"x_exp": [0, 2], "y_exp": [], "t_deg": 0, "lhs": "1",
+            "rhs": "q + 1"}
+    for argv in (("verify-shuffle",), ("compute", "parking")):
+        code, out = run_cli(*argv, "--n", "2", "--k", "1", "--format", "json")
+        report = json.loads(out)
+        assert code == 1, argv
+        assert report["equal"] is False
+        assert report["first_discrepancy"] == disc
+        assert report["parking_monomial"] is None
+
+
+def test_verify_xi_counterexample_exits_one(monkeypatch):
+    """The chromatic route off by q y_1 y_2: the failure names the path and
+    the first y-monomial where the two sides differ."""
+    from qtnabla import labels
+    from qtnabla.scalar import Q
+    from qtnabla.symfunc import Poly
+    real = labels.chromatic
+    monkeypatch.setattr(labels, "chromatic", lambda path, N: real(path, N)
+                        + Poly(0, N, {((), (1,) * N): Q}))
+    code, out = run_cli("verify-xi", "--n", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 1
+    assert report["ok"] is False and report["paths"] == 1
+    assert report["failure"] == {
+        "area_sequence": [0, 0], "equal": False, "first_discrepancy": {
+            "x_exp": [], "y_exp": [0, 2], "t_deg": 0,
+            "lhs": "1", "rhs": "(2 q + 1)/(q + 1)"}}
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run_cli("verify-shuffle", "--n", "2", "--k", "1",

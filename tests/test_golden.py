@@ -175,6 +175,67 @@ def test_verify_vanishing_counterexample(monkeypatch):
         "lhs": "1", "rhs": "-q + 1"}]
 
 
+def test_verify_xi_factoring_counterexample(monkeypatch):
+    real = omega.omega_via_xi
+    monkeypatch.setattr(omega, "omega_via_xi", lambda q: _bump_key(real(q), 1))
+    rep = omega.verify_xi_factoring(2, 1, 2, 2)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
+        "lhs": "(q + 3)/(q^2 - 2 q + 1)",
+        "rhs": "(q^3 - 2 q^2 + 2 q + 3)/(q^2 - 2 q + 1)"}
+
+
+def test_verify_sub_y_counterexample(monkeypatch):
+    real = omega.omega_sub_y_via_plethysm
+    monkeypatch.setattr(omega, "omega_sub_y_via_plethysm",
+                        lambda q: _bump_key(real(q), 1))
+    rep = omega.verify_sub_y(2, 1, 2, 2)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
+        "lhs": "q + 3", "rhs": "2 q + 3"}
+
+
+# Counterexample sweeps: one route is off by one, so each sweep stops at its
+# first case with one failure of the named kind.
+
+def test_verify_paff_counterexample(monkeypatch):
+    real = affine.dimv
+    monkeypatch.setattr(affine, "dimv", lambda w, m: real(w, m) + 1)
+    rep = affine.verify_paff(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["triples"] == 1
+    assert rep["failures"] == [{
+        "kind": "dinv-dimv", "triple": ((0, 0), (1, 1), (1, 1)),
+        "w": (2, 1), "dinv": 0, "dimv": 1}]
+
+
+def test_verify_bundle_counts_counterexample(monkeypatch):
+    real = bundles.aut_count
+    monkeypatch.setattr(bundles, "aut_count",
+                        lambda m, a, b, q: real(m, a, b, q=q) + 1)
+    rep = bundles.verify_bundle_counts(2, 1, 2, (2, 3), (0, 1))
+    assert rep == {"ok": False, "cases": 1, "failures": [{
+        "kind": "oracle", "triple": ((0,), (1,), (1,)), "p": 2, "k": 0,
+        "oracle": (1, 1), "formula": (2, 1)}]}
+
+
+def test_verify_product_identity_counterexample(monkeypatch):
+    real = bundles.product_side_expansion
+    key = ((0, 1), (0, 1), 0, 0)
+
+    def bumped(*args):
+        out = dict(real(*args))
+        out[key] = out.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(bundles, "product_side_expansion", bumped)
+    rep = bundles.verify_product_identity(2, 2, 2, 3)
+    assert rep["equal"] is False
+    assert rep["first_discrepancy"] == {
+        "key": [[0, 1], [0, 1], 0, 0], "series": "-1", "product": "0"}
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
