@@ -4,9 +4,11 @@ parking-function formula for powers of nabla on e_n.
 
 The pairwise statistic here is the reverse-frame one from the involution
 module, applied to (m, a). The parking sum runs over the n! standardized
-label permutations rather than the N^n label words, and expands each
-descent set through the fundamental quasi-symmetric functions; the word
-enumeration `parking_terms` stays for the tests, as the independent route."""
+label permutations rather than the N^n label words, carries each descent
+set as a bitmask and expands the tallies once per weak composition through
+the fundamental quasi-symmetric functions. The tests keep the word
+enumeration and the route that rebuilt each descent set at the leaves
+(tests/oracles.py) as independent routes."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .scalar import QtScalar, SeriesBuilder, compare, t_series
 from .involution import d_k_rev
 from .labels import compositions, content
 from .macdonald import nabla_en
-from .symfunc import Poly, fundamental_monomials, poly_to_symfunc
+from .symfunc import Poly, poly_to_symfunc
 
 
 def pf(m, a, i, k):
@@ -56,29 +58,6 @@ def in_shuffle_set(l, m, a, k):
     return True
 
 
-def parking_terms(n, k, N):
-    """All (m, a) with m_1 = 0, labels <= N, and PF at every position."""
-    def rec(m, a):
-        i = len(m)
-        if i == n:
-            yield tuple(m), tuple(a)
-            return
-        for mv in range(m[-1] + k + 1):
-            if mv == m[-1] + k:
-                labels = range(a[-1] + 1, N + 1)
-            else:
-                labels = range(1, N + 1)
-            for av in labels:
-                m.append(mv)
-                a.append(av)
-                yield from rec(m, a)
-                m.pop()
-                a.pop()
-
-    for a1 in range(1, N + 1):
-        yield from rec([0], [a1])
-
-
 def _dk_increment(m, a, mv, av, k):
     """New pairwise contributions when column (mv, av) is appended."""
     total = 0
@@ -92,6 +71,19 @@ def _dk_increment(m, a, mv, av, k):
     return total
 
 
+def partial_sum_mask(alpha):
+    """S(alpha) as a bitmask, bit j-1 for each partial sum j of the weak
+    composition alpha with 0 < j < |alpha|: x^alpha is a monomial of the
+    fundamental quasi-symmetric F_D iff D lies inside S(alpha)."""
+    n = sum(alpha)
+    mask, partial = 0, 0
+    for part in alpha[:-1]:
+        partial += part
+        if 0 < partial < n:
+            mask |= 1 << (partial - 1)
+    return mask
+
+
 def parking_sum(n, k, N):
     """The parking-function polynomial: sum of X_a t^{|m|} q^{d_k(m, a)}.
 
@@ -102,56 +94,82 @@ def parking_sum(n, k, N):
     with standardization sigma are the monomials of the fundamental
     quasi-symmetric F_D, where D holds each j whose successor j+1 is read
     before j. So the recursion runs over paths m and at most n! label
-    permutations per path instead of N^n words (the cut that makes the
-    large sweeps affordable), adds the pairwise statistic column by column,
-    counts (D, q-degree, t-degree) at the leaves and expands each distinct
-    D into monomials once.
+    permutations per path instead of N^n words, adds the pairwise statistic
+    column by column and counts (D, q-degree, t-degree) at the leaves.
+
+    Columns are placed left to right, so when label v goes in at height mv
+    each neighbour already placed decides its descent at once: v-1 is in D
+    iff its height is at most mv, and v is in D iff the height of v+1 is
+    above mv. D is carried as a bitmask (bit j-1 for j). Once one label is
+    left, the heights of its column are the leaves, counted in one loop
+    rather than by a further call each.
+
+    x^alpha lies in F_D iff D is a subset of S(alpha), the partial sums of
+    alpha strictly between 0 and n. So the tallies are summed over the
+    subsets of each S once, and every weak composition alpha of n into N
+    parts takes the one coefficient of its S.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    counts = {}  # (descent set, q-deg, t-deg) -> number of (m, sigma)
-    free = [True] * (n + 1)
+    counts = {}  # (descent mask, q-deg, t-deg) -> number of (m, sigma)
+    height = [-1] * (n + 2)  # label -> m of its column, -1 while unplaced
+    # a virtual column (-k, 0) in front: the first column is then forced to
+    # m = 0 with any label, and its pairwise value with any column is <= 0
+    m, a = [-k], [0]
 
-    def rec(m, a, stat, area):
-        i = len(m)
-        if i == n:
-            pos = [0] * (n + 1)
-            for p, v in enumerate(a):
-                pos[v] = p
-            descents = tuple(
-                j for j in range(1, n)
-                if (m[pos[j + 1]], pos[j + 1]) > (m[pos[j]], pos[j]))
-            key = (descents, stat, area)
-            counts[key] = counts.get(key, 0) + 1
+    def rec(stat, area, mask, rest):
+        # rest is the sum of the unplaced labels
+        top = m[-1] + k
+        if len(m) == n:
+            # one label left: each height of its column is a leaf
+            av = rest
+            below, above = height[av - 1], height[av + 1]
+            for mv in range(top + 1 if av > a[-1] else top):
+                d = mask
+                if 0 <= below <= mv:
+                    d |= 1 << (av - 2)
+                if above > mv:
+                    d |= 1 << (av - 1)
+                key = (d, stat + _dk_increment(m, a, mv, av, k), area + mv)
+                counts[key] = counts.get(key, 0) + 1
             return
-        for mv in range(m[-1] + k + 1):
-            low = a[-1] + 1 if mv == m[-1] + k else 1
-            for av in range(low, n + 1):
-                if not free[av]:
+        for mv in range(top + 1):
+            for av in range(a[-1] + 1 if mv == top else 1, n + 1):
+                if height[av] >= 0:
                     continue
+                d = mask
+                if 0 <= height[av - 1] <= mv:
+                    d |= 1 << (av - 2)
+                if height[av + 1] > mv:
+                    d |= 1 << (av - 1)
                 inc = _dk_increment(m, a, mv, av, k)
-                free[av] = False
+                height[av] = mv
                 m.append(mv)
                 a.append(av)
-                rec(m, a, stat + inc, area + mv)
+                rec(stat + inc, area + mv, d, rest - av)
                 m.pop()
                 a.pop()
-                free[av] = True
+                height[av] = -1
 
-    for a1 in range(1, n + 1):
-        free[a1] = False
-        rec([0], [a1], 0, 0)
-        free[a1] = True
-    by_descents = {}
-    for (descents, qd, td), c in counts.items():
-        by_descents.setdefault(descents, []).append(((qd, td), c))
-    coeffs = {}  # x exponents -> {(q-deg, t-deg): integer}
-    for descents, weights in by_descents.items():
-        for exps in fundamental_monomials(n, N, descents):
-            coeff = coeffs.setdefault(exps, {})
-            for qt, c in weights:
-                coeff[qt] = coeff.get(qt, 0) + c
-    return Poly(N, 0, {(exps, ()): QtScalar(c) for exps, c in coeffs.items()})
+    rec(0, 0, 0, n * (n + 1) // 2)
+    # totals[S] = sum of the tallies of every D inside S
+    totals = [{} for _ in range(1 << (n - 1))]
+    for (d, qd, td), c in counts.items():
+        totals[d][(qd, td)] = c
+    for bit in range(n - 1):
+        for s in range(len(totals)):
+            if s >> bit & 1:
+                into = totals[s]
+                for qt, c in totals[s ^ 1 << bit].items():
+                    into[qt] = into.get(qt, 0) + c
+    coeffs = {}  # S -> its QtScalar, built once
+    terms = {}
+    for exps in compositions(n, N):
+        s = partial_sum_mask(exps)
+        if s not in coeffs:
+            coeffs[s] = QtScalar(totals[s])
+        terms[(exps, ())] = coeffs[s]
+    return Poly(N, 0, terms)
 
 
 def nabla_en_expansion(n, k, N):

@@ -16,7 +16,9 @@ from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
-from qtnabla.symfunc import Poly, partitions, plethysm_p_scale
+from qtnabla.shuffle import _dk_increment
+from qtnabla.symfunc import (Poly, fundamental_monomials, partitions,
+                             plethysm_p_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +349,89 @@ def iota_by_rescan(quad, k):
         if movable_by_rescan(quad, i, k):
             return move_by_scan(quad, i)
     return quad
+
+
+# ---------------------------------------------------------------------------
+# the parking sum over label words, and over label permutations with the
+# descent tuple rebuilt at every leaf and F_D expanded per descent set
+
+
+def parking_terms(n, k, N):
+    """All (m, a) with m_1 = 0, labels <= N, and PF at every position."""
+    def rec(m, a):
+        i = len(m)
+        if i == n:
+            yield tuple(m), tuple(a)
+            return
+        for mv in range(m[-1] + k + 1):
+            if mv == m[-1] + k:
+                labels = range(a[-1] + 1, N + 1)
+            else:
+                labels = range(1, N + 1)
+            for av in labels:
+                m.append(mv)
+                a.append(av)
+                yield from rec(m, a)
+                m.pop()
+                a.pop()
+
+    for a1 in range(1, N + 1):
+        yield from rec([0], [a1])
+
+
+def parking_sum_by_descent_tuples(n, k, N):
+    """shuffle.parking_sum with a free-label array, the descent tuple of
+    each leaf rebuilt from its label positions, and every monomial of each
+    F_D added to the coefficient of each (q, t) weight of D."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    by_descents = {}
+    for (descents, qd, td), c in _descent_tuple_counts(n, k):
+        by_descents.setdefault(descents, []).append(((qd, td), c))
+    coeffs = {}  # x exponents -> {(q-deg, t-deg): integer}
+    for descents, weights in by_descents.items():
+        for exps in fundamental_monomials(n, N, descents):
+            coeff = coeffs.setdefault(exps, {})
+            for qt, c in weights:
+                coeff[qt] = coeff.get(qt, 0) + c
+    return Poly(N, 0, {(exps, ()): QtScalar(c) for exps, c in coeffs.items()})
+
+
+@lru_cache(maxsize=None)
+def _descent_tuple_counts(n, k):
+    """The walk of parking_sum_by_descent_tuples, the same for every N:
+    ((descent set, q-deg, t-deg), number of (m, sigma)) pairs."""
+    counts = {}  # (descent set, q-deg, t-deg) -> number of (m, sigma)
+    free = [True] * (n + 1)
+
+    def rec(m, a, stat, area):
+        i = len(m)
+        if i == n:
+            pos = [0] * (n + 1)
+            for p, v in enumerate(a):
+                pos[v] = p
+            descents = tuple(
+                j for j in range(1, n)
+                if (m[pos[j + 1]], pos[j + 1]) > (m[pos[j]], pos[j]))
+            key = (descents, stat, area)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for mv in range(m[-1] + k + 1):
+            low = a[-1] + 1 if mv == m[-1] + k else 1
+            for av in range(low, n + 1):
+                if not free[av]:
+                    continue
+                inc = _dk_increment(m, a, mv, av, k)
+                free[av] = False
+                m.append(mv)
+                a.append(av)
+                rec(m, a, stat + inc, area + mv)
+                m.pop()
+                a.pop()
+                free[av] = True
+
+    for a1 in range(1, n + 1):
+        free[a1] = False
+        rec([0], [a1], 0, 0)
+        free[a1] = True
+    return tuple(counts.items())

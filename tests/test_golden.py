@@ -27,6 +27,12 @@ CASES = {
                         "--D", "3", "--format", "text"),
     "verify-shuffle.json": ("verify-shuffle", "--n", "3", "--k", "1",
                             "--format", "json"),
+    # the parking sum over fewer letters than labels, and over more
+    "verify-shuffle-n5-k1-N3.json": ("verify-shuffle", "--n", "5", "--k", "1",
+                                     "--N", "3", "--format", "json"),
+    "compute-parking-n4-k2-N5.json": ("compute", "parking", "--n", "4",
+                                      "--k", "2", "--N", "5",
+                                      "--format", "json"),
     "verify-fulltwist.json": ("verify-fulltwist", "--n", "2", "--k", "1",
                               "--D", "3", "--hilbert", "--format", "json"),
     # without --hilbert the report has no "hilbert" entry

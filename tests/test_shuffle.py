@@ -1,14 +1,17 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from oracles import parking_sum_by_descent_tuples, parking_terms
 from qtnabla.involution import d_k_rev
+from qtnabla.labels import compositions
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.shuffle import (
     cancellation_check, five_condition_witness, in_shuffle_set,
-    nabla_en_expansion, npf, parking_sum, parking_terms, pf, rho, rho_inverse,
+    nabla_en_expansion, npf, parking_sum, partial_sum_mask, pf, rho,
+    rho_inverse,
 )
-from qtnabla.symfunc import Poly, SymFunc, poly_to_symfunc
+from qtnabla.symfunc import Poly, SymFunc, fundamental_monomials, poly_to_symfunc
 
 
 def test_pf_npf_examples():
@@ -89,6 +92,36 @@ def test_parking_sum_matches_word_oracle():
         assert got == want, (n, k, N)
         assert {key: (c.num, c.den) for key, c in got.terms.items()} == \
             {key: (c.num, c.den) for key, c in want.terms.items()}, (n, k, N)
+
+
+def _bits(poly):
+    return {key: (c.num, c.den) for key, c in poly.terms.items()}
+
+
+def test_bitmask_walk_matches_descent_tuple_route():
+    sizes = [(n, k, N) for n in range(1, 6) for k in (1, 2, 3)
+             for N in range(1, n + 2)]
+    sizes += [(6, 1, 3), (6, 1, 6), (6, 1, 7), (6, 2, 4)]
+    for n, k, N in sizes:
+        got, want = parking_sum(n, k, N), parking_sum_by_descent_tuples(n, k, N)
+        assert got == want, (n, k, N)
+        assert got.terms.keys() == want.terms.keys(), (n, k, N)
+        assert _bits(got) == _bits(want), (n, k, N)
+
+
+def test_partial_sum_masks_pick_the_monomials_of_each_fundamental():
+    # x^alpha is in F_D iff D lies inside S(alpha), the partial sums of alpha
+    for n in range(1, 6):
+        for N in range(1, n + 2):
+            masks = {alpha: partial_sum_mask(alpha) for alpha in compositions(n, N)}
+            for D in (c for r in range(n) for c in combinations(range(1, n), r)):
+                d = sum(1 << (j - 1) for j in D)
+                assert {alpha for alpha, s in masks.items() if d & ~s == 0} \
+                    == set(fundamental_monomials(n, N, D)), (n, N, D)
+    # n = 1 and N = 1 have no partial sum strictly inside (0, n)
+    assert [partial_sum_mask(alpha) for alpha in compositions(1, 4)] == [0] * 4
+    assert [partial_sum_mask((n,)) for n in range(1, 6)] == [0] * 5
+    assert partial_sum_mask((2, 0, 1, 0, 2)) == 0b110  # S = {2, 3}
 
 
 def test_parking_sum_matches_nabla():
