@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import alpha_composition, content, mu_partition
-from .macdonald import _cauchy_outer_product, nstat
+from .macdonald import _cauchy_outer_product, eigenvalue, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
 
 
@@ -344,9 +344,7 @@ def verify_vanishing(n, k, degree, N):
                         {"lambda": lam, "quad": quad})
         weight = QtScalar.monomial(q=d_k_rev(quad.m, quad.b, k),
                                    t=sum(quad.m))
-        expected = QtScalar.monomial(q=k * nstat(conjugate(lam)),
-                                     t=k * nstat(lam))
-        if weight != expected or quad.l != 0:
+        if weight != eigenvalue(lam, k) or quad.l != 0:
             return fail(report, "weight",
                         {"lambda": lam, "weight": str(weight)})
 

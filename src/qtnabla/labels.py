@@ -220,8 +220,10 @@ def verify_xi(n):
     for path in all_dyck_paths(n):
         lhs = xi_pi(path, n)
         krom = poly_to_symfunc(chromatic(path, n), alphabet="y")
-        scaled = plethysm_p_scale(krom, lambda r: ONE / (ONE - Q ** r))
-        rhs = scaled.omega().expand(n, "y").scale((ONE - Q) ** n)
+        # omega X_pi[Y/(1-q)]: p_r picks up (-1)^(r-1) / (1 - q^r)
+        scaled = plethysm_p_scale(krom,
+                                  lambda r: (-1) ** (r - 1) / (ONE - Q ** r))
+        rhs = scaled.expand(n, "y").scale((ONE - Q) ** n)
         checked += 1
         if lhs != rhs:
             failure = compare(lhs, rhs, area_sequence=list(path.area_sequence))

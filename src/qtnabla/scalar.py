@@ -382,17 +382,6 @@ def _b_gcd(F, G):
     return [_u_mul(r, c) for r in res]
 
 
-def _pd_gcd(p, q):
-    return _b_to_dict(_b_gcd(_b_from_dict(p), _b_from_dict(q)))
-
-
-def _pd_divexact(p, g):
-    """Exact division of dict polynomials in ZZ[q][t]."""
-    if g == _ONE_PD:
-        return dict(p)
-    return _b_to_dict(_b_divexact_lists(_b_from_dict(p), _b_from_dict(g)))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -429,10 +418,11 @@ class QtScalar:
             num = {(i - sq, j - st): c for (i, j), c in num.items()}
             den = {(i - sq, j - st): c for (i, j), c in den.items()}
         if den != _ONE_PD:
-            g = _pd_gcd(num, den)
-            if g != _ONE_PD:
-                num = _pd_divexact(num, g)
-                den = _pd_divexact(den, g)
+            F, G = _b_from_dict(num), _b_from_dict(den)
+            g = _b_gcd(F, G)
+            if g != [[1]]:
+                num = _b_to_dict(_b_divexact_lists(F, g))
+                den = _b_to_dict(_b_divexact_lists(G, g))
         lead = max(den)
         if den[lead] < 0:
             num = _pd_neg(num)

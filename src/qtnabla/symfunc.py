@@ -1,18 +1,20 @@
 """Partitions, classical symmetric-function bases, inner products, plethysm,
 and finite-alphabet monomial expansion over exact q,t-rational coefficients.
 
-Every basis change goes through the power-sum basis, by one loop
-(`_accumulate`) over a per-element row in each direction:
+Every basis change is one pass (`_convert`) over one transition table per
+(source basis, target basis, degree), built once by `_table` from four rules
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I):
 
-- into p, `_to_p_row`: m from `_m_to_p_table`, s from `_s_in_p`
-  (Jacobi-Trudi over h), e and h as products of `_single_in_p`;
-- out of p, `_from_p_row`: m from `_p_to_m_row`, s from `_character`,
-  e and h as products of `_p_in_single`.
+- Newton's identity gives h in p and p in h;
+- e is omega h: the same rows times eps_rho = (-1)^(|rho| - l(rho));
+- Jacobi-Trudi gives s in p;
+- Hall duality gives m in p, p in m and p in s:
+  [b_lam] p_rho = z_rho [p_rho] b*_lam, with m* = h and s* = s.
 
-The e and h rows are Newton's identities in both directions. The CLI reports
-use only m, e -> p and p -> m, s; the rest serve `convert` and the tests.
-The tables are rational constants, cached per partition or degree. omega is
-the plethysm p_r -> (-1)^(r-1) p_r.
+A table between two bases other than p is composed through p once. Entries
+are stored as int wherever they are integral, so the m <-> s, m <-> e and
+m <-> h tables are integer matrices. omega is the plethysm
+p_r -> (-1)^(r-1) p_r.
 """
 
 from __future__ import annotations
@@ -115,170 +117,119 @@ def distinct_permutations(items):
 
 
 # ---------------------------------------------------------------------------
-# transition tables (rational constants, cached per degree)
+# transition tables (Macdonald, Symmetric Functions and Hall Polynomials, ch. I)
+
+
+def _product(single, lam):
+    """The product over the parts of lam of single(part), each factor an
+    expansion {partition: c} in a multiplicative basis (p or h)."""
+    out = {(): 1}
+    for part in lam:
+        nxt = {}
+        for key, c in out.items():
+            for factor, d in single(part).items():
+                key2 = tuple(sorted(key + factor, reverse=True))
+                nxt[key2] = nxt.get(key2, 0) + c * d
+        out = {k: v for k, v in nxt.items() if v}
+    return out
 
 
 @lru_cache(maxsize=None)
-def _p_to_m_row(lam):
-    """Monomial expansion of p_lam: {mu: integer coefficient}."""
-    n = sum(lam)
-    if n == 0:
-        return {(): 1}
-    L = len(lam)
-    full = (1 << L) - 1
-    subset_sum = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        subset_sum[mask] = subset_sum[mask ^ low] + lam[low.bit_length() - 1]
-    row = {}
-    for mu in partitions(n):
-        cur = {0: 1}
-        for target in mu:
-            nxt = {}
-            for mask, ways in cur.items():
-                comp = full & ~mask
-                s = comp
-                while True:
-                    if subset_sum[s] == target:
-                        key = mask | s
-                        nxt[key] = nxt.get(key, 0) + ways
-                    if s == 0:
-                        break
-                    s = (s - 1) & comp
-            cur = nxt
-        count = cur.get(full, 0)
-        if count:
-            row[mu] = count
-    return row
-
-
-@lru_cache(maxsize=None)
-def _m_to_p_table(n):
-    """m_mu in the p basis: {mu: {lam: Fraction}}."""
-    table = {}
-    for lam in partitions(n):  # descending lex; merges only move lex-upward
-        acc = {lam: Fraction(1)}
-        row = _p_to_m_row(lam)
-        diag = row[lam]
-        for mu, c in row.items():
-            if mu == lam:
-                continue
-            for rho, d in table[mu].items():
-                acc[rho] = acc.get(rho, Fraction(0)) - Fraction(c) * d
-        table[lam] = {rho: d / diag for rho, d in acc.items() if d}
-    return table
-
-
-def _pdict_mul(a, b):
-    out = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            key = tuple(sorted(la + lb, reverse=True))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _newton_sign(basis, i):
-    """eps_i in Newton's identity r x_r = sum_{i=1..r} eps_i p_i x_(r-i) for
-    x = h or e: 1 for h, (-1)^(i-1) for e (Macdonald, ch. I)."""
-    return -1 if basis == "e" and i % 2 == 0 else 1
-
-
-@lru_cache(maxsize=None)
-def _single_in_p(basis, r):
-    """h_r or e_r in the p basis, by Newton's identity."""
+def _h_in_p(r):
+    """h_r in the p basis, by Newton's identity r h_r = sum_{i=1..r} p_i h_(r-i)."""
     if r == 0:
-        return {(): Fraction(1)}
+        return {(): 1}
     acc = {}
     for i in range(1, r + 1):
-        sign = _newton_sign(basis, i)
-        for key, c in _single_in_p(basis, r - i).items():
-            nkey = tuple(sorted(key + (i,), reverse=True))
-            acc[nkey] = acc.get(nkey, Fraction(0)) + sign * c
-    return {k: v / r for k, v in acc.items() if v}
+        for key, c in _h_in_p(r - i).items():
+            key = tuple(sorted(key + (i,), reverse=True))
+            acc[key] = acc.get(key, 0) + Fraction(c, r)
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _p_in_single(basis, r):
-    """p_r in the h or e basis (keys index h_lam or e_lam): the same identity
-    solved for p_r, p_r = eps_r (r x_r - sum_{i<r} eps_i x_(r-i) p_i)."""
-    sign = _newton_sign(basis, r)
-    acc = {(r,): Fraction(sign * r)}
+def _p_in_h(r):
+    """p_r in the h basis, by the same identity solved for p_r:
+    p_r = r h_r - sum_{i=1..r-1} p_i h_(r-i)."""
+    acc = {(r,): r}
     for i in range(1, r):
-        for key, c in _p_in_single(basis, i).items():
-            nkey = tuple(sorted(key + (r - i,), reverse=True))
-            acc[nkey] = acc.get(nkey, Fraction(0)) - sign * _newton_sign(basis, i) * c
+        for key, c in _p_in_h(i).items():
+            key = tuple(sorted(key + (r - i,), reverse=True))
+            acc[key] = acc.get(key, 0) - c
     return {k: v for k, v in acc.items() if v}
 
 
-def _multiplicative_row(single, basis, lam):
-    """The product over the parts of lam of single(basis, part)."""
-    prod = {(): Fraction(1)}
-    for part in lam:
-        prod = _pdict_mul(prod, single(basis, part))
-    return prod
+def _epsilon(rho):
+    """omega p_rho = eps_rho p_rho, eps_rho = (-1)^(|rho| - l(rho))."""
+    return -1 if (sum(rho) - len(rho)) % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def _s_in_p(lam):
-    """Schur in the p basis via the Jacobi-Trudi determinant det h_(lam_i-i+j)."""
+def _jacobi_trudi(lam):
+    """s_lam in the h basis: the determinant of h_(lam_i - i + j)."""
     ell = len(lam)
-    acc = {}
+    out = {}
     for sigma in permutations(range(ell)):
         parts = [lam[i] - i + sigma[i] for i in range(ell)]
         if parts and min(parts) < 0:
             continue
         inversions = sum(sigma[i] > sigma[j]
                          for i in range(ell) for j in range(i + 1, ell))
-        sign = -1 if inversions % 2 else 1
-        for key, c in _multiplicative_row(_single_in_p, "h", parts).items():
-            acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return {k: v for k, v in acc.items() if v}
+        key = sort_partition(parts)
+        out[key] = out.get(key, 0) + (-1 if inversions % 2 else 1)
+    return out
+
+
+_DUAL = {"m": "h", "s": "s"}  # the Hall-dual basis: <b_lam, b*_mu> = delta
 
 
 @lru_cache(maxsize=None)
-def _character(mu, lam):
-    """chi^mu(lam) = zee(lam) * [p_lam] s_mu."""
-    return _s_in_p(mu).get(lam, Fraction(0)) * zee(lam)
+def _table(source, target, n):
+    """The degree-n transition table {lam: {mu: c}}, source_lam = sum over mu
+    of c target_mu; c is an int wherever it is integral."""
+    parts = partitions(n)
+    if source == target:
+        rows = {lam: {lam: 1} for lam in parts}
+    elif "p" not in (source, target):  # composed through p
+        rows = {lam: _convert(row, "p", target)
+                for lam, row in _table(source, "p", n).items()}
+    elif source == "h":  # Newton
+        rows = {lam: _product(_h_in_p, lam) for lam in parts}
+    elif target == "h":
+        rows = {rho: _product(_p_in_h, rho) for rho in parts}
+    elif source == "e":  # e = omega h
+        rows = {lam: {rho: _epsilon(rho) * c for rho, c in row.items()}
+                for lam, row in _table("h", "p", n).items()}
+    elif target == "e":
+        rows = {rho: {lam: _epsilon(rho) * c for lam, c in row.items()}
+                for rho, row in _table("p", "h", n).items()}
+    elif source == "s":  # Jacobi-Trudi
+        rows = {lam: _convert(_jacobi_trudi(lam), "h", "p") for lam in parts}
+    elif source == "m":  # Hall duality: [p_rho] m_lam = [h_lam] p_rho / z_rho
+        dual = _table("p", "h", n)
+        rows = {lam: {rho: Fraction(dual[rho][lam], zee(rho))
+                      for rho in parts if lam in dual[rho]} for lam in parts}
+    else:  # Hall duality: [b_lam] p_rho = z_rho [p_rho] b*_lam, b = m or s
+        dual = _table(_DUAL[target], "p", n)
+        rows = {rho: {lam: zee(rho) * dual[lam][rho]
+                      for lam in parts if rho in dual[lam]} for rho in parts}
+    return {lam: {mu: c.numerator if c.denominator == 1 else c
+                  for mu, c in row.items() if c}
+            for lam, row in rows.items()}
 
 
-def _to_p_row(basis, lam):
-    """The element basis_lam in the p basis: {rho: int or Fraction}."""
-    if basis == "m":
-        return _m_to_p_table(sum(lam))[lam]
-    if basis == "s":
-        return _s_in_p(lam)
-    if basis == "p":
-        return {lam: 1}
-    return _multiplicative_row(_single_in_p, basis, lam)
-
-
-def _from_p_row(basis, rho):
-    """p_rho in the target basis: {mu: int or Fraction}."""
-    if basis == "m":
-        return _p_to_m_row(rho)
-    if basis == "s":  # s_mu has coefficient chi^mu(rho) in p_rho
-        return {mu: chi for mu in partitions(sum(rho))
-                if (chi := _character(mu, rho))}
-    if basis == "p":
-        return {rho: 1}
-    return _multiplicative_row(_p_in_single, basis, rho)
-
-
-def _accumulate(terms, row, basis):
-    """The sum of c * row(basis, key) over the terms: the one loop of every
-    basis change."""
+def _convert(terms, source, target):
+    """The sum of c * (source_lam in the target basis) over the terms
+    {lam: c}: the one loop of every basis change."""
     out = {}
-    for key, c in terms.items():
-        for image, d in row(basis, key).items():
+    for lam, c in terms.items():
+        for mu, d in _table(source, target, sum(lam))[lam].items():
             v = c if d == 1 else c * d
-            prev = out.get(image)
-            out[image] = v if prev is None else prev + v
+            prev = out.get(mu)
+            out[mu] = v if prev is None else prev + v
     return out
 
 
 # ---------------------------------------------------------------------------
-
 
 def _qt(c):
     if isinstance(c, QtScalar):
@@ -349,18 +300,17 @@ class SymFunc:
 
     def to_p_dict(self):
         """Expansion in the power-sum basis as {partition: QtScalar}."""
-        out = _accumulate(self.terms, _to_p_row, self.basis)
+        out = _convert(self.terms, self.basis, "p")
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     @staticmethod
     def from_p_dict(coeffs, basis="p"):
-        coeffs = {tuple(k): _qt(v) for k, v in coeffs.items()}
-        return SymFunc(basis, _accumulate(coeffs, _from_p_row, basis))
+        return SymFunc("p", coeffs).convert(basis)
 
     def convert(self, basis):
         if basis == self.basis:
             return self
-        return SymFunc.from_p_dict(self.to_p_dict(), basis)
+        return SymFunc(basis, _convert(self.terms, self.basis, basis))
 
     # -- arithmetic
 

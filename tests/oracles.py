@@ -435,3 +435,41 @@ def _descent_tuple_counts(n, k):
         rec([0], [a1], 0, 0)
         free[a1] = True
     return tuple(counts.items())
+
+
+# ---------------------------------------------------------------------------
+# p in the monomial basis by counting, the route Hall duality replaced
+
+
+@lru_cache(maxsize=None)
+def _p_to_m_row(lam):
+    """Monomial expansion of p_lam: {mu: integer coefficient}."""
+    n = sum(lam)
+    if n == 0:
+        return {(): 1}
+    L = len(lam)
+    full = (1 << L) - 1
+    subset_sum = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        subset_sum[mask] = subset_sum[mask ^ low] + lam[low.bit_length() - 1]
+    row = {}
+    for mu in partitions(n):
+        cur = {0: 1}
+        for target in mu:
+            nxt = {}
+            for mask, ways in cur.items():
+                comp = full & ~mask
+                s = comp
+                while True:
+                    if subset_sum[s] == target:
+                        key = mask | s
+                        nxt[key] = nxt.get(key, 0) + ways
+                    if s == 0:
+                        break
+                    s = (s - 1) & comp
+            cur = nxt
+        count = cur.get(full, 0)
+        if count:
+            row[mu] = count
+    return row

@@ -239,7 +239,8 @@ def test_verify_product_identity_counterexample(monkeypatch):
     rep = bundles.verify_product_identity(2, 2, 2, 3)
     assert rep["equal"] is False
     assert rep["first_discrepancy"] == {
-        "key": [[0, 1], [0, 1], 0, 0], "series": "-1", "product": "0"}
+        "x_exp": [0, 1], "y_exp": [0, 1], "t_deg": 0,
+        "lhs": "-q^3 - q^2 - q - 1", "rhs": "-q^3 - q^2 - q"}
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@ from math import comb, factorial, prod
 
 import pytest
 
+from oracles import _p_to_m_row
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.symfunc import (
-    AlphabetExpr, Poly, SymFunc, conjugate, dominance_leq, distinct_permutations,
-    fundamental_monomials, partitions, plethysm, plethysm_expand,
+    AlphabetExpr, Poly, SymFunc, _table, conjugate, dominance_leq,
+    distinct_permutations, fundamental_monomials, partitions, plethysm, plethysm_expand,
     plethysm_p_scale, poly_to_symfunc, quasisym_M, sort_partition, zee,
 )
 
@@ -47,6 +48,26 @@ def test_basic_conversions():
     assert p3_e.terms == {(3,): QtScalar.from_int(3),
                           (2, 1): QtScalar.from_int(-3),
                           (1, 1, 1): ONE}
+
+
+def test_transition_tables_match_counting_oracle():
+    """Hall duality's p -> m rows equal the subset-sum count, m -> p inverts
+    them, and every table between m and s, e or h is an integer matrix."""
+    for n in range(9):
+        parts = partitions(n)
+        p_to_m, m_to_p = _table("p", "m", n), _table("m", "p", n)
+        for rho in parts:
+            assert p_to_m[rho] == _p_to_m_row(rho), rho
+        for lam in parts:
+            back = {}
+            for rho, c in m_to_p[lam].items():
+                for mu, d in p_to_m[rho].items():
+                    back[mu] = back.get(mu, 0) + c * d
+            assert {mu: c for mu, c in back.items() if c} == {lam: 1}, lam
+        for basis in ("s", "e", "h"):
+            for table in (_table("m", basis, n), _table(basis, "m", n)):
+                assert all(type(c) is int
+                           for row in table.values() for c in row.values())
 
 
 def test_roundtrips_all_bases():

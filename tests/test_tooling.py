@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -68,3 +69,23 @@ def test_bench_cli_cases_parse():
     assert cases
     for argv in cases:
         build_parser().parse_args([*argv, "--format", "json"])
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in src/qtnabla is a standard-library module or
+    qtnabla itself, as pyproject.toml's empty dependency list promises."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "qtnabla"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "qtnabla", \
+                    (path.name, name)
