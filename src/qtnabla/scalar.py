@@ -7,6 +7,11 @@ are nonnegative, the gcd is divided out, and the denominator's leading
 coefficient (lex order, q before t) is positive, so structural equality is
 mathematical equality.
 
+The gcd is one set of routines over dense polynomials whose coefficients
+are ints (ZZ[q]) or polynomials in q (ZZ[q][t]): the heuristic gcd of Char,
+Geddes and Gonnet, with the primitive PRS as its fallback.  A fraction whose
+numerator and denominator are both free of t reduces in ZZ[q].
+
 SeriesBuilder assembles the enumerator series: it counts the terms
 c q^e / aut_q(mu) in integers over [n]_q! and reduces each coefficient once.
 
@@ -90,296 +95,239 @@ def _pd_render(p):
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery: dense univariate lists over ZZ, then ZZ[q][t]
+# gcd machinery: one set of routines for ZZ[q] and ZZ[q][t]
 
 
-def _u_trim(f):
-    while f and f[-1] == 0:
+class _Dense(list):
+    """A dense polynomial, lowest degree first, with no trailing zero.  Its
+    coefficients are ints (an element of ZZ[q]) or _Dense (an element of
+    ZZ[q][t], as a polynomial in t), so each routine below serves both
+    levels.  Only the operations on coefficients step down a level: exact
+    quotient (_quo, _over), gcd (_cgcd), digits (_balanced_divmod) and
+    norm (_maxnorm)."""
+
+    __slots__ = ()
+
+    def __add__(self, g):
+        if len(self) < len(g):
+            self, g = g, self
+        out = _Dense(self)
+        for i, b in enumerate(g):
+            out[i] += b
+        return _trim(out)
+
+    def __sub__(self, g):
+        out = _Dense(self)
+        if len(out) < len(g):
+            out.extend([type(g[-1])()] * (len(g) - len(out)))
+        for i, b in enumerate(g):
+            out[i] -= b
+        return _trim(out)
+
+    def __neg__(self):
+        return _Dense([-a for a in self])
+
+    def __mul__(self, g):
+        if isinstance(g, int):  # a scalar, as in Horner's rule at xi
+            return _Dense([a * g for a in self]) if g else _Dense()
+        if not self or not g:
+            return _Dense()
+        out = [type(g[-1])()] * (len(self) + len(g) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return _trim(_Dense(out))
+
+    __iadd__ = __add__  # list's += would extend a coefficient in place
+
+
+_ONES = (1, [1], [[1]])  # the unit gcd in ZZ, ZZ[q] and ZZ[q][t]
+
+
+def _trim(f):
+    while f and not f[-1]:
         f.pop()
     return f
 
 
-def _u_sub(f, g):
-    out = list(f) + [0] * (len(g) - len(f))
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _u_trim(out)
+def _q_dense(p):
+    """A t-free {(i, 0): c} as a polynomial in q over ZZ."""
+    out = [0] * (max(p)[0] + 1) if p else []
+    for (i, _), c in p.items():
+        out[i] = c
+    return _Dense(out)
 
 
-def _u_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
+def _qt_dense(p):
+    """A nonzero {(i, j): c} as a polynomial in t over ZZ[q]."""
+    rows = [{} for _ in range(max(map(_t_exp, p)) + 1)]
+    for (i, j), c in p.items():
+        rows[j][i, 0] = c
+    return _Dense(map(_q_dense, rows))
+
+
+def _q_terms(f):
+    return {(i, 0): c for i, c in enumerate(f) if c}
+
+
+def _qt_terms(f):
+    return {(i, j): c for j, row in enumerate(f) for i, c in enumerate(row) if c}
+
+
+def _quo(a, b):
+    """The exact quotient of two coefficients."""
+    if isinstance(a, int):
+        c, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return c
+    return _divexact(a, b)
+
+
+def _cgcd(*cs):
+    """The gcd of some coefficients, not all 0; up to sign when only one of
+    them is a nonzero polynomial."""
+    if isinstance(cs[0], int):
+        return _igcd(*cs)
+    c = _Dense()
+    for a in cs:
         if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _u_trim(out)
-
-
-def _u_content(f):
-    c = 0
-    for a in f:
-        c = _igcd(c, a)
+            c = _gcd(c, a)[0] if c else a
+            if c == [1]:
+                break
     return c
 
 
-def _u_primitive(f):
-    c = _u_content(f)
-    if c in (0, 1):
-        return list(f)
-    return [a // c for a in f]
+def _balanced_divmod(h, xi):
+    """(quotient, digit) of a coefficient h by the integer xi, the digit in
+    (-xi/2, xi/2]; a polynomial over ZZ divides coefficient by coefficient."""
+    if isinstance(h, int):
+        d = h % xi
+        if d > xi // 2:
+            d -= xi
+        return (h - d) // xi, d
+    pairs = [_balanced_divmod(c, xi) for c in h]
+    return (_trim(_Dense([a for a, _ in pairs])),
+            _trim(_Dense([d for _, d in pairs])))
 
 
-def _u_divexact(f, g):
-    """Exact division in ZZ[q]; the quotient must have integer coefficients."""
-    if not f:
-        return []
-    rem = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    lg = g[-1]
-    while rem and len(rem) >= len(g):
-        c, r = divmod(rem[-1], lg)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        d = len(rem) - len(g)
+def _divexact(f, g):
+    """f / g; ArithmeticError unless g divides f."""
+    rem, m, lg = _Dense(f), len(g) - 1, g[-1]
+    out = [None] * max(len(rem) - m, 0)
+    for d in reversed(range(len(out))):
+        c = rem[d + m]
+        if c:
+            c = _quo(c, lg)
+            for i in range(m):  # the term at d + m cancels
+                rem[i + d] -= c * g[i]
         out[d] = c
-        for i, b in enumerate(g):
-            rem[i + d] -= c * b
-        _u_trim(rem)
-    if rem:
+    if any(rem[:m]):
         raise ArithmeticError("inexact polynomial division")
-    return _u_trim(out)
+    return _Dense(out)
 
 
-def _u_prem(f, g):
+def _prem(f, g):
     """Pseudo-remainder of f by g, up to content (enough for a primitive PRS)."""
-    f = list(f)
-    lg = g[-1]
-    while f and len(f) >= len(g):
-        c = f[-1]
-        d = len(f) - len(g)
-        f = [a * lg for a in f]
-        for i, b in enumerate(g):
-            f[i + d] -= c * b
-        _u_trim(f)
+    m, lg = len(g) - 1, g[-1]
+    while len(f) > m:
+        c, d = f[-1], len(f) - 1 - m
+        f = _Dense([a * lg for a in f[:-1]])  # the leading terms cancel
+        for i in range(m):
+            f[i + d] -= c * g[i]
+        _trim(f)
     return f
 
 
-def _u_eval(f, xi):
-    out = 0
+def _times(f, c):
+    """f with every coefficient multiplied by c."""
+    return f if c in _ONES else _Dense([a * c for a in f])
+
+
+def _over(f, c):
+    """f with every coefficient divided by c, which divides each exactly."""
+    if c in _ONES:
+        return f
+    if isinstance(c, int):
+        return _Dense([a // c for a in f])
+    return _Dense([_divexact(a, c) for a in f])
+
+
+def _primitive(f):
+    """f over its content, the gcd of its coefficients; 0 stays 0."""
+    return _over(f, _cgcd(*f)) if f else f
+
+
+def _maxnorm(f):
+    return max(map(abs if isinstance(f[-1], int) else _maxnorm, f)) if f else 0
+
+
+def _eval(f, xi):
+    """f at the integer xi, a coefficient."""
+    out = type(f[-1])()
     for c in reversed(f):
         out = out * xi + c
     return out
 
 
-def _u_from_int(h, xi):
-    """Balanced base-xi digit expansion of an integer as a polynomial."""
-    digits = []
+def _digits(h, xi):
+    """The polynomial of the balanced base-xi digits of a nonzero
+    coefficient h, which takes the value h at xi."""
+    out = _Dense()
     while h:
-        d = h % xi
-        if d > xi // 2:
-            d -= xi
-        digits.append(d)
-        h = (h - d) // xi
-    return digits
+        h, d = _balanced_divmod(h, xi)
+        out.append(d)
+    return out
 
 
-def _u_maxnorm(f):
-    return max((abs(c) for c in f), default=0)
-
-
-def _u_divides(g, f):
-    try:
-        _u_divexact(f, g)
-        return True
-    except ArithmeticError:
-        return False
-
-
-def _u_heugcd(f, g):
-    """Heuristic gcd of primitive f, g; None when the evaluation points fail."""
-    xi = 2 * min(_u_maxnorm(f), _u_maxnorm(g)) + 29
+def _heugcd(f, g):
+    """Heuristic gcd of primitive f, g (Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7, 1989): the gcd of their values at xi, one level down, read
+    back from its digits.  (h, f / h, g / h), or None when the evaluation
+    points fail."""
+    xi = 2 * min(_maxnorm(f), _maxnorm(g)) + 29
     for _ in range(6):
-        h = _igcd(_u_eval(f, xi), _u_eval(g, xi))
+        h = _cgcd(_eval(f, xi), _eval(g, xi))
         if h:
-            cand = _u_primitive(_u_from_int(h, xi))
-            if cand and _u_divides(cand, f) and _u_divides(cand, g):
-                return cand
+            h = _primitive(_digits(h, xi))
+            if h in _ONES:
+                return h, f, g
+            try:
+                return h, _divexact(f, h), _divexact(g, h)
+            except ArithmeticError:
+                pass
         xi = xi * 73794 // 27011 + 1
     return None
 
 
-def _u_gcd(f, g):
-    f = _u_trim(list(f))
-    g = _u_trim(list(g))
-    if not f:
-        res = list(g)
-    elif not g:
-        res = list(f)
+def _lead_int(f):
+    while not isinstance(f, int):
+        f = f[-1]
+    return f
+
+
+def _gcd(f, g):
+    """(h, f / h, g / h) for the gcd h of nonzero f and g, with a positive
+    leading integer coefficient: the gcd of the contents times the heuristic
+    gcd of the primitive parts, else their primitive PRS."""
+    cf, cg = _cgcd(*f), _cgcd(*g)
+    c = _cgcd(cf, cg)
+    if len(f) == 1 or len(g) == 1:
+        h, fq, gq = _Dense([c]), _over(f, c), _over(g, c)
     else:
-        cf, cg = _u_content(f), _u_content(g)
-        c = _igcd(cf, cg)
-        f = [a // cf for a in f]
-        g = [a // cg for a in g]
-        if len(f) < len(g):
-            f, g = g, f
-        res = _u_heugcd(f, g)
+        f, g = _over(f, cf), _over(g, cg)
+        res = _heugcd(f, g)
         if res is None:
-            while g:
-                r = _u_primitive(_u_prem(f, g))
-                f, g = g, r
-            res = f
-        res = [a * c for a in res]
-    if res and res[-1] < 0:
-        res = [-a for a in res]
-    return res
-
-
-def _b_trim(F):
-    while F and not F[-1]:
-        F.pop()
-    return F
-
-
-def _b_from_dict(p):
-    if not p:
-        return []
-    dt = max(j for (_, j) in p)
-    F = [[] for _ in range(dt + 1)]
-    for (i, j), c in p.items():
-        row = F[j]
-        if len(row) <= i:
-            row.extend([0] * (i + 1 - len(row)))
-        row[i] = c
-    for row in F:
-        _u_trim(row)
-    return _b_trim(F)
-
-
-def _b_to_dict(F):
-    out = {}
-    for j, row in enumerate(F):
-        for i, c in enumerate(row):
-            if c:
-                out[(i, j)] = c
-    return out
-
-
-def _b_content(F):
-    g = []
-    for row in F:
-        g = _u_gcd(g, row)
-        if g == [1]:
-            break
-    return g
-
-
-def _b_primitive(F):
-    c = _b_content(F)
-    if not c or c == [1]:
-        return [list(r) for r in F]
-    return [_u_divexact(r, c) for r in F]
-
-
-def _b_prem(F, G):
-    F = [list(r) for r in F]
-    LG = G[-1]
-    while F and len(F) >= len(G):
-        C = F[-1]
-        d = len(F) - len(G)
-        F = [_u_mul(r, LG) for r in F]
-        for i, B in enumerate(G):
-            F[i + d] = _u_sub(F[i + d], _u_mul(C, B))
-        _b_trim(F)
-    return F
-
-
-def _b_maxnorm(F):
-    return max((_u_maxnorm(r) for r in F), default=0)
-
-
-def _b_divides(G, F):
-    try:
-        _b_divexact_lists(F, G)
-        return True
-    except ArithmeticError:
-        return False
-
-
-def _b_divexact_lists(F, G):
-    F = [list(r) for r in F]
-    _b_trim(F)
-    if not F:
-        return []
-    if len(F) < len(G):
-        raise ArithmeticError("inexact polynomial division")
-    out = [[] for _ in range(len(F) - len(G) + 1)]
-    LG = G[-1]
-    while F and len(F) >= len(G):
-        d = len(F) - len(G)
-        C = _u_divexact(F[-1], LG)
-        out[d] = C
-        for i, B in enumerate(G):
-            F[i + d] = _u_sub(F[i + d], _u_mul(C, B))
-        _b_trim(F)
-    if F:
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-def _b_heugcd(F, G):
-    """Heuristic gcd of t-primitive F, G; None when the evaluations fail."""
-    xi = 2 * min(_b_maxnorm(F), _b_maxnorm(G)) + 29
-    for _ in range(6):
-        fu = []
-        for r in reversed(F):
-            fu = _u_sub([c * xi for c in fu], [-c for c in r])
-        gu = []
-        for r in reversed(G):
-            gu = _u_sub([c * xi for c in gu], [-c for c in r])
-        h = _u_gcd(fu, gu)
-        if h:
-            rows = []
-            work = list(h)
-            while any(work):
-                digits = []
-                for idx, c in enumerate(work):
-                    d = c % xi
-                    if d > xi // 2:
-                        d -= xi
-                    digits.append(d)
-                    work[idx] = (c - d) // xi
-                rows.append(_u_trim(digits))
-            cand = _b_primitive(_b_trim(rows))
-            if cand and _b_divides(cand, F) and _b_divides(cand, G):
-                return cand
-        xi = xi * 73794 // 27011 + 1
-    return None
-
-
-def _b_gcd(F, G):
-    F = _b_trim([list(r) for r in F])
-    G = _b_trim([list(r) for r in G])
-    if not F:
-        return G
-    if not G:
-        return F
-    if len(F) == 1 or len(G) == 1:
-        return [_u_gcd(_b_content(F), _b_content(G))]
-    cF, cG = _b_content(F), _b_content(G)
-    c = _u_gcd(cF, cG)
-    F = [_u_divexact(r, cF) for r in F]
-    G = [_u_divexact(r, cG) for r in G]
-    res = _b_heugcd(F, G)
-    if res is None:
-        if len(F) < len(G):
-            F, G = G, F
-        while G:
-            R = _b_primitive(_b_trim(_b_prem(F, G)))
-            F, G = G, R
-        res = F
-    return [_u_mul(r, c) for r in res]
+            a, b = (f, g) if len(f) >= len(g) else (g, f)
+            while b:
+                a, b = b, _primitive(_prem(a, b))
+            res = a, _divexact(f, a), _divexact(g, a)
+        h, fq, gq = res
+        h, fq, gq = _times(h, c), _times(fq, _quo(cf, c)), _times(gq, _quo(cg, c))
+    if _lead_int(h) < 0:
+        h, fq, gq = -h, -fq, -gq
+    return h, fq, gq
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +366,14 @@ class QtScalar:
             num = {(i - sq, j - st): c for (i, j), c in num.items()}
             den = {(i - sq, j - st): c for (i, j), c in den.items()}
         if den != _ONE_PD:
-            F, G = _b_from_dict(num), _b_from_dict(den)
-            g = _b_gcd(F, G)
-            if g != [[1]]:
-                num = _b_to_dict(_b_divexact_lists(F, g))
-                den = _b_to_dict(_b_divexact_lists(G, g))
+            # a t-free fraction reduces in ZZ[q], any other in ZZ[q][t]
+            if any(map(_t_exp, num)) or any(map(_t_exp, den)):
+                dense, terms = _qt_dense, _qt_terms
+            else:
+                dense, terms = _q_dense, _q_terms
+            h, f, g = _gcd(dense(num), dense(den))
+            if h not in _ONES:
+                num, den = terms(f), terms(g)
         lead = max(den)
         if den[lead] < 0:
             num = _pd_neg(num)
@@ -615,13 +566,7 @@ class QtScalar:
         """Numerator/denominator as ascending q-coefficient lists (t-free only)."""
         if not self.is_t_free():
             raise ValueError("not a function of q alone")
-        def dense(p):
-            d = max((i for (i, _) in p), default=0)
-            out = [0] * (d + 1)
-            for (i, _), c in p.items():
-                out[i] = c
-            return out
-        return dense(self.num), dense(self.den)
+        return list(_q_dense(self.num)) or [0], list(_q_dense(self.den))
 
 
 def _coerce(x):

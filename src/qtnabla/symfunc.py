@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .scalar import ONE, Q, QtScalar, T, ZERO
+from .scalar import ONE, Q, QtScalar, T, ZERO, _coerce
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -232,13 +232,10 @@ def _convert(terms, source, target):
 # ---------------------------------------------------------------------------
 
 def _qt(c):
-    if isinstance(c, QtScalar):
-        return c
-    if isinstance(c, int):
-        return QtScalar.from_int(c)
-    if isinstance(c, Fraction):
-        return QtScalar.from_fraction(c)
-    raise TypeError(f"bad coefficient type {type(c)!r}")
+    out = _coerce(c)
+    if out is NotImplemented:
+        raise TypeError(f"bad coefficient type {type(c)!r}")
+    return out
 
 
 class SymFunc:

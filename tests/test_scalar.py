@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from oracles import RationalSum
+from qtnabla import scalar
 from qtnabla.scalar import (
     ONE, Q, T, ZERO, MonomialSeries, QtScalar,
     aut_q, q_bracket, q_factorial, q_multinomial,
@@ -110,6 +112,39 @@ def test_laurent_values_are_canonical():
     assert s * Q ** 2 * T == 3
     assert not s.is_polynomial()
     assert QtScalar({(-1, 2): 1, (0, 0): 1}, {(0, 1): 1}) == (T * T + Q) / (Q * T)
+
+
+@pytest.fixture(params=[True, False], ids=["heugcd", "prs"])
+def gcd_route(request):
+    """Run once with the heuristic gcd and once with it forced to fail, so
+    that every gcd, in ZZ[q] and in ZZ[q][t], takes the primitive PRS."""
+    if request.param:
+        yield
+        return
+    with mock.patch.object(scalar, "_heugcd", lambda f, g: None):
+        yield
+
+
+def test_common_factor_with_zero_t_rows(gcd_route):
+    # (q + t^2)(1 + q t^3) / ((q + t^2)(2 - q t^2)): the numerator and the
+    # quotient both have zero t-rows between nonzero ones
+    common = {(1, 0): 1, (0, 2): 1}
+    num = scalar._pd_mul(common, {(0, 0): 1, (1, 3): 1})
+    den = scalar._pd_mul(common, {(0, 0): 2, (1, 2): -1})
+    s = QtScalar(num, den)
+    assert s.num == {(0, 0): -1, (1, 3): -1}
+    assert s.den == {(0, 0): -2, (1, 2): 1}
+
+
+def test_t_free_fraction(gcd_route):
+    # q^-1 (1 - q^2)(2 + q^3) / ((1 - q)(3 + q)) = (1 + q)(2 + q^3) / (q (3 + q)),
+    # reduced in ZZ[q] without building rows in t
+    num = scalar._pd_mul({(-1, 0): 1, (1, 0): -1}, {(0, 0): 2, (3, 0): 1})
+    den = scalar._pd_mul({(0, 0): 1, (1, 0): -1}, {(0, 0): 3, (1, 0): 1})
+    with mock.patch.object(scalar, "_qt_dense", side_effect=AssertionError):
+        s = QtScalar(num, den)
+    assert s.num == {(0, 0): 2, (1, 0): 2, (3, 0): 1, (4, 0): 1}
+    assert s.den == {(1, 0): 3, (2, 0): 1}
 
 
 def test_t_expand_geometric():

@@ -37,8 +37,7 @@ def _gcd(heuristic):
     if heuristic:
         yield
         return
-    with mock.patch.object(scalar, "_u_heugcd", lambda f, g: None), \
-            mock.patch.object(scalar, "_b_heugcd", lambda F, G: None):
+    with mock.patch.object(scalar, "_heugcd", lambda f, g: None):
         yield
 
 
