@@ -17,6 +17,7 @@ count, scaled by 1/(q-1)^n once per coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb
 
@@ -123,47 +124,98 @@ def _check_dim_cap(dim, p):
         raise ValueError(f"endomorphism dimension {dim} over F_{p} exceeds the cap")
 
 
+def _coeffs_mod(out, p):
+    """The coefficient tuple of a list of integers mod p, with no trailing
+    zero; the zero polynomial is ()."""
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def _poly_mul_mod(f, g, p):
     if not f or not g:
-        return {}
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = e1 + e2
-            out[e] = (out.get(e, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        if c:
+            for j, d in enumerate(g):
+                out[i + j] += c * d
+    return _coeffs_mod(out, p)
 
 
-def _mat_mul_mod(A, B, p, n):
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            for l in range(n):
-                for e, c in _poly_mul_mod(A[i][l], B[l][j], p).items():
-                    acc[e] = (acc.get(e, 0) + c) % p
-            out[i][j] = {e: c for e, c in acc.items() if c}
-    return out
+def _poly_add_mod(f, g, p):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, d in enumerate(g):
+        out[i] += d
+    return _coeffs_mod(out, p)
 
 
-def _det_mod(A, p, n):
-    """Determinant of the polynomial matrix; a bundle endomorphism always
-    has constant determinant, asserted here."""
-    total = {}
-    for sigma in permutations(range(n)):
-        invs = sum(1 for i in range(n) for j in range(i + 1, n)
-                   if sigma[i] > sigma[j])
-        term = {0: 1 if invs % 2 == 0 else p - 1}
-        for i in range(n):
-            term = _poly_mul_mod(term, A[i][sigma[i]], p)
+class _Table(dict):
+    """op(f, g) over F_p for coefficient tuples f and g, each pair worked
+    out once per oracle call."""
+
+    def __init__(self, op, p):
+        super().__init__()
+        self.op = op
+        self.p = p
+
+    def __missing__(self, key):
+        out = self[key] = self.op(*key, self.p)
+        return out
+
+
+def _window_polys(window, p):
+    """Every polynomial over F_p supported on the window of exponents."""
+    pad = (0,) * window.start
+    return [_coeffs_mod(pad + values, p)
+            for values in product(range(p), repeat=len(window))]
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """(cells, True when sigma is odd) over the permutations sigma of
+    range(n), where cells lists the flat positions i n + sigma(i)."""
+    return tuple((tuple(i * n + s for i, s in enumerate(sigma)),
+                  sum(1 for i in range(n) for j in range(i + 1, n)
+                      if sigma[i] > sigma[j]) % 2 == 1)
+                 for sigma in permutations(range(n)))
+
+
+def _det_mod(flat, p, n, times, plus):
+    """Determinant of the polynomial matrix whose rows are laid end to end
+    in flat, its products and sums read from the tables; a bundle
+    endomorphism always has constant determinant, asserted here."""
+    total = ()
+    minus_one = (p - 1,)
+    for cells, odd in _signed_permutations(n):
+        term = minus_one if odd else (1,)
+        for c in cells:
+            term = times[term, flat[c]]
             if not term:
                 break
-        for e, c in term.items():
-            total[e] = (total.get(e, 0) + c) % p
-    total = {e: c for e, c in total.items() if c}
-    if any(e != 0 for e in total):
+        else:
+            total = plus[total, term]
+    if len(total) > 1:
         raise AssertionError("endomorphism determinant is not constant")
-    return total.get(0, 0)
+    return total[0] if total else 0
+
+
+def _mat_mul_mod(A, B, n, times, plus):
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(n):
+            acc = ()
+            for f, col in zip(row, B):
+                if f and col[j]:
+                    g = times[f, col[j]]
+                    acc = plus[acc, g] if acc else g
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def brute_force_counts(m, a, b, p, k, points):
@@ -171,7 +223,9 @@ def brute_force_counts(m, a, b, p, k, points):
 
     Endomorphisms are matrices of window polynomials; automorphisms are
     those with nonzero (constant) determinant, and Nilp_k members satisfy
-    theta^n = 0 and vanish at the given points.
+    theta^n = 0 and vanish at the given points.  Each entry's polynomials
+    are listed once as coefficient tuples, and every product or sum of two
+    polynomials is worked out once, in tables shared by all p^dim matrices.
     """
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
@@ -180,26 +234,27 @@ def brute_force_counts(m, a, b, p, k, points):
     if any(s % p == 0 for s in points):
         raise ValueError("vanishing points must avoid 0 and infinity")
     n = len(m)
-    slots = _endomorphism_slots(m, a, b)
-    dim = len(slots)
+    dim = len(_endomorphism_slots(m, a, b))
     _check_dim_cap(dim, p)
+    bundles = list(zip(m, a, b))
+    entries = [_window_polys(_hom_window(bundles[j], bundles[i]), p)
+               for i in range(n) for j in range(n)]
+    vanishes = {f: not any(sum(c * pow(s, e, p) for e, c in enumerate(f)) % p
+                           for s in points)
+                for polys in entries for f in polys}
+    times, plus = _Table(_poly_mul_mod, p), _Table(_poly_add_mod, p)
     auts = 0
     nilps = 0
-    for values in product(range(p), repeat=dim):
-        mat = [[{} for _ in range(n)] for _ in range(n)]
-        for (i, j, e), v in zip(slots, values):
-            if v:
-                mat[i][j][e] = v
-        if _det_mod(mat, p, n):
+    for flat in product(*entries):
+        if _det_mod(flat, p, n, times, plus):
             auts += 1
             continue
-        if any(sum(c * pow(s, e, p) for e, c in mat[i][j].items()) % p
-               for s in points for i in range(n) for j in range(n)):
+        if not all(vanishes[f] for f in flat):
             continue
-        power = mat
+        power = mat = [flat[i * n:(i + 1) * n] for i in range(n)]
         for _ in range(n - 1):
-            power = _mat_mul_mod(power, mat, p, n)
-        if all(not power[i][j] for i in range(n) for j in range(n)):
+            power = _mat_mul_mod(power, mat, n, times, plus)
+        if not any(map(any, power)):
             nilps += 1
     return auts, nilps
 

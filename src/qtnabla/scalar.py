@@ -193,7 +193,7 @@ def _cgcd(*cs):
     c = _Dense()
     for a in cs:
         if a:
-            c = _gcd(c, a)[0] if c else a
+            c = _gcd(c, a, cofactors=False) if c else a
             if c == [1]:
                 break
     return c
@@ -307,27 +307,36 @@ def _lead_int(f):
     return f
 
 
-def _gcd(f, g):
+def _gcd(f, g, cofactors=True):
     """(h, f / h, g / h) for the gcd h of nonzero f and g, with a positive
     leading integer coefficient: the gcd of the contents times the heuristic
-    gcd of the primitive parts, else their primitive PRS."""
+    gcd of the primitive parts, else their primitive PRS.  With cofactors
+    false, h alone: the cofactors are then not formed."""
     cf, cg = _cgcd(*f), _cgcd(*g)
     c = _cgcd(cf, cg)
     if len(f) == 1 or len(g) == 1:
-        h, fq, gq = _Dense([c]), _over(f, c), _over(g, c)
+        h = _Dense([c])
+        if cofactors:
+            fq, gq = _over(f, c), _over(g, c)
     else:
         f, g = _over(f, cf), _over(g, cg)
         res = _heugcd(f, g)
-        if res is None:
-            a, b = (f, g) if len(f) >= len(g) else (g, f)
+        if res is not None:
+            h, fq, gq = res
+        else:
+            h, b = (f, g) if len(f) >= len(g) else (g, f)
             while b:
-                a, b = b, _primitive(_prem(a, b))
-            res = a, _divexact(f, a), _divexact(g, a)
-        h, fq, gq = res
-        h, fq, gq = _times(h, c), _times(fq, _quo(cf, c)), _times(gq, _quo(cg, c))
+                h, b = b, _primitive(_prem(h, b))
+            if cofactors:
+                fq, gq = _divexact(f, h), _divexact(g, h)
+        h = _times(h, c)
+        if cofactors:
+            fq, gq = _times(fq, _quo(cf, c)), _times(gq, _quo(cg, c))
     if _lead_int(h) < 0:
-        h, fq, gq = -h, -fq, -gq
-    return h, fq, gq
+        h = -h
+        if cofactors:
+            fq, gq = -fq, -gq
+    return (h, fq, gq) if cofactors else h
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ compare the replacement with it wherever it can still run.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
-from qtnabla.bundles import aut_exponent, nilp_exponent
+from qtnabla.bundles import _endomorphism_slots, aut_exponent, nilp_exponent
 from qtnabla.involution import (VanQuadruple, _key, attacks_rev, d_k_table,
                                 in_vanset, sigma_ranks)
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
@@ -153,6 +153,80 @@ def bundle_side_series_per_term(n, k, N, degree):
             builder.add_term((xe, ye), d, nilp_count_symbolic(m, a, b, k) * pref,
                              aut_count_symbolic(m, a, b))
     return builder.build()
+
+
+# ---------------------------------------------------------------------------
+# the finite-field oracle over dict polynomials, each product formed anew,
+# the route that tabulated coefficient tuples replaced
+
+
+def _poly_mul_mod(f, g, p):
+    if not f or not g:
+        return {}
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _mat_mul_mod(A, B, p, n):
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = {}
+            for l in range(n):
+                for e, c in _poly_mul_mod(A[i][l], B[l][j], p).items():
+                    acc[e] = (acc.get(e, 0) + c) % p
+            out[i][j] = {e: c for e, c in acc.items() if c}
+    return out
+
+
+def _det_mod(A, p, n):
+    """Determinant of the polynomial matrix; a bundle endomorphism always
+    has constant determinant, asserted here."""
+    total = {}
+    for sigma in permutations(range(n)):
+        invs = sum(1 for i in range(n) for j in range(i + 1, n)
+                   if sigma[i] > sigma[j])
+        term = {0: 1 if invs % 2 == 0 else p - 1}
+        for i in range(n):
+            term = _poly_mul_mod(term, A[i][sigma[i]], p)
+            if not term:
+                break
+        for e, c in term.items():
+            total[e] = (total.get(e, 0) + c) % p
+    total = {e: c for e, c in total.items() if c}
+    if any(e != 0 for e in total):
+        raise AssertionError("endomorphism determinant is not constant")
+    return total.get(0, 0)
+
+
+def brute_force_counts_by_dicts(m, a, b, p, k, points):
+    """Exhaustive (|Aut|, |Nilp_k|) over F_p, as bundles.brute_force_counts
+    without its input checks: every entry a dict {exponent: coefficient}."""
+    n = len(m)
+    slots = _endomorphism_slots(m, a, b)
+    auts = 0
+    nilps = 0
+    for values in product(range(p), repeat=len(slots)):
+        mat = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j, e), v in zip(slots, values):
+            if v:
+                mat[i][j][e] = v
+        if _det_mod(mat, p, n):
+            auts += 1
+            continue
+        if any(sum(c * pow(s, e, p) for e, c in mat[i][j].items()) % p
+               for s in points for i in range(n) for j in range(n)):
+            continue
+        power = mat
+        for _ in range(n - 1):
+            power = _mat_mul_mod(power, mat, p, n)
+        if all(not power[i][j] for i in range(n) for j in range(n)):
+            nilps += 1
+    return auts, nilps
 
 
 # ---------------------------------------------------------------------------

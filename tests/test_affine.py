@@ -4,12 +4,13 @@ import pytest
 
 from qtnabla.scalar import ONE, Q
 from qtnabla.affine import (
-    AffinePermutation, b_poly_degree, canonical_transposition, coarea_path,
-    dimv, double_coset, edges, edges_refined, from_finite, identity,
-    is_m_restricted, is_m_stable, iter_wplus, left_coset_min_max, max_area,
-    paff, raths_series, standardize, tau, transposition, verify_paff, wvec,
+    AffinePermutation, _coset_max_witness, b_poly_degree,
+    canonical_transposition, coarea_path, dimv, double_coset, edges,
+    edges_refined, from_finite, identity, is_m_restricted, is_m_stable,
+    iter_wplus, left_coset_min_max, max_area, paff, raths_series, standardize,
+    tau, transposition, verify_paff, wvec,
 )
-from qtnabla.labels import iter_sorted_triples
+from qtnabla.labels import alpha_composition, compositions, iter_sorted_triples
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,54 @@ def test_double_coset_paper_listing():
         (3, 4, 10, 5), (4, 2, 11, 5), (4, 3, 10, 5)}
     lw = w.length()
     assert all(v.length() < lw for v in coset if v != w)
+
+
+def _is_coset_max_by_scan(w, alpha_left, alpha_right):
+    """The route verify_paff used before reading descents: form the whole
+    double coset and compare lengths."""
+    lw = w.length()
+    return all(v == w or v.length() < lw
+               for v in double_coset(w, alpha_left, alpha_right))
+
+
+def _assert_witness_matches_scan(w, alpha_left, alpha_right):
+    v = _coset_max_witness(w, alpha_left, alpha_right)
+    assert (v is None) == _is_coset_max_by_scan(w, alpha_left, alpha_right), \
+        (w, alpha_left, alpha_right)
+    if v is not None:
+        # a neighbour s_i w or w s_i inside the coset, one longer than w
+        assert v in double_coset(w, alpha_left, alpha_right)
+        assert v.length() == w.length() + 1
+    return v is None
+
+
+@pytest.mark.parametrize("n, k, degree, N",
+                         [(2, 1, 3, 3), (3, 1, 2, 3), (3, 2, 2, 3), (4, 1, 3, 2)])
+def test_coset_max_from_descents_matches_scan_on_paff_images(n, k, degree, N):
+    # every triple verify_paff reaches at these sizes, with its two blocks
+    for d in range(degree + 1):
+        for m, a, b in iter_sorted_triples(n, N, d):
+            w = paff(m, a, b)
+            beta = tuple(reversed(alpha_composition(b)))
+            assert _assert_witness_matches_scan(w, beta, alpha_composition(a))
+
+
+def test_coset_max_from_descents_matches_scan_on_random_windows():
+    import random
+    rng = random.Random(20)
+    blocks = {n: [c for s in range(1, n + 1) for c in compositions(n, s)
+                  if all(c)] for n in range(1, 6)}
+    positive = 0
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        w = AffinePermutation(tuple(perm[i] + n * rng.randint(-2, 2)
+                                    for i in range(n)))
+        positive += _assert_witness_matches_scan(
+            w, rng.choice(blocks[n]), rng.choice(blocks[n]))
+    # both answers occur often enough to be tested
+    assert 500 < positive < 3500
 
 
 def test_trivial_coset():

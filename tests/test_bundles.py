@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import aut_count_symbolic, bundle_sweep_triples
+from oracles import (aut_count_symbolic, brute_force_counts_by_dicts,
+                     bundle_sweep_triples)
 from qtnabla.scalar import ONE, Q, QtScalar, T, q_factorial
 from qtnabla.bundles import (
     aut_count, brute_force_counts, bundle_le, bundle_side_series, ext_dim,
@@ -97,6 +98,30 @@ def test_brute_force_mixed_degrees():
     auts, nilps = brute_force_counts((1, 0), (1, 1), (1, 1), 3, 1, [1])
     assert auts == aut_count((1, 0), (1, 1), (1, 1), q=3)
     assert nilps == nilp_count((1, 0), (1, 1), (1, 1), 1, q=3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tabulated_oracle_matches_dict_oracle(p):
+    # every triple of the (2, 2, 2) counts sweep, at k = 0 and k = 1
+    for m, a, b in bundle_sweep_triples(2, 2, 2):
+        for k in (0, 1):
+            points = list(range(1, k + 1))
+            assert brute_force_counts(m, a, b, p, k, points) == \
+                brute_force_counts_by_dicts(m, a, b, p, k, points), (m, a, b, k)
+
+
+def test_oracle_asserts_a_constant_determinant(monkeypatch):
+    # L_1 -> L_2 has no map (it must vanish at 0 and have degree 0); let it
+    # have degree up to 1, and some determinants a d - b (e + f z) have a
+    # z term
+    import qtnabla.bundles as bundles
+    real = bundles._hom_window
+    monkeypatch.setattr(bundles, "_hom_window", lambda src, dst: range(0, 2)
+                        if (src, dst) == ((0, 1, 1), (0, 2, 1))
+                        else real(src, dst))
+    with pytest.raises(AssertionError,
+                       match=r"^endomorphism determinant is not constant$"):
+        brute_force_counts((0, 0), (1, 2), (1, 1), 2, 0, [])
 
 
 def test_dimension_cap():

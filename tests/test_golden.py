@@ -11,6 +11,7 @@ import contextlib
 import io
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +52,10 @@ CASES = {
         "--format", "json"),
     "verify-paff.json": ("verify-paff", "--n", "2", "--k", "1", "--N", "2",
                          "--D", "2", "--format", "json"),
+    # the size the cold CLI benchmark runs
+    "verify-paff-n3-k1-N3-D3.json": ("verify-paff", "--n", "3", "--k", "1",
+                                     "--N", "3", "--D", "3",
+                                     "--format", "json"),
     "verify-bundles.json": ("verify-bundles", "--n", "2", "--k", "1",
                             "--N", "2", "--D", "2", "--mmax", "1",
                             "--lmax", "2", "--qdegree", "3",
@@ -214,6 +219,30 @@ def test_verify_paff_counterexample(monkeypatch):
     assert rep["failures"] == [{
         "kind": "dinv-dimv", "triple": ((0, 0), (1, 1), (1, 1)),
         "w": (2, 1), "dinv": 0, "dimv": 1}]
+
+
+def test_verify_paff_coset_max_counterexample(monkeypatch):
+    # the labels (1, 2) read as one block: the first triple with a = (1, 2)
+    # whose w has no descent at s_1 fails, and w s_1 is the longer element
+    real = affine.alpha_composition
+    monkeypatch.setattr(affine, "alpha_composition",
+                        lambda values: (2,) if values == (1, 2) else real(values))
+    rep = affine.verify_paff(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["triples"] == 6
+    assert rep["failures"] == [{
+        "kind": "coset-max", "triple": ((0, 0), (1, 2), (2, 1)),
+        "w": (1, 2), "v": (2, 1)}]
+
+
+def test_verify_paff_area_difference_counterexample(monkeypatch):
+    real = affine.attack_path
+    monkeypatch.setattr(affine, "attack_path", lambda m, a, k: SimpleNamespace(
+        area_sequence=tuple(x + 1 for x in real(m, a, k).area_sequence)))
+    rep = affine.verify_paff(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["triples"] == 1
+    assert rep["failures"] == [{
+        "kind": "area-difference", "triple": ((0, 0), (1, 1), (1, 1)),
+        "diff": (0, 1)}]
 
 
 def test_verify_bundle_counts_counterexample(monkeypatch):
