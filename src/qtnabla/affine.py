@@ -150,19 +150,25 @@ def is_m_restricted(w, m):
     return is_m_stable(w.inverse(), m)
 
 
-def _edges(winv, m):
-    """The edges of height < m of the w whose inverse is winv: for a < b,
-    l(t_ab w) < l(w) exactly when w^{-1}(a) > w^{-1}(b) (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, ch. 8), so no length is computed."""
-    n = winv.n
-    vals = [winv(i) for i in range(1, n + m)]
+def _values(w, count):
+    """w(1), ..., w(count), read from the window."""
+    window = w.window
+    n = len(window)
+    return [window[i % n] + i - i % n for i in range(count)]
+
+
+def _edges(winv_values, n, m):
+    """The edges of height < m of the w whose inverse takes the values
+    winv_values on 1, ..., n + m - 1: for a < b, l(t_ab w) < l(w) exactly
+    when w^{-1}(a) > w^{-1}(b) (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, ch. 8), so no length is computed."""
     return [(a, a + h) for a in range(1, n + 1) for h in range(1, m)
-            if h % n and vals[a - 1] > vals[a + h - 1]]
+            if h % n and winv_values[a - 1] > winv_values[a + h - 1]]
 
 
 def edges(w, m):
     """Canonical (a, b) pairs of height < m whose reflection shortens w."""
-    return _edges(w.inverse(), m)
+    return _edges(_values(w.inverse(), w.n + m - 1), w.n, m)
 
 
 def _refine(n, edge_list):
@@ -196,14 +202,11 @@ def wvec(w, m):
     """Edge counts by conjugated class: entry j counts edges with
     w^{-1} t w = t_{i,j}, i < j, j normalized into 1..n."""
     n = w.n
-    winv = w.inverse()
+    vals = _values(w.inverse(), n + m - 1)
     out = [0] * n
-    for a, b in _edges(winv, m):
-        u, v = winv(a), winv(b)
-        if u > v:
-            u, v = v, u
-        r = (v - 1) % n + 1
-        out[r - 1] += 1
+    for a, b in _edges(vals, n, m):
+        # an edge has w^{-1}(a) > w^{-1}(b); the class is the larger's residue
+        out[(vals[a - 1] - 1) % n] += 1
     return tuple(out)
 
 
