@@ -101,8 +101,8 @@ class AffinePermutation:
 
 def _unchecked(window):
     """The permutation of a tuple of ints whose residues are distinct by
-    construction (a product, an inverse, a coset extreme), built without
-    checking them again."""
+    construction (a product, an inverse, a standardization, a coset
+    extreme), built without checking them again."""
     w = object.__new__(AffinePermutation)
     w.window = window
     w._length = None
@@ -142,8 +142,11 @@ def canonical_transposition(n, a, b):
 
 
 def is_m_stable(w, m):
-    """w(i + m) > w(i) for all i; checked on one period."""
-    return all(w(i + m) > w(i) for i in range(1, w.n + 1))
+    """w(i + m) > w(i) for all i; checked on one period, from the window."""
+    window = w.window
+    n = len(window)
+    return all(window[(i + m) % n] + (i + m) - (i + m) % n > window[i]
+               for i in range(n))
 
 
 def is_m_restricted(w, m):
@@ -257,8 +260,8 @@ def paff(m, a, b):
     """shuff_>(reversed b) . tau_m . shuff_<(a)^{-1} for a sorted triple."""
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
-    left = from_finite(standardize(tuple(reversed(b)), ">"))
-    right = from_finite(standardize(a, "<")).inverse()
+    left = _unchecked(standardize(tuple(reversed(b)), ">"))
+    right = _unchecked(standardize(a, "<")).inverse()
     return left * tau(m) * right
 
 
