@@ -229,9 +229,7 @@ class MacdonaldCache:
         lam = tuple(lam)
         if lam in self._tables:
             return self._tables[lam]
-        if sum(lam) > self.max_degree:
-            raise ValueError(f"degree {sum(lam)} above the configured cap "
-                             f"{self.max_degree}")
+        self.check_degree(sum(lam))
         f = _hhl_htilde(lam)
         _validate_htilde(lam, f)
         self._tables[lam] = f
@@ -241,6 +239,13 @@ class MacdonaldCache:
         if self.directory and (stored is None or stored.terms != f.terms):
             self.store(lam)
         return f
+
+    def check_degree(self, n):
+        """ValueError when degree n lies above the cap: a route over every
+        partition of n calls it first, before it builds any of them."""
+        if n > self.max_degree:
+            raise ValueError(f"degree {n} above the configured cap "
+                             f"{self.max_degree}")
 
     # -- optional disk persistence
 
@@ -432,6 +437,7 @@ def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
     pairs of partitions with at most N parts, and the distinct permutations
     of a pair share its TSeries.
     """
+    DEFAULT_CACHE.check_degree(n)
     builder = SeriesBuilder(N, N, D)
     for lam in partitions(n):
         per_lam = _signed_w_inverse_series(lam, k, D)
@@ -502,6 +508,7 @@ def nabla_en(n, k):
     if n < 1 or k < 0:
         raise ValueError(f"nabla^k e_n needs n >= 1 and k >= 0, got n = {n}, "
                          f"k = {k}")
+    DEFAULT_CACHE.check_degree(n)
     D = k * comb(n, 2)
     builder = SeriesBuilder(0, 0, D + 1)  # keyed by partitions, not monomials
     for lam in partitions(n):

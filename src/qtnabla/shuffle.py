@@ -8,7 +8,12 @@ label permutations rather than the N^n label words, carries each descent
 set as a bitmask and expands the tallies once per weak composition through
 the fundamental quasi-symmetric functions. The tests keep the word
 enumeration and the route that rebuilt each descent set at the leaves
-(tests/oracles.py) as independent routes."""
+(tests/oracles.py) as independent routes.
+
+The cancellation analysis defines the A and the B set of the rotation
+pairing once each, through pf and npf: the signed sum drops both, and the
+five-condition search, which looks for their meet, tries the end labels
+(a_1, a_n) of each m before it walks any full label word."""
 
 from __future__ import annotations
 
@@ -211,139 +216,65 @@ def compute_parking(n, k, N):
 # cancellation analysis
 
 
+def _in_a(l, m, a, k):
+    """The A set of the pairing: (1A) l > 0, and (2A) PF at 1 for
+    rho(m, a) when l < n."""
+    return l > 0 and (l == len(m) or pf(*rho(m, a), 1, k))
+
+
+def _in_b(l, m, a, k):
+    """The B set of the pairing: (1B) l < n, (3B) m_1 > 0, and (2B) NPF at
+    n-1 for rho^{-1}(m, a) when l > 0."""
+    n = len(m)
+    return l < n and m[0] > 0 and \
+        (l == 0 or npf(*rho_inverse(m, a), n - 1, k))
+
+
 def five_condition_witness(n, k, degree, N):
-    """Search for a triple satisfying all five pairing conditions at once.
+    """The first (l, m, a) of the dividing-line set, with |m| <= degree and
+    labels in 1..N, that lies in both the A and the B set, in the order m,
+    then a, then l; None when the five conditions never hold together.
 
-    (1A) l > 0, (2A) PF at 1 for the rotated pair when l < n,
-    (1B) l < n, (2B) NPF at n-1 for the inverse rotation when l > 0,
-    (3B) m_1 > 0, all inside the dividing-line set.
-
-    The label dependence enters only through adjacent comparisons, so for
-    each (l, m) the constraints reduce to a chain of {>, <=} requirements
-    on consecutive labels (plus two wraparound ones), checked by a small
-    dynamic program over label values; the first satisfiable case is
-    materialized into an explicit witness.  Returns None when empty.
+    For 0 < l < n, (2A) and (2B) read only the first and the last column:
+    with d = m_1 - m_n, (2A) holds iff d <= k, or d = k + 1 and a_1 > a_n,
+    and (2B) iff d >= k + 2, or d = k + 1 and a_1 <= a_n. So for each m the
+    search tries the N^2 end labels (a_1, a_n) first, once per (m_1, m_n),
+    and walks every label word and every l only when some end pair meets
+    (2A), (2B) and (3B).
     """
-    for mvec in (m for d in range(degree + 1) for m in compositions(d, n)):
-        if mvec[0] < 1:
-            continue  # (3B)
-        for l in range(1, n):  # (1A) and (1B)
-            constraints = _constraints_for(l, mvec, n, k)
-            if constraints is None:
-                continue
-            witness = _satisfy(constraints, n, N)
-            if witness is not None:
-                return (l, mvec, witness)
-    return None
-
-
-def _constraints_for(l, m, n, k):
-    """Adjacent-label constraints for membership plus (2A) and (2B).
-
-    Returns a list of (i, j, rel) with rel in {'>', '<='} meaning
-    a_j rel a_i must hold, or None when some condition fails for every a.
-    """
-    out = []
-
-    def need_pf(mi, mj, i, j):
-        # PF: m_j <= m_i + k - 1 free; == m_i + k needs a_j > a_i; else dead
-        if mj <= mi + k - 1:
-            return True
-        if mj == mi + k:
-            out.append((i, j, ">"))
-            return True
-        return False
-
-    def need_npf(mi, mj, i, j):
-        if mj > mi + k:
-            return True
-        if mj == mi + k:
-            out.append((i, j, "<="))
-            return True
-        return False
-
-    for i in range(1, n - l):  # PF_{k,i} for the set membership
-        if not need_pf(m[i - 1], m[i], i, i + 1):
-            return None
-    for i in range(n - l + 1, n):  # NPF_{k,i}
-        if not need_npf(m[i - 1], m[i], i, i + 1):
-            return None
-    # (2A): PF at 1 for rho(m, a): columns (m_n + 1, a_n), (m_1, a_1)
-    if l < n and not need_pf(m[-1] + 1, m[0], n, 1):
-        return None
-    # (2B): NPF at n-1 for rho^{-1}(m, a): columns (m_n, a_n), (m_1 - 1, a_1)
-    if l > 0 and not need_npf(m[-1], m[0] - 1, n, 1):
-        return None
-    return out
-
-
-def _satisfy(constraints, n, N):
-    """Find labels in 1..N meeting the adjacency constraints, or None.
-
-    Constraints touch consecutive positions and the (n, 1) wraparound only,
-    so feasibility is a forward scan over value sets for each choice of a_1.
-    """
-    chain = {}
-    wrap = []
-    for i, j, rel in constraints:
-        if (i, j) == (n, 1):
-            wrap.append(rel)
-        else:
-            chain.setdefault(i, []).append(rel)
-
-    def allowed(prev, rels):
-        vals = set(range(1, N + 1))
-        for rel in rels:
-            if rel == ">":
-                vals &= set(range(prev + 1, N + 1))
-            else:
-                vals &= set(range(1, prev + 1))
-        return vals
-
-    for a1 in range(1, N + 1):
-        # reach[i] maps value -> a predecessor value, for backtracking
-        reach = [{a1: None}]
-        for i in range(1, n):
-            nxt = {}
-            for prev in reach[-1]:
-                for v in allowed(prev, chain.get(i, [])):
-                    nxt.setdefault(v, prev)
-            if not nxt:
-                break
-            reach.append(nxt)
-        if len(reach) < n:
+    if n < 2:
+        return None  # (1A) and (1B) need 0 < l < n
+    labels = range(1, N + 1)
+    ends = {}  # (m_1, m_n) -> whether some end pair lies in both sets
+    for m in (m for d in range(degree + 1) for m in compositions(d, n)):
+        key = m[0], m[-1]
+        if key not in ends:  # for 0 < l < n both sets read only the ends
+            ends[key] = any(_in_a(1, m, w, k) and _in_b(1, m, w, k)
+                            for w in ((a1,) + (1,) * (n - 2) + (an,)
+                                      for a1, an in product(labels, repeat=2)))
+        if not ends[key]:
             continue
-        for an in reach[-1]:
-            ok = all((a1 > an) if rel == ">" else (a1 <= an) for rel in wrap)
-            if ok:
-                out = [an]
-                for i in range(n - 1, 0, -1):
-                    out.append(reach[i][out[-1]])
-                return tuple(reversed(out))
+        for a in product(labels, repeat=n):
+            for l in range(1, n):
+                if in_shuffle_set(l, m, a, k) and _in_a(l, m, a, k) \
+                        and _in_b(l, m, a, k):
+                    return (l, m, a)
     return None
 
 
 def signed_truncated_sum(n, k, degree, N):
-    """The signed dividing-line sum with rho-paired terms removed, per the
-    cancellation bookkeeping, as a MonomialSeries through t-degree degree;
-    exact through t-degree (degree - 1)."""
+    """The signed dividing-line sum with the A and the B set removed, as a
+    MonomialSeries through t-degree degree; exact through t-degree
+    (degree - 1)."""
     builder = SeriesBuilder(N, 0, degree)
-    for mvec in (m for d in range(degree + 1) for m in compositions(d, n)):
+    for m in (m for d in range(degree + 1) for m in compositions(d, n)):
+        lines = range(min(n, degree - sum(m)) + 1)  # weight |m| + l <= degree
         for a in product(range(1, N + 1), repeat=n):
-            for l in range(n + 1):
-                if not in_shuffle_set(l, mvec, a, k):
-                    continue
-                # drop the rho-pairable terms: (1A)(2A) set and its image
-                if l > 0 and (l == n or pf(*rho(mvec, a), 1, k)):
-                    continue
-                if l < n and mvec[0] > 0 and \
-                        (l == 0 or npf(*rho_inverse(mvec, a), n - 1, k)):
-                    continue
-                weight = sum(mvec) + l
-                if weight > degree:
-                    continue
-                builder.add((content(a, N), ()), weight, d_k_rev(mvec, a, k),
-                            count=(-1) ** l)
+            for l in lines:
+                if in_shuffle_set(l, m, a, k) and not _in_a(l, m, a, k) \
+                        and not _in_b(l, m, a, k):
+                    builder.add((content(a, N), ()), sum(m) + l,
+                                d_k_rev(m, a, k), count=(-1) ** l)
     return builder.build()
 
 

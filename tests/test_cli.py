@@ -191,6 +191,25 @@ def test_bundle_cap_fails_before_the_oracle(monkeypatch, capsys):
         "error: endomorphism dimension 11 over F_3 exceeds the cap\n"
 
 
+def test_degree_cap_fails_before_the_macdonald_walk(monkeypatch, capsys):
+    """A degree above the H~ cap exits 2 before any partition of n is
+    listed or any per-lambda series is formed."""
+    import qtnabla.macdonald as macdonald
+
+    def never(*args):
+        raise AssertionError("the Macdonald walk ran before the cap check")
+    monkeypatch.setattr(macdonald, "partitions", never)
+    monkeypatch.setattr(macdonald, "_signed_w_inverse_series", never)
+    for argv in (("compute", "nabla", "--n", "9"),
+                 ("compute", "parking", "--n", "9"),
+                 ("verify-shuffle", "--n", "9"),
+                 ("verify-main", "--n", "9", "--N", "1", "--D", "0"),
+                 ("verify-involution", "--n", "9", "--N", "1", "--D", "0")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert capsys.readouterr().err == \
+            "error: degree 9 above the configured cap 8\n", argv
+
+
 def test_prime_without_a_cap_names_the_supported_primes(capsys):
     code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
                         "--primes", "7")

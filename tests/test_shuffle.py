@@ -154,27 +154,59 @@ def test_five_condition_set_empty_small():
 
 
 def test_five_condition_bruteforce_agreement():
-    # the constraint-reduction search agrees with direct enumeration
-    from qtnabla.shuffle import _constraints_for
-    n, k, D, N = 3, 1, 4, 3
-    direct = None
-    for mvec in product(range(D + 1), repeat=n):
-        if sum(mvec) > D or mvec[0] < 1:
-            continue
-        for l in range(1, n):
-            for a in product(range(1, N + 1), repeat=n):
-                if not in_shuffle_set(l, mvec, a, k):
-                    continue
-                m2, a2 = rho(mvec, a)
-                if l < n and not pf(m2, a2, 1, k):
-                    continue
-                mi, ai = rho_inverse(mvec, a)
-                if l > 0 and not npf(mi, ai, n - 1, k):
-                    continue
-                direct = (l, mvec, a)
-                break
-    assert direct is None
-    assert five_condition_witness(n, k, D, N) is None
+    # the end-column search agrees with direct enumeration
+    for n, k, D, N in ((3, 1, 4, 3), (3, 2, 6, 2), (4, 1, 5, 3)):
+        direct = None
+        for mvec in product(range(D + 1), repeat=n):
+            if sum(mvec) > D or mvec[0] < 1:
+                continue
+            for l in range(1, n):
+                for a in product(range(1, N + 1), repeat=n):
+                    if not in_shuffle_set(l, mvec, a, k):
+                        continue
+                    m2, a2 = rho(mvec, a)
+                    if l < n and not pf(m2, a2, 1, k):
+                        continue
+                    mi, ai = rho_inverse(mvec, a)
+                    if l > 0 and not npf(mi, ai, n - 1, k):
+                        continue
+                    direct = (l, mvec, a)
+                    break
+        assert direct is None
+        assert five_condition_witness(n, k, D, N) is None
+
+
+@pytest.mark.parametrize("widened_npf", [
+    lambda m, a, i, k: True,
+    lambda m, a, i, k: m[i] >= m[i - 1],
+], ids=["everything", "weak-rise"])
+def test_five_condition_witness_is_the_first_direct_hit(monkeypatch,
+                                                        widened_npf):
+    """With NPF widened so that the A and B sets meet, the search returns
+    the first hit of a direct loop over m, then a, then l, and the
+    cancellation check reports it."""
+    import qtnabla.shuffle as shuffle
+    monkeypatch.setattr(shuffle, "npf", widened_npf)
+
+    def in_both(l, m, a, k):
+        n = len(m)
+        return 0 < l < n and m[0] > 0 and in_shuffle_set(l, m, a, k) \
+            and pf(*rho(m, a), 1, k) \
+            and widened_npf(*rho_inverse(m, a), n - 1, k)
+
+    for n, k, D, N in ((2, 1, 3, 2), (3, 1, 4, 3), (4, 1, 5, 3)):
+        direct = next(((l, m, a) for d in range(D + 1)
+                       for m in compositions(d, n)
+                       for a in product(range(1, N + 1), repeat=n)
+                       for l in range(1, n) if in_both(l, m, a, k)), None)
+        assert direct is not None, (n, k, D, N)
+        witness = five_condition_witness(n, k, D, N)
+        assert witness == direct, (n, k, D, N)
+        assert in_both(*witness, k)
+        rep = cancellation_check(n, k, D, N)
+        assert not rep["ok"] and rep["first_discrepancy"] is None
+        l, m, a = witness
+        assert rep["witness"] == {"l": l, "m": list(m), "a": list(a)}
 
 
 def test_cancellation_check():

@@ -71,6 +71,19 @@ def test_bench_cli_cases_parse():
         build_parser().parse_args([*argv, "--format", "json"])
 
 
+def test_readme_usage_lines_parse():
+    """Every `qtnabla ...` line of README's usage block parses, trailing
+    comment stripped; a renamed subcommand or option fails here too."""
+    from qtnabla.cli import build_parser
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].split()
+             for line in readme.read_text().splitlines()
+             if line.startswith("qtnabla ")]
+    assert lines
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+
+
 def test_package_imports_only_the_standard_library():
     """Every absolute import in src/qtnabla is a standard-library module or
     qtnabla itself, as pyproject.toml's empty dependency list promises."""
