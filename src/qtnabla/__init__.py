@@ -3,9 +3,9 @@ enumeration, affine permutations, and finite-field bundle counts, each
 verified against an independent route."""
 
 from .scalar import ONE, Q, QtScalar, T, TSeries, ZERO, aut_q, q_bracket, q_factorial
-from .symfunc import AlphabetExpr, Poly, SymFunc, partitions, plethysm
+from .symfunc import Poly, SymFunc, partitions, plethysm
 
 __all__ = [
     "ONE", "Q", "QtScalar", "T", "TSeries", "ZERO", "aut_q", "q_bracket",
-    "q_factorial", "AlphabetExpr", "Poly", "SymFunc", "partitions", "plethysm",
+    "q_factorial", "Poly", "SymFunc", "partitions", "plethysm",
 ]

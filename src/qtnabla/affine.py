@@ -1,7 +1,8 @@
-"""Positive extended affine permutations in window notation: length and
-reflection comparisons, m-stability, edge sets and the dimension statistic,
-standardization, the triple-to-permutation map, coset extremes, and the
-affine-permutation power series.
+"""Positive extended affine permutations in window notation: length,
+transpositions, m-stability, edge sets and the dimension statistic,
+standardization, the triple-to-permutation map paff, the left-coset extremes
+and the double-coset maximum read from descents, the affine-permutation
+power series, and the paff sweep of verify-paff.
 
 Windows are tuples (w_1..w_n) of integers with pairwise distinct residues
 mod n; composition acts as functions, (uv)(i) = u(v(i)).
@@ -10,7 +11,7 @@ mod n; composition acts as functions, (uv)(i) = u(v(i)).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
 
 from .scalar import ONE, Q, SeriesBuilder, fail
@@ -109,15 +110,6 @@ def _unchecked(window):
     return w
 
 
-def identity(n):
-    return AffinePermutation(range(1, n + 1))
-
-
-def from_finite(perm):
-    """Embed a finite permutation (1-based one-line tuple) as affine."""
-    return AffinePermutation(perm)
-
-
 def transposition(n, a, b):
     """The affine transposition swapping a and b (and all their translates)."""
     if (a - b) % n == 0:
@@ -131,14 +123,6 @@ def transposition(n, a, b):
         else:
             window.append(i)
     return AffinePermutation(window)
-
-
-def canonical_transposition(n, a, b):
-    """Shift (a, b) so that a lies in 1..n and a < b."""
-    if a > b:
-        a, b = b, a
-    shift = ((a - 1) % n) - (a - 1)
-    return (a + shift, b + shift)
 
 
 def is_m_stable(w, m):
@@ -172,19 +156,6 @@ def _edges(winv_values, n, m):
 def edges(w, m):
     """Canonical (a, b) pairs of height < m whose reflection shortens w."""
     return _edges(_values(w.inverse(), w.n + m - 1), w.n, m)
-
-
-def _refine(n, edge_list):
-    out = {}
-    for a, b in edge_list:
-        i, j = sorted(((a - 1) % n + 1, (b - 1) % n + 1))
-        out[(i, j)] = out.get((i, j), 0) + 1
-    return out
-
-
-def edges_refined(w, m):
-    """Edge counts grouped by the residue-class pair {i, j}, 1 <= i < j <= n."""
-    return _refine(w.n, edges(w, m))
 
 
 @lru_cache(maxsize=None)
@@ -265,30 +236,6 @@ def paff(m, a, b):
     return left * tau(m) * right
 
 
-@lru_cache(maxsize=None)
-def young_subgroup(alpha):
-    """All elements of S_alpha inside S_n, as one-line tuples; alpha is a
-    tuple."""
-    blocks = []
-    start = 1
-    for size in alpha:
-        blocks.append(range(start, start + size))
-        start += size
-    return tuple(tuple(v for piece in pieces for v in piece)
-                 for pieces in product(*(permutations(b) for b in blocks)))
-
-
-def double_coset(w, alpha_left, alpha_right):
-    """All elements of S_alpha_left . w . S_alpha_right."""
-    out = set()
-    right = young_subgroup(tuple(alpha_right))
-    for pl in young_subgroup(tuple(alpha_left)):
-        u = from_finite(pl) * w
-        for pr in right:
-            out.add(u * from_finite(pr))
-    return out
-
-
 def left_coset_min_max(w):
     """Bruhat-minimal and maximal representatives of S_n . w.
 
@@ -332,7 +279,8 @@ def _coset_max_witness(w, alpha_left, alpha_right):
     Konvalinka, Petersen, Slofstra and Tenner, Parabolic double cosets in
     Coxeter groups, 2018), and s_i is a left descent of w exactly when
     w^{-1}(i) > w^{-1}(i + 1), a right descent when w(i) > w(i + 1).  So no
-    element of the coset is formed; double_coset lists them all."""
+    element of the coset is formed; the double_coset of tests/oracles.py
+    lists them all."""
     n = w.n
     winv = w.inverse().window
     for i in _block_steps(alpha_left):
@@ -343,24 +291,6 @@ def _coset_max_witness(w, alpha_left, alpha_right):
         if window[i - 1] < window[i]:
             return w * transposition(n, i, i + 1)
     return None
-
-
-def coset_min_max(w, alpha=None, beta=None):
-    """Bruhat-extreme representatives of S_alpha w S_beta, or of the full
-    left coset S_n w when no subgroups are given."""
-    if alpha is None and beta is None:
-        return left_coset_min_max(w)
-    alpha = alpha or (1,) * w.n
-    beta = beta or (1,) * w.n
-    coset = double_coset(w, alpha, beta)
-    return (min(coset, key=lambda v: (v.length(), v.window)),
-            max(coset, key=lambda v: (v.length(), v.window)))
-
-
-def iter_wplus(n, max_grade):
-    """All of W+_n with d-grade up to max_grade."""
-    for d in range(max_grade + 1):
-        yield from iter_wplus_graded(n, d)
 
 
 def iter_wplus_graded(n, d):
@@ -382,18 +312,6 @@ def raths_series(n, m, degree):
     return builder.build((ONE / (ONE - Q)) ** gcd(n, m)).series(())
 
 
-def b_poly_degree(w, k):
-    """Degree of the GKM leading form: sum over residue pairs of
-    (k - refined edge count) for the kn-edge set."""
-    n = w.n
-    refined = _refine(n, edges(w, k * n))
-    total = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total += k - refined.get((i, j), 0)
-    return total
-
-
 def verify_paff(n, k, degree, N):
     """Finite verification of the triple-to-permutation bijection claims.
 
@@ -408,7 +326,7 @@ def verify_paff(n, k, degree, N):
     not compared per triple because it holds for every w: the degree is
     sum_{i<j} (k - refined count) = k*C(n, 2) - |E_kn(w)|, dimv_{kn}(w) is
     max_area(n, kn) - |E_kn(w)|, and max_area(n, kn) = k*C(n, 2). The tests
-    pin that identity and b_poly_degree against dimv.
+    pin that identity: the b_poly_degree of tests/oracles.py against dimv.
     Returns a report dict; "ok" is False on the first counterexample.
     """
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,

@@ -27,26 +27,6 @@ from .labels import (_sorted_m_vectors, _sorted_triples_over,
                      is_sorted_triple, mu_partition, triple_series)
 
 
-def hom_dim(src, dst):
-    """dim Hom(O(m'; a', b') -> O(m; a, b))."""
-    mp, ap, bp = src
-    m, a, b = dst
-    return max(1 + m - mp - (1 if ap < a else 0) - (1 if bp < b else 0), 0)
-
-
-def ext_dim(src, dst):
-    mp, ap, bp = src
-    m, a, b = dst
-    return max(mp - m - 1 + (1 if ap < a else 0) + (1 if bp < b else 0), 0)
-
-
-def bundle_le(L, Lp):
-    """The total order: (m, -a, -b) lexicographically."""
-    m, a, b = L
-    mp, ap, bp = Lp
-    return (m, -a, -b) <= (mp, -ap, -bp)
-
-
 def _c_matrix(m, a, b):
     n = len(m)
     return [[m[i] - m[j] - (1 if a[j] < a[i] else 0) - (1 if b[j] < b[i] else 0)

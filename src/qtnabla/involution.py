@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import alpha_composition, content, mu_partition
-from .macdonald import _cauchy_outer_product, eigenvalue, nstat
+from .macdonald import DEFAULT_CACHE, _cauchy_outer_product, eigenvalue, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
 
 
@@ -178,14 +178,6 @@ def _move_unchecked(quad, i):
     return _from_columns(l + 1, cols)
 
 
-def move(quad, i, k=None):
-    """The crossing move; with k given, an invalid landing set is an error."""
-    out = _move_unchecked(quad, i)
-    if k is not None and not in_vanset(out, k):
-        raise ValueError(f"move({i}) leaves the summation set: {out}")
-    return out
-
-
 def _landing(quad, i, k, ranks, table):
     """The move of column i when it is movable, else None: every
     sigma-earlier partner has both pairwise entries nonpositive, and the
@@ -196,13 +188,6 @@ def _landing(quad, i, k, ranks, table):
         return None
     out = _move_unchecked(quad, i)
     return out if in_vanset(out, k) else None
-
-
-def movable(quad, i, k):
-    """Movability: the move stays in the set and every sigma-earlier partner
-    has both pairwise entries nonpositive."""
-    return _landing(quad, i, k, sigma_ranks(quad),
-                    d_k_table(quad.m, quad.b, k)) is not None
 
 
 def iota(quad, k):
@@ -271,6 +256,7 @@ def verify_vanishing(n, k, degree, N):
     """
     if k < 1:
         raise ValueError("k must be positive")
+    DEFAULT_CACHE.check_degree(n)
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "failures": [], "fixed_points": []}
 

@@ -17,23 +17,6 @@ from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
 
 
-def sort_columns(*cols):
-    """Simultaneously sort parallel sequences by ascending column lex order."""
-    if len({len(c) for c in cols}) > 1:
-        raise ValueError("sequences must have equal length")
-    rows = sorted(zip(*cols))
-    return tuple(tuple(r[i] for r in rows) for i in range(len(cols)))
-
-
-def sort_triple(m, a, b):
-    """The Def-mab representative: m decreasing, ties by a, then b increasing."""
-    if not (len(m) == len(a) == len(b)):
-        raise ValueError("sequences must have equal length")
-    rows = sorted(zip(m, a, b), key=lambda r: (-r[0], r[1], r[2]))
-    return (tuple(r[0] for r in rows), tuple(r[1] for r in rows),
-            tuple(r[2] for r in rows))
-
-
 def _ascending(keys):
     return all(u <= v for u, v in zip(keys, keys[1:]))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .scalar import ONE, Q, QtScalar, SeriesBuilder, MonomialSeries, compare
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .labels import (
     _sorted_m_vectors, attack_path, compositions, content, dinv_k, dinv_k_pair,
     is_sorted_triple, iter_sorted_pairs, mu_partition, triple_series, xi_pi,
@@ -104,17 +104,6 @@ def omega_sub_y_via_plethysm(query):
     """Oracle for omega_sub_y: substitute Y(q-1) into each xi factor through
     the power-sum route, never touching the triple enumeration."""
     return _pair_sum(query, _xi_sub_y)
-
-
-def cauchy_combinatorial(n, N, D):
-    """The k = 0 Cauchy sum: t^{|m|} q^{n(mu')} X_a Y_b / ((1-q)^n aut_q)
-    over sorted triples, where mu is the multiplicity partition of the
-    (m_i, a_i, b_i) columns, so n(mu') counts equal-column pairs."""
-    def term(m, a, b):
-        mu = mu_partition(zip(m, a, b))
-        return sum(r * (r - 1) // 2 for r in mu), mu
-
-    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +228,3 @@ def compute_omega(n, k, N, D):
     series = omega_series(OmegaQuery(n, k, N, D))
     return {"n": n, "k": k, "N": N, "D": D, "series": series.to_json(),
             "equal": True}
-
-
-def xy_swap(series):
-    """The series with the two alphabets exchanged."""
-    return MonomialSeries(series.ny, series.nx, series.degree,
-                          {(ye, xe): ts for (xe, ye), ts in series.table.items()})

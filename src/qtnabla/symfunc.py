@@ -13,16 +13,19 @@ Every basis change is one pass (`_convert`) over one transition table per
 
 A table between two bases other than p is composed through p once. Entries
 are stored as int wherever they are integral, so the m <-> s, m <-> e and
-m <-> h tables are integer matrices. omega is the plethysm
-p_r -> (-1)^(r-1) p_r.
+m <-> h tables are integer matrices.
+
+Plethysm by X g(q,t) takes the multiplier as the callable r -> g(q^r, t^r),
+the factor that p_r picks up: on the abstract alphabet it scales the p
+coefficients (plethysm_p_scale), and in finite alphabets it expands each
+power sum (plethysm_expand). omega is the plethysm p_r -> (-1)^(r-1) p_r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 
 from .scalar import ONE, Q, QtScalar, T, ZERO, _coerce
 
@@ -557,23 +560,6 @@ def poly_to_symfunc(poly, alphabet="x", basis="m"):
     return f.convert(basis) if basis != "m" else f
 
 
-def quasisym_M(alpha, N):
-    """The quasi-symmetric monomial M_alpha in x_1..x_N."""
-    alpha = tuple(alpha)
-    if any(a <= 0 for a in alpha):
-        raise ValueError("composition parts must be positive")
-    ell = len(alpha)
-    if ell > N:
-        return Poly.zero(N)
-    terms = {}
-    for cols in combinations(range(N), ell):
-        exps = [0] * N
-        for a, c in zip(alpha, cols):
-            exps[c] = a
-        terms[(tuple(exps), ())] = ONE
-    return Poly(N, 0, terms)
-
-
 def fundamental_monomials(n, N, descents):
     """The exponent vectors of the fundamental quasi-symmetric F_{n,D} in
     x_1..x_N: one per weakly increasing i_1 <= ... <= i_n in 1..N with
@@ -594,35 +580,6 @@ def fundamental_monomials(n, N, descents):
 
 # ---------------------------------------------------------------------------
 # plethysm
-
-
-def _scale_one(r):
-    return ONE
-
-
-_SCALES = {
-    "1": _scale_one,
-    "1-q": lambda r: ONE - Q ** r,
-    "1/(1-q)": lambda r: ONE / (ONE - Q ** r),
-    "t-1": lambda r: T ** r - ONE,
-    "q-1": lambda r: Q ** r - ONE,
-    "1/((1-q)(1-t))": lambda r: ONE / ((ONE - Q ** r) * (ONE - T ** r)),
-}
-
-
-@dataclass(frozen=True)
-class AlphabetExpr:
-    """A plethysm argument: optional finite alphabets times a q,t multiplier."""
-
-    nx: int | None = None
-    ny: int | None = None
-    scale: str = "1"
-
-    def scale_fn(self):
-        try:
-            return _SCALES[self.scale]
-        except KeyError:
-            raise ValueError(f"unsupported plethysm multiplier {self.scale!r}") from None
 
 
 def plethysm_p_scale(f, scale_fn):
@@ -671,9 +628,9 @@ def plethysm_expand(f, nx, ny=0, scale_fn=None):
     return out
 
 
-def plethysm(f, expr):
-    """Plethystic substitution per an AlphabetExpr; Poly for finite alphabets."""
-    fn = expr.scale_fn()
-    if expr.nx is None and expr.ny is None:
-        return plethysm_p_scale(f, fn)
-    return plethysm_expand(f, expr.nx or 0, expr.ny or 0, fn)
+def plethysm(f, scale_fn, nx=None, ny=None):
+    """f[X g(q,t)] for scale_fn(r) = g(q^r, t^r): a SymFunc on the abstract
+    alphabet, or a Poly when nx or ny gives finite alphabets."""
+    if nx is None and ny is None:
+        return plethysm_p_scale(f, scale_fn)
+    return plethysm_expand(f, nx or 0, ny or 0, scale_fn)

@@ -1,18 +1,25 @@
-"""Retired production routes, kept as independent oracles for the tests.
+"""Retired production routes, kept as independent oracles for the tests,
+and the paper objects that only the tests state.
 
-Each was the production route until a faster one replaced it; the tests
-compare the replacement with it wherever it can still run.
+Each retired route was the production route until a faster one replaced
+it; the tests compare the replacement with it wherever it can still run.
+The paper objects (Young subgroups and double cosets, bundle Hom and Ext
+dimensions, the crossing move, column sorting, the k = 0 Cauchy sum, the
+quasi-symmetric monomial) are stated and checked by the tests, and no
+subcommand computes them.
 """
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
+from qtnabla.affine import (AffinePermutation, edges, iter_wplus_graded,
+                            left_coset_min_max)
 from qtnabla.bundles import _endomorphism_slots, aut_exponent, nilp_exponent
-from qtnabla.involution import (VanQuadruple, _key, attacks_rev, d_k_table,
-                                in_vanset, sigma_ranks)
+from qtnabla.involution import (VanQuadruple, _key, _landing, _move_unchecked,
+                                attacks_rev, d_k_table, in_vanset, sigma_ranks)
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
-                            mu_partition, sort_triple)
+                            mu_partition, triple_series)
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
                             aut_q)
@@ -547,3 +554,194 @@ def _p_to_m_row(lam):
         if count:
             row[mu] = count
     return row
+
+
+# ---------------------------------------------------------------------------
+# the affine group by listing: the identity, Young subgroups, double cosets
+# and their Bruhat extremes, the refined edge counts and the degree of the
+# GKM leading form
+
+
+def identity(n):
+    return AffinePermutation(range(1, n + 1))
+
+
+def canonical_transposition(n, a, b):
+    """Shift (a, b) so that a lies in 1..n and a < b."""
+    if a > b:
+        a, b = b, a
+    shift = ((a - 1) % n) - (a - 1)
+    return (a + shift, b + shift)
+
+
+def _refine(n, edge_list):
+    out = {}
+    for a, b in edge_list:
+        i, j = sorted(((a - 1) % n + 1, (b - 1) % n + 1))
+        out[(i, j)] = out.get((i, j), 0) + 1
+    return out
+
+
+def edges_refined(w, m):
+    """Edge counts grouped by the residue-class pair {i, j}, 1 <= i < j <= n."""
+    return _refine(w.n, edges(w, m))
+
+
+@lru_cache(maxsize=None)
+def young_subgroup(alpha):
+    """All elements of S_alpha inside S_n, as one-line tuples; alpha is a
+    tuple."""
+    blocks = []
+    start = 1
+    for size in alpha:
+        blocks.append(range(start, start + size))
+        start += size
+    return tuple(tuple(v for piece in pieces for v in piece)
+                 for pieces in product(*(permutations(b) for b in blocks)))
+
+
+def double_coset(w, alpha_left, alpha_right):
+    """All elements of S_alpha_left . w . S_alpha_right."""
+    out = set()
+    right = young_subgroup(tuple(alpha_right))
+    for pl in young_subgroup(tuple(alpha_left)):
+        u = AffinePermutation(pl) * w
+        for pr in right:
+            out.add(u * AffinePermutation(pr))
+    return out
+
+
+def coset_min_max(w, alpha=None, beta=None):
+    """Bruhat-extreme representatives of S_alpha w S_beta, or of the full
+    left coset S_n w when no subgroups are given."""
+    if alpha is None and beta is None:
+        return left_coset_min_max(w)
+    alpha = alpha or (1,) * w.n
+    beta = beta or (1,) * w.n
+    coset = double_coset(w, alpha, beta)
+    return (min(coset, key=lambda v: (v.length(), v.window)),
+            max(coset, key=lambda v: (v.length(), v.window)))
+
+
+def iter_wplus(n, max_grade):
+    """All of W+_n with d-grade up to max_grade."""
+    for d in range(max_grade + 1):
+        yield from iter_wplus_graded(n, d)
+
+
+def b_poly_degree(w, k):
+    """Degree of the GKM leading form: sum over residue pairs of
+    (k - refined edge count) for the kn-edge set."""
+    n = w.n
+    refined = _refine(n, edges(w, k * n))
+    total = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            total += k - refined.get((i, j), 0)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Hom and Ext dimensions of parabolic line bundles, and their total order
+
+
+def hom_dim(src, dst):
+    """dim Hom(O(m'; a', b') -> O(m; a, b))."""
+    mp, ap, bp = src
+    m, a, b = dst
+    return max(1 + m - mp - (1 if ap < a else 0) - (1 if bp < b else 0), 0)
+
+
+def ext_dim(src, dst):
+    mp, ap, bp = src
+    m, a, b = dst
+    return max(mp - m - 1 + (1 if ap < a else 0) + (1 if bp < b else 0), 0)
+
+
+def bundle_le(L, Lp):
+    """The total order: (m, -a, -b) lexicographically."""
+    m, a, b = L
+    mp, ap, bp = Lp
+    return (m, -a, -b) <= (mp, -ap, -bp)
+
+
+# ---------------------------------------------------------------------------
+# the crossing move of one column, and its movability
+
+
+def move(quad, i, k=None):
+    """The crossing move; with k given, an invalid landing set is an error."""
+    out = _move_unchecked(quad, i)
+    if k is not None and not in_vanset(out, k):
+        raise ValueError(f"move({i}) leaves the summation set: {out}")
+    return out
+
+
+def movable(quad, i, k):
+    """Movability: the move stays in the set and every sigma-earlier partner
+    has both pairwise entries nonpositive."""
+    return _landing(quad, i, k, sigma_ranks(quad),
+                    d_k_table(quad.m, quad.b, k)) is not None
+
+
+# ---------------------------------------------------------------------------
+# sorting parallel columns, and the sorted representative of a triple
+
+
+def sort_columns(*cols):
+    """Simultaneously sort parallel sequences by ascending column lex order."""
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("sequences must have equal length")
+    rows = sorted(zip(*cols))
+    return tuple(tuple(r[i] for r in rows) for i in range(len(cols)))
+
+
+def sort_triple(m, a, b):
+    """The Def-mab representative: m decreasing, ties by a, then b increasing."""
+    if not (len(m) == len(a) == len(b)):
+        raise ValueError("sequences must have equal length")
+    rows = sorted(zip(m, a, b), key=lambda r: (-r[0], r[1], r[2]))
+    return (tuple(r[0] for r in rows), tuple(r[1] for r in rows),
+            tuple(r[2] for r in rows))
+
+
+# ---------------------------------------------------------------------------
+# the k = 0 Cauchy sum over sorted triples, and the swap of the alphabets
+
+
+def cauchy_combinatorial(n, N, D):
+    """The k = 0 Cauchy sum: t^{|m|} q^{n(mu')} X_a Y_b / ((1-q)^n aut_q)
+    over sorted triples, where mu is the multiplicity partition of the
+    (m_i, a_i, b_i) columns, so n(mu') counts equal-column pairs."""
+    def term(m, a, b):
+        mu = mu_partition(zip(m, a, b))
+        return sum(r * (r - 1) // 2 for r in mu), mu
+
+    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
+
+
+def xy_swap(series):
+    """The series with the two alphabets exchanged."""
+    return MonomialSeries(series.ny, series.nx, series.degree,
+                          {(ye, xe): ts for (xe, ye), ts in series.table.items()})
+
+
+# ---------------------------------------------------------------------------
+# the quasi-symmetric monomial
+
+
+def quasisym_M(alpha, N):
+    """The quasi-symmetric monomial M_alpha in x_1..x_N."""
+    alpha = tuple(alpha)
+    if any(a <= 0 for a in alpha):
+        raise ValueError("composition parts must be positive")
+    ell = len(alpha)
+    if ell > N:
+        return Poly.zero(N)
+    terms = {}
+    for cols in combinations(range(N), ell):
+        exps = [0] * N
+        for a, c in zip(alpha, cols):
+            exps[c] = a
+        terms[(tuple(exps), ())] = ONE
+    return Poly(N, 0, terms)

@@ -2,13 +2,13 @@ from math import comb
 
 import pytest
 
+from oracles import (b_poly_degree, canonical_transposition, double_coset,
+                     edges_refined, identity, iter_wplus)
 from qtnabla.scalar import ONE, Q
 from qtnabla.affine import (
-    AffinePermutation, _coset_max_witness, b_poly_degree,
-    canonical_transposition, coarea_path, dimv, double_coset, edges,
-    edges_refined, from_finite, identity, is_m_restricted, is_m_stable,
-    iter_wplus, left_coset_min_max, max_area, paff, raths_series, standardize,
-    tau, transposition, verify_paff, wvec,
+    AffinePermutation, _coset_max_witness, coarea_path, dimv, edges,
+    is_m_restricted, is_m_stable, left_coset_min_max, max_area, paff,
+    raths_series, standardize, tau, transposition, verify_paff, wvec,
 )
 from qtnabla.labels import alpha_composition, compositions, iter_sorted_triples
 
@@ -296,7 +296,7 @@ def test_trivial_coset():
 
 
 def test_coset_min_max_wrapper():
-    from qtnabla.affine import coset_min_max
+    from oracles import coset_min_max
     w = AffinePermutation((3, 2, 12, 5))
     assert coset_min_max(w, (1, 1, 1, 1), (1, 1, 1, 1)) == (w, w)
     wmin, wmax = coset_min_max(w, (1, 3), (2, 1, 1))
@@ -324,10 +324,10 @@ def test_left_coset_min_max_figure_pair():
 
 
 def test_left_coset_extremes_are_extreme():
-    from qtnabla.affine import young_subgroup
+    from oracles import young_subgroup
     w = paff((1, 0), (2, 1), (1, 1))
     wmin, wmax = left_coset_min_max(w)
-    lengths = {(from_finite(p) * w).length() for p in young_subgroup((w.n,))}
+    lengths = {(AffinePermutation(p) * w).length() for p in young_subgroup((w.n,))}
     assert wmin.length() == min(lengths)
     assert wmax.length() == max(lengths)
 

@@ -1,12 +1,12 @@
 import pytest
 
 from oracles import (aut_count_symbolic, brute_force_counts_by_dicts,
-                     bundle_sweep_triples)
+                     bundle_le, bundle_sweep_triples, ext_dim, hom_dim)
 from qtnabla.scalar import ONE, Q, QtScalar, T, q_factorial
 from qtnabla.bundles import (
-    aut_count, brute_force_counts, bundle_le, bundle_side_series, ext_dim,
-    hom_dim, nilp_count, product_side_expansion, verify_bundle_counts,
-    verify_bundle_series, verify_product_identity,
+    aut_count, brute_force_counts, bundle_side_series, nilp_count,
+    product_side_expansion, verify_bundle_counts, verify_bundle_series,
+    verify_product_identity,
 )
 
 

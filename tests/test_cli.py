@@ -194,17 +194,20 @@ def test_bundle_cap_fails_before_the_oracle(monkeypatch, capsys):
 def test_degree_cap_fails_before_the_macdonald_walk(monkeypatch, capsys):
     """A degree above the H~ cap exits 2 before any partition of n is
     listed or any per-lambda series is formed."""
+    import qtnabla.involution as involution
     import qtnabla.macdonald as macdonald
 
     def never(*args):
         raise AssertionError("the Macdonald walk ran before the cap check")
     monkeypatch.setattr(macdonald, "partitions", never)
     monkeypatch.setattr(macdonald, "_signed_w_inverse_series", never)
+    monkeypatch.setattr(involution, "enumerate_van", never)
     for argv in (("compute", "nabla", "--n", "9"),
                  ("compute", "parking", "--n", "9"),
                  ("verify-shuffle", "--n", "9"),
                  ("verify-main", "--n", "9", "--N", "1", "--D", "0"),
-                 ("verify-involution", "--n", "9", "--N", "1", "--D", "0")):
+                 ("verify-involution", "--n", "9", "--N", "1", "--D", "0"),
+                 ("verify-involution", "--n", "9", "--N", "9", "--D", "8")):
         assert run_cli(*argv) == (2, ""), argv
         assert capsys.readouterr().err == \
             "error: degree 9 above the configured cap 8\n", argv

@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import movable, move
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.involution import (
     VanQuadruple, canonical_fixed_point, d_k_rev, d_k_table, enumerate_van,
-    in_vanset, iota, move, movable, sigma_ranks, t_diagram, verify_vanishing,
+    in_vanset, iota, sigma_ranks, t_diagram, verify_vanishing,
 )
 
 # the worked quadruple: l = 2, columns (a | m | b)

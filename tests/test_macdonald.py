@@ -374,8 +374,9 @@ def test_htilde_is_star_orthogonal():
 
 def _direct_cauchy_expand(n, N, D):
     """e_n[XY/((1-q)(1-t))] via raw plethysm, independent of the H-tilde route."""
-    from qtnabla.symfunc import AlphabetExpr, plethysm
-    poly = plethysm(SymFunc.e(n), AlphabetExpr(nx=N, ny=N, scale="1/((1-q)(1-t))"))
+    from qtnabla.symfunc import plethysm
+    poly = plethysm(SymFunc.e(n), lambda r: ONE / ((ONE - Q ** r) * (ONE - T ** r)),
+                    nx=N, ny=N)
     table = {}
     for (xe, ye), c in poly.terms.items():
         table[(xe, ye)] = c.t_expand(D)

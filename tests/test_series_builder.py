@@ -41,7 +41,7 @@ CALLERS = {
     "omega_sub_y": (_omega(omega.omega_sub_y), GRID),
     "omega_sub_y_via_plethysm": (_omega(omega.omega_sub_y_via_plethysm), GRID),
     "cauchy_combinatorial": (
-        lambda n, k, N, D: omega.cauchy_combinatorial(n, N, D),
+        lambda n, k, N, D: oracles.cauchy_combinatorial(n, N, D),
         [s for s in GRID if s[1] == 0]),
     "signed_quadruple_series": (involution.signed_quadruple_series, GRID),
     "cauchy_macdonald_series": (macdonald.cauchy_macdonald_series,

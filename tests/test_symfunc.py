@@ -3,12 +3,12 @@ from math import comb, factorial, prod
 
 import pytest
 
-from oracles import _p_to_m_row
+from oracles import _p_to_m_row, quasisym_M
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.symfunc import (
-    AlphabetExpr, Poly, SymFunc, _table, conjugate, dominance_leq,
+    Poly, SymFunc, _table, conjugate, dominance_leq,
     distinct_permutations, fundamental_monomials, partitions, plethysm, plethysm_expand,
-    plethysm_p_scale, poly_to_symfunc, quasisym_M, sort_partition, zee,
+    plethysm_p_scale, poly_to_symfunc, sort_partition, zee,
 )
 
 
@@ -239,7 +239,7 @@ def test_plethysm_identity_and_linearity():
 
 def test_plethysm_power_sum_rule():
     # p_2[X(1-q)] = (1-q^2) p_2
-    out = plethysm(SymFunc.p(2), AlphabetExpr(scale="1-q"))
+    out = plethysm(SymFunc.p(2), lambda r: ONE - Q ** r)
     assert out == SymFunc.p(2).scale(ONE - Q * Q)
 
 
@@ -252,12 +252,13 @@ def test_plethysm_multiplicative():
 
 def test_plethysm_finite_alphabet_is_substitution():
     f = SymFunc.s((2, 1))
-    assert plethysm(f, AlphabetExpr(nx=3)) == f.expand(3)
+    assert plethysm(f, lambda r: ONE, nx=3) == f.expand(3)
 
 
 def test_plethysm_cauchy_single_term():
     # h_1[XY/((1-q)(1-t))] with one variable each
-    out = plethysm(SymFunc.h(1), AlphabetExpr(nx=1, ny=1, scale="1/((1-q)(1-t))"))
+    out = plethysm(SymFunc.h(1), lambda r: ONE / ((ONE - Q ** r) * (ONE - T ** r)),
+                   nx=1, ny=1)
     assert out.terms == {((1,), (1,)): ONE / ((ONE - Q) * (ONE - T))}
 
 
@@ -266,7 +267,7 @@ def test_plethysm_en_over_one_minus_q():
     from qtnabla.scalar import aut_q
     from itertools import combinations_with_replacement
     n, N = 3, 3
-    lhs = plethysm(SymFunc.e(n), AlphabetExpr(nx=N, scale="1/(1-q)"))
+    lhs = plethysm(SymFunc.e(n), lambda r: ONE / (ONE - Q ** r), nx=N)
     terms = {}
     for a in combinations_with_replacement(range(1, N + 1), n):
         mult = sort_partition(tuple(a.count(v) for v in set(a)))
@@ -275,11 +276,6 @@ def test_plethysm_en_over_one_minus_q():
         coeff = QtScalar.monomial(q=nconj) / ((ONE - Q) ** n * aut_q(mult))
         terms[(exps, ())] = coeff
     assert lhs == Poly(N, 0, terms)
-
-
-def test_plethysm_rejects_unknown_scale():
-    with pytest.raises(ValueError):
-        plethysm(SymFunc.e(1), AlphabetExpr(scale="1-q^2"))
 
 
 def test_rendering():

@@ -4,7 +4,13 @@ workload (perfbench/run.py) calls package functions by name, and counts a
 call that raises as a failed operation; its cli workloads run command lines.
 These tests resolve every such name and parse every such command line the
 same way, so a rename fails the test suite instead of only the benchmark
-run."""
+run.
+
+They also keep src/qtnabla to what a subcommand serves: a walk by name from
+the COMMANDS rows, cli.py and the benchmark's pins must reach every
+top-level definition there, or the definition is moved to tests/oracles.py,
+deleted, or listed in SERVED_ALLOWLIST with its reason.  The same walk from
+the test modules must reach every definition of tests/oracles.py."""
 
 import ast
 import importlib
@@ -13,8 +19,27 @@ import inspect
 import pathlib
 import sys
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = pathlib.Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+PACKAGE = TESTS.parent / "src" / "qtnabla"
+
+_CANCELLATION = ("the shuffle cancellation analysis, a check of the paper "
+                 "that only the tests run until it becomes a row or moves "
+                 "(ROADMAP item 1)")
+
+# (module, name) of each top-level definition in src/qtnabla that no served
+# root reaches, kept on purpose, with the reason
+SERVED_ALLOWLIST = {
+    **{("shuffle", name): _CANCELLATION
+       for name in ("pf", "npf", "rho_inverse", "in_shuffle_set", "_in_a",
+                    "_in_b", "five_condition_witness", "signed_truncated_sum",
+                    "cancellation_check")},
+    ("symfunc", "fundamental_monomials"): "the F_{n,D} expansion that "
+        "verify-xi is to be routed through (ROADMAP item 7)",
+    ("scalar", "aut_q"): "a public name of qtnabla.__all__; no subcommand "
+        "calls it, since the series count 1/aut_q(mu) through q_multinomial",
+}
 
 
 def _tracer_targets():
@@ -87,8 +112,7 @@ def test_readme_usage_lines_parse():
 def test_package_imports_only_the_standard_library():
     """Every absolute import in src/qtnabla is a standard-library module or
     qtnabla itself, as pyproject.toml's empty dependency list promises."""
-    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "qtnabla"
-    sources = sorted(package.glob("*.py"))
+    sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -102,3 +126,78 @@ def test_package_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "qtnabla", \
                     (path.name, name)
+
+
+def _names(node):
+    """Every name the code of node reads: its Name ids and the attributes it
+    looks up, so that module.function counts as a read of function."""
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute))}
+
+
+def _walk(paths, roots):
+    """The top-level definitions of the modules at paths, as {(module, name)},
+    and those among them that a walk by name does not reach.
+
+    The walk starts at roots and at every top-level statement of the modules
+    that is neither a definition nor an import, and follows the whole body of
+    each definition it reaches, methods included.  It matches names only, so
+    a definition counts as reached when any reached code reads its name."""
+    defined, todo = {}, set(roots)
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo |= _names(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, node in defined.get(name, ()):
+            todo |= _names(node) - reached
+    everything = {(module, name) for name, nodes in defined.items()
+                  for module, _ in nodes}
+    return everything, {(module, name) for module, name in everything
+                        if name not in reached}
+
+
+def test_every_package_definition_is_served():
+    """Each top-level def or class in src/qtnabla is reached from a served
+    root or listed in SERVED_ALLOWLIST; each entry there names a definition
+    that exists and that no root reaches.  The served roots are the check of
+    each COMMANDS row, every name cli.py reads, and every name the benchmark
+    pins: the tracer targets and the enum-sweep cases."""
+    from qtnabla.cli import COMMANDS
+    roots = {check for _, _, check, _ in COMMANDS.values()}
+    roots |= _names(ast.parse((PACKAGE / "cli.py").read_text()))
+    roots |= {part for _, qualname, *_ in _tracer_targets()
+              for part in qualname.split(".")}
+    roots |= {name for _, name, _ in _bench_cases("ENUM_CASES")}
+    defined, unreached = _walk(sorted(PACKAGE.glob("*.py")), roots)
+    allowed = set(SERVED_ALLOWLIST)
+    assert not unreached - allowed, \
+        f"no subcommand or benchmark pin reaches {sorted(unreached - allowed)}"
+    assert not allowed - defined, \
+        f"SERVED_ALLOWLIST names no definition: {sorted(allowed - defined)}"
+    assert not allowed - unreached, \
+        f"SERVED_ALLOWLIST entries are served: {sorted(allowed - unreached)}"
+
+
+def test_every_oracle_is_used_by_a_test():
+    roots = set()
+    for path in TESTS.glob("test_*.py"):
+        roots |= _names(ast.parse(path.read_text()))
+    _, unreached = _walk([TESTS / "oracles.py"], roots)
+    assert not unreached, f"no test reaches {sorted(unreached)}"
+
+
+def test_package_all_binds_every_name():
+    """`from qtnabla import *` binds each name of __all__; a stale export
+    raises or leaves the name unbound."""
+    import qtnabla
+    namespace = {}
+    exec("from qtnabla import *", namespace)
+    assert qtnabla.__all__
+    assert not set(qtnabla.__all__) - set(namespace)
