@@ -71,6 +71,12 @@ CASES = {
         "verify-fulltwist", "--n", "3", "--k", "2", "--D", "5", "--hilbert",
         "--format", "json"),
     "verify-xi-n4.json": ("verify-xi", "--n", "4", "--format", "json"),
+    "verify-involution-n3-k1-N3-D4.json": (
+        "verify-involution", "--n", "3", "--k", "1", "--N", "3", "--D", "4",
+        "--format", "json"),
+    "verify-bundles-n2-k1-N3-D4.json": (
+        "verify-bundles", "--n", "2", "--k", "1", "--N", "3", "--D", "4",
+        "--primes", "2,3", "--format", "json"),
     "compute-macdonald.json": ("compute", "macdonald", "--lambda", "2",
                                "--format", "json"),
     "compute-nabla.json": ("compute", "nabla", "--n", "2", "--k", "1",
