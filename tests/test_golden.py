@@ -9,6 +9,7 @@ diff.
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 from types import SimpleNamespace
@@ -190,6 +191,60 @@ def test_verify_vanishing_counterexample(monkeypatch):
     assert rep["failures"] == [{
         "kind": "signed-sum", "x_exp": [1, 1], "y_exp": [1, 1], "t_deg": 1,
         "lhs": "1", "rhs": "-q + 1"}]
+
+
+def test_verify_vanishing_q_weight_counterexample(monkeypatch):
+    # the statistic read off the first column no longer survives the move
+    real = involution.d_k_rev
+    monkeypatch.setattr(involution, "d_k_rev",
+                        lambda m, b, k: real(m, b, k) + m[0])
+    rep = involution.verify_vanishing(2, 1, 2, 2)
+    quad = involution.VanQuadruple(0, (1, 2), (0, 2), (1, 1))
+    image = involution.VanQuadruple(1, (2, 1), (2, 0), (1, 1))
+    assert rep == {"n": 2, "k": 1, "D": 2, "N": 2, "ok": False,
+                   "failures": [{"kind": "q-weight", "quad": quad,
+                                 "image": image}],
+                   "fixed_points": []}
+    code, out = _report(("verify-involution", "--n", "2", "--k", "1",
+                         "--N", "2", "--D", "2"))
+    assert code == 1
+    assert out.decode() == (
+        "verify-involution: FAIL\n  D = 2\n  N = 2\n"
+        '  failures = [{"image": "VanQuadruple(l=1, a=(2, 1), m=(2, 0), '
+        'b=(1, 1))", "kind": "q-weight", "quad": "VanQuadruple(l=0, '
+        'a=(1, 2), m=(0, 2), b=(1, 1))"}]\n'
+        "  fixed_points = []\n  k = 1\n  n = 2\n  ok = false\n")
+
+
+def test_verify_vanishing_involution_counterexample(monkeypatch):
+    # iota fixes every quadruple with a nonempty left side, so the first
+    # moved quadruple does not come back
+    real = involution.iota
+    monkeypatch.setattr(involution, "iota",
+                        lambda quad, k: real(quad, k) if quad.l == 0 else quad)
+    rep = involution.verify_vanishing(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["fixed_points"] == []
+    assert rep["failures"] == [{
+        "kind": "involution",
+        "quad": involution.VanQuadruple(0, (1, 1), (2, 0), (1, 1)),
+        "image": involution.VanQuadruple(1, (1, 1), (2, 0), (1, 1))}]
+    code, out = _report(("verify-involution", "--n", "2", "--k", "1",
+                         "--N", "2", "--D", "2", "--format", "json"))
+    assert code == 1
+    assert json.loads(out)["failures"] == [{
+        "image": "VanQuadruple(l=1, a=(1, 1), m=(2, 0), b=(1, 1))",
+        "kind": "involution",
+        "quad": "VanQuadruple(l=0, a=(1, 1), m=(2, 0), b=(1, 1))"}]
+
+
+def test_verify_vanishing_dominance_counterexample(monkeypatch):
+    monkeypatch.setattr(involution, "dominance_leq", lambda lam, mu: False)
+    rep = involution.verify_vanishing(2, 1, 2, 2)
+    assert rep["ok"] is False and rep["failures"] == [{
+        "kind": "dominance",
+        "quad": involution.VanQuadruple(0, (1, 1), (0, 0), (1, 2))}]
+    assert str(rep["failures"][0]["quad"]) == \
+        "VanQuadruple(l=0, a=(1, 1), m=(0, 0), b=(1, 2))"
 
 
 def test_verify_xi_factoring_counterexample(monkeypatch):
