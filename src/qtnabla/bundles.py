@@ -253,38 +253,58 @@ def bundle_side_series(n, k, N, degree):
     pref = k * comb(n, 2)
 
     def term(m, a, b):
-        return (pref + nilp_exponent(m, a, b, k) - aut_exponent(m, a, b),
-                mu_partition(zip(m, a, b)))
+        mu = mu_partition(zip(m, a, b))
+        return pref + _exponent_gap(m, a, b, k, mu), mu
 
     return triple_series(n, N, degree, term, ONE / (Q - ONE) ** n)
+
+
+def _exponent_gap(m, a, b, k, mu):
+    """nilp_exponent - aut_exponent from one c matrix, where mu is the
+    multiplicity partition of the columns."""
+    c = _c_matrix(m, a, b)
+    n = len(m)
+    gap = sum(max(1 - k + c[i][j], 0) - max(1 + c[i][j], 0)
+              for i in range(n) for j in range(i + 1, n))
+    if k == 0:
+        gap += sum(comb(r, 2) for r in mu)
+    return gap
 
 
 def product_side_expansion(max_total, N, t_degree, q_degree):
     """The k = 0 product over (m, a, b, r) of (1 - x_a y_b t^m q^r), truncated
     to xy-degree <= max_total, t-degree and q-degree as given.
 
-    Keys are (x_exponents, y_exponents, t_deg, q_deg) -> integer.
+    Keys are (x_exponents, y_exponents, t_deg, q_deg) -> integer.  Each
+    factor raises the xy-degree by one, so the terms are kept in layers of
+    xy-degree, each grouped by (t_deg, q_deg); a factor is multiplied in
+    from the top layer down, so every layer it extends is read before the
+    factor changes it, and only the groups it can extend are read.
     """
-    out = {((0,) * N, (0,) * N, 0, 0): 1}
+    zero = (0,) * N
+    layers = [{} for _ in range(max_total + 1)]
+    layers[0][0, 0] = {(zero, zero): 1}
     for mm in range(t_degree + 1):
-        for av in range(1, N + 1):
-            for bv in range(1, N + 1):
+        for av in range(N):
+            for bv in range(N):
                 for r in range(q_degree + 1):
-                    new = dict(out)
-                    for (xe, ye, td, qd), c in out.items():
-                        if sum(xe) + 1 > max_total or td + mm > t_degree \
-                                or qd + r > q_degree:
-                            continue
-                        nxe = list(xe)
-                        nxe[av - 1] += 1
-                        nye = list(ye)
-                        nye[bv - 1] += 1
-                        key = (tuple(nxe), tuple(nye), td + mm, qd + r)
-                        new[key] = new.get(key, 0) - c
-                        if not new[key]:
-                            del new[key]
-                    out = new
-    return out
+                    for d in range(max_total - 1, -1, -1):
+                        upper = layers[d + 1]
+                        for (td, qd), terms in layers[d].items():
+                            if td + mm > t_degree or qd + r > q_degree:
+                                continue
+                            target = upper.setdefault((td + mm, qd + r), {})
+                            for (xe, ye), c in terms.items():
+                                key = (xe[:av] + (xe[av] + 1,) + xe[av + 1:],
+                                       ye[:bv] + (ye[bv] + 1,) + ye[bv + 1:])
+                                v = target.get(key, 0) - c
+                                if v:
+                                    target[key] = v
+                                else:
+                                    del target[key]
+    return {(xe, ye, td, qd): c for layer in layers
+            for (td, qd), terms in layer.items()
+            for (xe, ye), c in terms.items()}
 
 
 def verify_bundle_counts(nmax, mmax, lmax, primes, ks):

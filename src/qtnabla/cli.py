@@ -106,8 +106,9 @@ SIZES = ("n", "k", "N", "D", "mmax", "lmax", "qdegree")  # checked in order
 
 def _emit(report, args):
     ok = report.get("equal", report.get("ok", False))
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args.format == "text":
+    if args.format == "json":
+        text = json.dumps(report, indent=2, sort_keys=True, default=str)
+    else:
         text = "\n".join(
             [f"{report.get('command', 'report')}: {'PASS' if ok else 'FAIL'}"]
             + [f"  {key} = {json.dumps(report[key], sort_keys=True, default=str)}"

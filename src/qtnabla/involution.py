@@ -10,8 +10,7 @@ forward, under the key (a ascending, m descending on ties, b ascending).
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import alpha_composition, content, mu_partition
@@ -19,14 +18,27 @@ from .macdonald import DEFAULT_CACHE, _cauchy_outer_product, eigenvalue, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
 
 
-@dataclass(frozen=True)
 class VanQuadruple:
-    """(l, a, m, b) with the dividing line after position l."""
+    """(l, a, m, b) with the dividing line after position l; a value, equal
+    and hashed by its four fields."""
 
-    l: int
-    a: tuple
-    m: tuple
-    b: tuple
+    __slots__ = ("l", "a", "m", "b")
+
+    def __init__(self, l, a, m, b):
+        self.l, self.a, self.m, self.b = l, a, m, b
+
+    def __repr__(self):
+        return (f"VanQuadruple(l={self.l!r}, a={self.a!r}, m={self.m!r}, "
+                f"b={self.b!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not VanQuadruple:
+            return NotImplemented
+        return (self.l, self.a, self.m, self.b) == \
+            (other.l, other.a, other.m, other.b)
+
+    def __hash__(self):
+        return hash((self.l, self.a, self.m, self.b))
 
     @property
     def n(self):
@@ -57,19 +69,6 @@ def attacks_rev(mi, mj, k):
     return mj - k + 1 <= mi <= mj + k
 
 
-def d_k_table(m, b, k):
-    """The full pairwise table of the reverse-frame statistic."""
-    n = len(m)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if m[i] > m[j]:
-                table[i][j] = k + m[j] - m[i] + (1 if b[i] > b[j] else 0)
-            else:
-                table[i][j] = k - 1 + m[i] - m[j] + (1 if b[i] < b[j] else 0)
-    return table
-
-
 def d_k_rev(m, b, k):
     """Sum of the positive above-diagonal entries of the pairwise table."""
     n = len(m)
@@ -83,28 +82,6 @@ def d_k_rev(m, b, k):
             if v > 0:
                 total += v
     return total
-
-
-def in_vanset(quad, k):
-    """Membership test for the quadruple summation set."""
-    l, a, m, b = quad.l, quad.a, quad.m, quad.b
-    n = quad.n
-    if not 0 <= l <= n:
-        return False
-    if any(m[i] <= 0 for i in range(l)):
-        return False
-    cols = quad.columns()
-    left = [_key(c) for c in cols[:l]]
-    if any(left[i] < left[i + 1] for i in range(l - 1)):
-        return False
-    right = [_key(c) for c in cols[l:]]
-    if any(right[i] > right[i + 1] for i in range(len(right) - 1)):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if attacks_rev(m[i], m[j], k) and b[i] == b[j]:
-                return False
-    return True
 
 
 def enumerate_van(n, k, degree, N, l_values=None):
@@ -156,48 +133,56 @@ def enumerate_van(n, k, degree, N, l_values=None):
         yield from rec(l, [], degree, 0)
 
 
-def sigma_ranks(quad):
-    """The global sorting permutation: rank of each position under the key."""
-    order = sorted(range(quad.n), key=lambda i: _key((quad.a[i], quad.m[i], quad.b[i])))
-    ranks = [0] * quad.n
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = rank
-    return tuple(ranks)
+def _blocks(m, b, mj, bj, k):
+    """Either pairwise entry of columns (m, b) and (mj, bj) is positive: the
+    two entries differ by one, and the larger is the one whose first column
+    has the larger m, or either one when the m's tie."""
+    if m == mj:
+        return k + (b != bj) > 1
+    if m < mj:
+        m, b, mj, bj = mj, bj, m, b
+    return k + mj - m + (b > bj) > 0
 
 
-def _move_unchecked(quad, i):
-    """Move column i (1-based) across the dividing line, re-sorting its side:
-    the right side ascends under the key, the left side descends."""
-    cols = quad.columns()
-    col = cols.pop(i - 1)
-    l = quad.l
-    if i <= l:
-        insort(cols, col, lo=l - 1, key=_key)
-        return _from_columns(l - 1, cols)
-    insort(cols, col, hi=l, key=_reversed_key)
-    return _from_columns(l + 1, cols)
-
-
-def _landing(quad, i, k, ranks, table):
-    """The move of column i when it is movable, else None: every
-    sigma-earlier partner has both pairwise entries nonpositive, and the
-    move stays in the set."""
-    me = i - 1
-    if any(ranks[j] < ranks[me] and (table[me][j] > 0 or table[j][me] > 0)
-           for j in range(quad.n)):
+def _landing(cols, l, i, k):
+    """The quadruple with column i (0-based) of cols moved across the line
+    after position l, or None when it leaves the set.  The right side
+    ascends under the key and the left side descends, so the insertion
+    keeps both sorted; since cols lies in the set, the move can only fail
+    by an attack on the moved column at its new place, or by m = 0 on the
+    left."""
+    col = cols[i]
+    rest = cols[:i] + cols[i + 1:]
+    if i < l:
+        l -= 1
+        p = bisect_right(rest, _key(col), lo=l, key=_key)
+    elif col[1]:
+        p = bisect_right(rest, _reversed_key(col), hi=l, key=_reversed_key)
+        l += 1
+    else:
         return None
-    out = _move_unchecked(quad, i)
-    return out if in_vanset(out, k) else None
+    _, m, b = col
+    for j, (_, mj, bj) in enumerate(rest):
+        if bj == b and (attacks_rev(mj, m, k) if j < p
+                        else attacks_rev(m, mj, k)):
+            return None
+    rest.insert(p, col)
+    return _from_columns(l, rest)
 
 
 def iota(quad, k):
-    """The involution: move the movable column of smallest sigma rank."""
-    ranks = sigma_ranks(quad)
-    table = d_k_table(quad.m, quad.b, k)
-    for i in sorted(range(1, quad.n + 1), key=lambda i: ranks[i - 1]):
-        out = _landing(quad, i, k, ranks, table)
-        if out is not None:
-            return out
+    """The involution: move the movable column of smallest sigma rank, the
+    rank of its key among all columns.  A column is movable when no
+    sigma-earlier column blocks it and its move stays in the set."""
+    cols = quad.columns()
+    earlier = []
+    for i in sorted(range(len(cols)), key=lambda i: _key(cols[i])):
+        _, m, b = cols[i]
+        if not any(_blocks(m, b, mj, bj, k) for mj, bj in earlier):
+            out = _landing(cols, quad.l, i, k)
+            if out is not None:
+                return out
+        earlier.append((m, b))
     return quad
 
 

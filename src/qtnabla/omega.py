@@ -11,7 +11,6 @@ polynomial over [n]_q!, reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
@@ -22,18 +21,29 @@ from .labels import (
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
 
-@dataclass(frozen=True)
 class OmegaQuery:
-    """Parameters of a combinatorial series computation."""
+    """Parameters of a combinatorial series computation; a value, equal and
+    hashed by its four fields."""
 
-    n: int
-    k: int
-    N: int
-    D: int
+    __slots__ = ("n", "k", "N", "D")
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0 or self.N < 1 or self.D < 0:
+    def __init__(self, n, k, N, D):
+        if n < 1 or k < 0 or N < 1 or D < 0:
             raise ValueError("need n >= 1, k >= 0, N >= 1, D >= 0")
+        self.n, self.k, self.N, self.D = n, k, N, D
+
+    def __repr__(self):
+        return (f"OmegaQuery(n={self.n!r}, k={self.k!r}, N={self.N!r}, "
+                f"D={self.D!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not OmegaQuery:
+            return NotImplemented
+        return (self.n, self.k, self.N, self.D) == \
+            (other.n, other.k, other.N, other.D)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.N, self.D))
 
 
 def _add_q_polynomial(builder, key, d, q_exp, mu, c):

@@ -10,14 +10,15 @@ subcommand computes them.
 """
 
 from functools import lru_cache
+from bisect import insort
 from itertools import combinations, permutations, product
 from math import comb
 
 from qtnabla.affine import (AffinePermutation, edges, iter_wplus_graded,
                             left_coset_min_max)
 from qtnabla.bundles import _endomorphism_slots, aut_exponent, nilp_exponent
-from qtnabla.involution import (VanQuadruple, _key, _landing, _move_unchecked,
-                                attacks_rev, d_k_table, in_vanset, sigma_ranks)
+from qtnabla.involution import (VanQuadruple, _from_columns, _key,
+                                _reversed_key, attacks_rev)
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
                             mu_partition, triple_series)
 from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
@@ -160,6 +161,35 @@ def bundle_side_series_per_term(n, k, N, degree):
             builder.add_term((xe, ye), d, nilp_count_symbolic(m, a, b, k) * pref,
                              aut_count_symbolic(m, a, b))
     return builder.build()
+
+
+# ---------------------------------------------------------------------------
+# the truncated product with the whole expansion copied and rescanned for
+# each factor, the route the layers by xy-degree replaced
+
+
+def product_side_expansion_by_copies(max_total, N, t_degree, q_degree):
+    """bundles.product_side_expansion, one copy of the dict per factor."""
+    out = {((0,) * N, (0,) * N, 0, 0): 1}
+    for mm in range(t_degree + 1):
+        for av in range(1, N + 1):
+            for bv in range(1, N + 1):
+                for r in range(q_degree + 1):
+                    new = dict(out)
+                    for (xe, ye, td, qd), c in out.items():
+                        if sum(xe) + 1 > max_total or td + mm > t_degree \
+                                or qd + r > q_degree:
+                            continue
+                        nxe = list(xe)
+                        nxe[av - 1] += 1
+                        nye = list(ye)
+                        nye[bv - 1] += 1
+                        key = (tuple(nxe), tuple(nye), td + mm, qd + r)
+                        new[key] = new.get(key, 0) - c
+                        if not new[key]:
+                            del new[key]
+                    out = new
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +360,92 @@ def macdonald_substituted_series_per_term(n, k, N, D):
 
 
 # ---------------------------------------------------------------------------
+# the involution through the full pairwise table: sigma ranks and the n x n
+# table per call, and the summation-set test rerun on every candidate move
+
+
+def d_k_table(m, b, k):
+    """The full pairwise table of the reverse-frame statistic."""
+    n = len(m)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if m[i] > m[j]:
+                table[i][j] = k + m[j] - m[i] + (1 if b[i] > b[j] else 0)
+            else:
+                table[i][j] = k - 1 + m[i] - m[j] + (1 if b[i] < b[j] else 0)
+    return table
+
+
+def in_vanset(quad, k):
+    """Membership test for the quadruple summation set."""
+    l, a, m, b = quad.l, quad.a, quad.m, quad.b
+    n = quad.n
+    if not 0 <= l <= n:
+        return False
+    if any(m[i] <= 0 for i in range(l)):
+        return False
+    cols = quad.columns()
+    left = [_key(c) for c in cols[:l]]
+    if any(left[i] < left[i + 1] for i in range(l - 1)):
+        return False
+    right = [_key(c) for c in cols[l:]]
+    if any(right[i] > right[i + 1] for i in range(len(right) - 1)):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if attacks_rev(m[i], m[j], k) and b[i] == b[j]:
+                return False
+    return True
+
+
+def sigma_ranks(quad):
+    """The global sorting permutation: rank of each position under the key."""
+    order = sorted(range(quad.n), key=lambda i: _key((quad.a[i], quad.m[i], quad.b[i])))
+    ranks = [0] * quad.n
+    for rank, i in enumerate(order, start=1):
+        ranks[i] = rank
+    return tuple(ranks)
+
+
+def move_unchecked(quad, i):
+    """Move column i (1-based) across the dividing line, re-sorting its side:
+    the right side ascends under the key, the left side descends."""
+    cols = quad.columns()
+    col = cols.pop(i - 1)
+    l = quad.l
+    if i <= l:
+        insort(cols, col, lo=l - 1, key=_key)
+        return _from_columns(l - 1, cols)
+    insort(cols, col, hi=l, key=_reversed_key)
+    return _from_columns(l + 1, cols)
+
+
+def landing_by_table(quad, i, k, ranks, table):
+    """The move of column i when it is movable, else None: every
+    sigma-earlier partner has both pairwise entries nonpositive, and the
+    move stays in the set."""
+    me = i - 1
+    if any(ranks[j] < ranks[me] and (table[me][j] > 0 or table[j][me] > 0)
+           for j in range(quad.n)):
+        return None
+    out = move_unchecked(quad, i)
+    return out if in_vanset(out, k) else None
+
+
+def iota_by_table(quad, k):
+    """involution.iota through the table and the set test: move the movable
+    column of smallest sigma rank."""
+    ranks = sigma_ranks(quad)
+    table = d_k_table(quad.m, quad.b, k)
+    for i in sorted(range(1, quad.n + 1), key=lambda i: ranks[i - 1]):
+        out = landing_by_table(quad, i, k, ranks, table)
+        if out is not None:
+            return out
+    return quad
+
+
+# ---------------------------------------------------------------------------
 # the involution with per-column rescans: sigma and the pairwise table per
 # candidate column, hand-written insertion loops, and a prefix rescan for
 # attacks at every candidate column of the quadruple walk
@@ -386,7 +502,7 @@ def _insert_position(sorted_keys, key):
 
 
 def move_by_scan(quad, i):
-    """involution._move_unchecked with hand-written insertion loops."""
+    """move_unchecked with hand-written insertion loops."""
     cols = quad.columns()
     col = cols.pop(i - 1)
     l = quad.l
@@ -410,7 +526,7 @@ def move_by_scan(quad, i):
 
 
 def movable_by_rescan(quad, i, k):
-    """involution.movable, building the move, sigma and the table anew."""
+    """movable, building the move, sigma and the table anew."""
     if not in_vanset(move_by_scan(quad, i), k):
         return False
     ranks = sigma_ranks(quad)
@@ -671,7 +787,7 @@ def bundle_le(L, Lp):
 
 def move(quad, i, k=None):
     """The crossing move; with k given, an invalid landing set is an error."""
-    out = _move_unchecked(quad, i)
+    out = move_unchecked(quad, i)
     if k is not None and not in_vanset(out, k):
         raise ValueError(f"move({i}) leaves the summation set: {out}")
     return out
@@ -680,8 +796,8 @@ def move(quad, i, k=None):
 def movable(quad, i, k):
     """Movability: the move stays in the set and every sigma-earlier partner
     has both pairwise entries nonpositive."""
-    return _landing(quad, i, k, sigma_ranks(quad),
-                    d_k_table(quad.m, quad.b, k)) is not None
+    return landing_by_table(quad, i, k, sigma_ranks(quad),
+                            d_k_table(quad.m, quad.b, k)) is not None
 
 
 # ---------------------------------------------------------------------------

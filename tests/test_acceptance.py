@@ -5,11 +5,7 @@ the tolerance is zero throughout.
 Run with `pytest tests/test_acceptance.py -s` to see the summary lines.
 """
 
-from itertools import product
-
-import pytest
-
-from qtnabla.scalar import ONE, Q, QtScalar, T
+from qtnabla.scalar import ONE, Q, T
 
 
 def report(num, name, ok):
@@ -73,8 +69,8 @@ def test_criterion_5_rho_emptiness():
 
 
 def test_criterion_6_paff():
-    from qtnabla.affine import (AffinePermutation, dimv, left_coset_min_max,
-                                paff, rational_area_sequence, tau, verify_paff)
+    from qtnabla.affine import (dimv, left_coset_min_max, paff,
+                                rational_area_sequence, tau, verify_paff)
     from qtnabla.labels import dinv_k
     rep = verify_paff(3, 1, 3, 3)
     ok = rep["ok"]
@@ -116,9 +112,8 @@ def test_criterion_8_bundle_counting():
 
 
 def test_criterion_9_golden_examples():
-    from qtnabla.involution import (VanQuadruple, d_k_rev, d_k_table, iota,
-                                    t_diagram)
-    from oracles import sort_columns, sort_triple
+    from qtnabla.involution import VanQuadruple, d_k_rev, iota, t_diagram
+    from oracles import d_k_table, sort_columns, sort_triple
     from qtnabla.labels import alpha_composition, attack_path, mu_partition
     from qtnabla.affine import standardize, tau
 

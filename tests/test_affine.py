@@ -7,7 +7,7 @@ from oracles import (b_poly_degree, canonical_transposition, double_coset,
 from qtnabla.scalar import ONE, Q
 from qtnabla.affine import (
     AffinePermutation, _coset_max_witness, coarea_path, dimv, edges,
-    is_m_restricted, is_m_stable, left_coset_min_max, max_area, paff,
+    is_m_stable, left_coset_min_max, max_area, paff,
     raths_series, standardize, tau, transposition, verify_paff, wvec,
 )
 from qtnabla.labels import alpha_composition, compositions, iter_sorted_triples

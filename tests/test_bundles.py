@@ -1,13 +1,15 @@
 import pytest
 
 from oracles import (aut_count_symbolic, brute_force_counts_by_dicts,
-                     bundle_le, bundle_sweep_triples, ext_dim, hom_dim)
-from qtnabla.scalar import ONE, Q, QtScalar, T, q_factorial
+                     bundle_le, bundle_sweep_triples, ext_dim, hom_dim,
+                     product_side_expansion_by_copies)
+from qtnabla.scalar import ONE, Q, T, q_factorial
 from qtnabla.bundles import (
-    aut_count, brute_force_counts, bundle_side_series, nilp_count,
-    product_side_expansion, verify_bundle_counts, verify_bundle_series,
-    verify_product_identity,
+    _exponent_gap, aut_count, aut_exponent, brute_force_counts,
+    bundle_side_series, nilp_count, nilp_exponent, product_side_expansion,
+    verify_bundle_counts, verify_bundle_series, verify_product_identity,
 )
+from qtnabla.labels import iter_sorted_triples, mu_partition
 
 
 def test_hom_dim_examples():
@@ -186,6 +188,29 @@ def test_bundle_series_matches_omega():
         for k in (1, 2):
             rep = verify_bundle_series(n, k, 2, 3)
             assert rep["equal"], rep["first_discrepancy"]
+
+
+def test_exponent_gap_is_nilp_minus_aut():
+    """Over every triple the bundle series of the tests and the CLI reach:
+    ranks up to 3, labels up to 3, |m| up to 4, and k = 0 (the product
+    identity) up to 2."""
+    for n in (1, 2, 3):
+        for d in range(5):
+            for m, a, b in iter_sorted_triples(n, 3, d):
+                mu = mu_partition(zip(m, a, b))
+                for k in (0, 1, 2):
+                    assert _exponent_gap(m, a, b, k, mu) == \
+                        nilp_exponent(m, a, b, k) - aut_exponent(m, a, b)
+
+
+def test_layered_product_matches_the_copying_route():
+    for max_total in range(4):
+        for N in (1, 2, 3):
+            for t_degree in range(5):
+                for q_degree in range(5):
+                    args = (max_total, N, t_degree, q_degree)
+                    assert product_side_expansion(*args) == \
+                        product_side_expansion_by_copies(*args), args
 
 
 def test_product_identity_degree2():

@@ -1,10 +1,9 @@
 import pytest
 
-from oracles import movable, move
-from qtnabla.scalar import ONE, Q, QtScalar, T
+from oracles import d_k_table, in_vanset, movable, move, sigma_ranks
 from qtnabla.involution import (
-    VanQuadruple, canonical_fixed_point, d_k_rev, d_k_table, enumerate_van,
-    in_vanset, iota, sigma_ranks, t_diagram, verify_vanishing,
+    VanQuadruple, _landing, canonical_fixed_point, d_k_rev, enumerate_van,
+    iota, t_diagram, verify_vanishing,
 )
 
 # the worked quadruple: l = 2, columns (a | m | b)
@@ -113,9 +112,7 @@ def test_one_pass_iota_matches_the_rescanning_route():
     equality for every quadruple and column."""
     from oracles import (enumerate_van_by_rescan, iota_by_rescan,
                          movable_by_rescan, move_by_scan)
-    sizes = [(n, k, D, N) for n in (1, 2, 3) for k in (1, 2)
-             for D in (0, 2, 4) for N in (1, 2, 3)] + [(4, 1, 2, 2)]
-    for n, k, D, N in sizes:
+    for n, k, D, N in ONE_PASS_GRID:
         quads = list(enumerate_van(n, k, D, N))
         assert quads == list(enumerate_van_by_rescan(n, k, D, N)), (n, k, D, N)
         for quad in quads:
@@ -123,6 +120,46 @@ def test_one_pass_iota_matches_the_rescanning_route():
             for i in range(1, n + 1):
                 assert movable(quad, i, k) == movable_by_rescan(quad, i, k)
                 assert move(quad, i) == move_by_scan(quad, i), (quad, i)
+
+
+ONE_PASS_GRID = [(n, k, D, N) for n in (1, 2, 3) for k in (1, 2)
+                 for D in (0, 2, 4) for N in (1, 2, 3)] + [(4, 1, 2, 2)]
+
+
+def test_column_iota_matches_the_table_route():
+    """iota on column tuples against the retired route that built sigma,
+    the pairwise table and every candidate move, and reran the set test on
+    each move, over the grid of the one-pass test."""
+    from oracles import iota_by_table
+    for n, k, D, N in ONE_PASS_GRID:
+        for quad in enumerate_van(n, k, D, N):
+            assert iota(quad, k) == iota_by_table(quad, k), (quad, k)
+
+
+def test_landing_matches_the_set_test():
+    """The O(n) landing test is the set test of the move, for every column
+    of every quadruple at n <= 3, and lands on the move itself."""
+    from oracles import move_unchecked
+    for n, k, D, N in ONE_PASS_GRID:
+        if n > 3:
+            continue
+        for quad in enumerate_van(n, k, D, N):
+            cols = quad.columns()
+            for i in range(n):
+                moved = move_unchecked(quad, i + 1)
+                expected = moved if in_vanset(moved, k) else None
+                assert _landing(cols, quad.l, i, k) == expected, (quad, i)
+
+
+def test_quadruple_is_a_value():
+    quad = VanQuadruple(1, (2, 1), (1, 0), (1, 2))
+    assert quad == VanQuadruple(1, (2, 1), (1, 0), (1, 2))
+    assert quad != VanQuadruple(0, (2, 1), (1, 0), (1, 2))
+    assert quad != (1, (2, 1), (1, 0), (1, 2))
+    assert hash(quad) == hash(VanQuadruple(1, (2, 1), (1, 0), (1, 2)))
+    assert len({quad, VanQuadruple(1, (2, 1), (1, 0), (1, 2))}) == 1
+    assert str(quad) == repr(quad) == \
+        "VanQuadruple(l=1, a=(2, 1), m=(1, 0), b=(1, 2))"
 
 
 def test_t_diagram_worked_example():
@@ -151,7 +188,6 @@ def test_canonical_fixed_point():
 def test_fixed_point_weights_by_shape():
     # lambda = (2): weight q^k; lambda = (1^n): weight t^{k binom(n,2)}
     from qtnabla.macdonald import nstat
-    from qtnabla.symfunc import conjugate
     for k in (1, 2):
         quad = canonical_fixed_point((2,), k)
         assert d_k_rev(quad.m, quad.b, k) == k * nstat((1, 1))

@@ -7,7 +7,7 @@ from oracles import sort_columns, sort_triple
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
     DyckPath, _sorted_m_vectors, all_dyck_paths, alpha_composition,
-    attack_path, attacks, chromatic, compositions, dinv_k, dinv_k_pair,
+    attack_path, chromatic, compositions, dinv_k, dinv_k_pair,
     inv_pi, is_sorted_pair, is_sorted_triple, iter_sorted_pairs,
     iter_sorted_triples, mu_partition, verify_xi, xi_pi,
 )

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -10,7 +9,7 @@ from qtnabla.macdonald import (
     MacdonaldCache, _build_htilde, _e_star_pairing, _hhl_htilde,
     _htilde_inverse_matrix, _rho, _validate_htilde, _w_inverse_series,
     cauchy_macdonald_series, cells, eigenvalue, from_htilde_dict, htilde_norm,
-    integral_J, macdonald_P, modified_macdonald, nabla_en, nabla_power, nstat,
+    macdonald_P, modified_macdonald, nabla_en, nabla_power, nstat,
     to_htilde_dict, w_denominator,
 )
 from qtnabla.shuffle import nabla_en_expansion

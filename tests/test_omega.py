@@ -5,9 +5,8 @@ import pytest
 from oracles import cauchy_combinatorial, xy_swap
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.omega import (
-    OmegaQuery, fulltwist_dk, fulltwist_extraction, fulltwist_series,
-    hilbert_coefficient, omega_series, omega_sub_y, omega_sub_y_via_plethysm,
-    omega_via_xi, verify_fulltwist, verify_hilbert, verify_main, verify_sub_y,
+    OmegaQuery, fulltwist_dk, fulltwist_series, omega_series, omega_sub_y,
+    verify_fulltwist, verify_hilbert, verify_main, verify_sub_y,
     verify_xi_factoring,
 )
 
@@ -17,6 +16,14 @@ def test_query_validation():
         OmegaQuery(0, 1, 1, 1)
     with pytest.raises(ValueError):
         OmegaQuery(1, -1, 1, 1)
+
+
+def test_query_is_a_value():
+    query = OmegaQuery(2, 1, 3, 4)
+    assert query == OmegaQuery(2, 1, 3, 4) != OmegaQuery(2, 1, 3, 5)
+    assert query != (2, 1, 3, 4)
+    assert hash(query) == hash(OmegaQuery(2, 1, 3, 4))
+    assert repr(query) == "OmegaQuery(n=2, k=1, N=3, D=4)"
 
 
 def test_omega_n1():
@@ -63,7 +70,6 @@ def test_via_xi_single_orbit_slice():
     base = QtScalar.monomial(q=dinv_k_pair(m, a, k))
     xi = xi_pi(path, N)
     # direct regrouping of omega_series terms with that (m, a)
-    from oracles import sort_triple
     from qtnabla.labels import iter_sorted_triples, dinv_k
     for (_, ye), c in xi.terms.items():
         acc = QtScalar.from_int(0)
@@ -136,7 +142,6 @@ def test_fulltwist_dk_values():
 
 
 def test_fulltwist_dk_is_dinv_of_sorted_pair():
-    from oracles import sort_columns
     from qtnabla.labels import dinv_k_pair
     for n in (2, 3):
         for k in (1, 2, 3):

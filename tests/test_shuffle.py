@@ -11,7 +11,7 @@ from qtnabla.shuffle import (
     nabla_en_expansion, npf, parking_sum, partial_sum_mask, pf, rho,
     rho_inverse,
 )
-from qtnabla.symfunc import Poly, SymFunc, fundamental_monomials, poly_to_symfunc
+from qtnabla.symfunc import Poly, fundamental_monomials, poly_to_symfunc
 
 
 def test_pf_npf_examples():

@@ -17,6 +17,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
 import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -183,6 +184,34 @@ def test_every_package_definition_is_served():
         f"SERVED_ALLOWLIST names no definition: {sorted(allowed - defined)}"
     assert not allowed - unreached, \
         f"SERVED_ALLOWLIST entries are served: {sorted(allowed - unreached)}"
+
+
+def test_test_modules_read_every_name_they_import():
+    """Each name that a tests/test_*.py module imports, at the top or inside
+    a function, is read somewhere in that module, so its imports show what
+    it checks."""
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names} - {"*"}
+        assert not bound - _names(tree), (path.name,
+                                          sorted(bound - _names(tree)))
+
+
+def test_package_modules_load_neither_dataclasses_nor_inspect(child_env):
+    """Every package module imports in a fresh interpreter (no site hooks)
+    without loading dataclasses, or inspect, which it pulls in: a cold CLI
+    run pays for each module it loads."""
+    modules = ", ".join(f"qtnabla.{path.stem}"
+                        for path in sorted(PACKAGE.glob("*.py"))
+                        if path.stem != "__init__")
+    code = (f"import sys, {modules}\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_every_oracle_is_used_by_a_test():
