@@ -175,10 +175,14 @@ def iota(quad, k):
     rank of its key among all columns.  A column is movable when no
     sigma-earlier column blocks it and its move stays in the set."""
     cols = quad.columns()
+    keys = [_key(col) for col in cols]
     earlier = []
-    for i in sorted(range(len(cols)), key=lambda i: _key(cols[i])):
+    for i in sorted(range(len(cols)), key=keys.__getitem__):
         _, m, b = cols[i]
-        if not any(_blocks(m, b, mj, bj, k) for mj, bj in earlier):
+        for mj, bj in earlier:
+            if _blocks(m, b, mj, bj, k):
+                break
+        else:
             out = _landing(cols, quad.l, i, k)
             if out is not None:
                 return out
