@@ -134,9 +134,9 @@ def enumerate_van(n, k, degree, N, l_values=None):
 
 
 def _blocks(m, b, mj, bj, k):
-    """Either pairwise entry of columns (m, b) and (mj, bj) is positive: the
-    two entries differ by one, and the larger is the one whose first column
-    has the larger m, or either one when the m's tie."""
+    """Either pairwise entry of columns (m, b) and (mj, bj) is positive.  The
+    two entries differ by one, the larger being the one that puts the column
+    of larger m first; when the m's tie it is k - 1 + (b != bj)."""
     if m == mj:
         return k + (b != bj) > 1
     if m < mj:
