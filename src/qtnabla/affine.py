@@ -62,9 +62,6 @@ class AffinePermutation:
             window[r] = i + (r + 1 - w)
         return _unchecked(tuple(window))
 
-    def is_identity(self):
-        return self.window == tuple(range(1, len(self.window) + 1))
-
     def d_grade(self):
         n = self.n
         total = sum(self.window) - n * (n + 1) // 2

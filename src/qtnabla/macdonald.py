@@ -10,17 +10,15 @@ independent oracle that the tests compare it with.
 The H-tilde are orthogonal for the *-pairing, so nabla reads the coefficients
 of f off as <f, H~_lam>_* / `htilde_norm`; no matrix is inverted.
 
-The Cauchy series divides each term by w_lam.  Its factors with leg 0 multiply
-to (q-1)^{lam_1} aut_q(rho(lam)), which divides [n]_q! (q-1)^n; every other
-factor q^b - t^m has m >= 1 and t-expands as an integer Laurent series.  So
-the series is counted in integers by scalar.SeriesBuilder, one key per pair
-of partitions.  The per-term route it replaced, one QtScalar and one t_expand
-per (lam, x-monomial, y-monomial), is the oracle in tests/oracles.py.
-
-nabla^k e_n, the only nabla that the checks serve, is counted the same way
-by nabla_en: <e_n, H~_lam>_* has a closed form, and each lam shares its
-per-lam series with the Cauchy series.  nabla_power, the general operator,
-is its oracle in the tests.
+The Macdonald side is one sum over lam |- n, _lambda_sum: each lam adds
+eigenvalue^k times two integer side tables, divided by the norm (-1)^n w_lam.
+The leg-0 factors of w_lam multiply to (q-1)^{lam_1} aut_q(rho(lam)), which
+divides [n]_q! (q-1)^n; every other factor q^b - t^m has m >= 1 and t-expands
+as an integer Laurent series, so scalar.SeriesBuilder counts the sum in
+integers.  It has three uses: nabla^k e_n, with the closed form of
+<e_n, H~_lam>_* as a one-key x side; the q,t-Cauchy series, with H~_lam on
+both sides; and the same with X -> X(t-1), Y -> Y(q-1) substituted.  Their
+oracles are nabla_power and the per-term route of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -423,39 +421,49 @@ def _partition_terms(f, N):
     return out
 
 
-def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
-    """sum over lam of eigenvalue^k x_side(H~_lam) y_side(H~_lam) divided by
-    the norm <H~_lam, H~_lam>_* = (-1)^n w_lam, t-expanded to D and
-    multiplied by the t-free scalar scale, over x_1..x_N and y_1..y_N.
+def _lambda_sum(n, k, D, sides, scale=ONE):
+    """sum over lam |- n of eigenvalue^k X_lam Y_lam divided by the norm
+    <H~_lam, H~_lam>_* = (-1)^n w_lam, t-expanded to D and multiplied by the
+    t-free scalar scale, as {(x key, y key): TSeries}.
 
-    x_side and y_side map H~_lam to a symmetric function whose m-coefficients
-    are polynomials.  Write w_lam = (q-1)^{lam_1} aut_q(rho(lam)) W_lam (see
-    _w_inverse_series).  Each term is cx cy (-1)^n T_lam^k (q-1)^{n-lam_1}
-    / W_lam over aut_q(rho(lam)) (q-1)^n, and 1/W_lam t-expands with integer
-    coefficients, so SeriesBuilder counts the terms in integers and reduces
-    each coefficient once.  Both sides are symmetric: the terms are keyed by
-    pairs of partitions with at most N parts, and the distinct permutations
-    of a pair share its TSeries.
+    sides(lam, H~_lam) returns the integer side tables X_lam and Y_lam, each
+    {key: {(q_exp, t_exp): integer}}.  Write w_lam = (q-1)^{lam_1}
+    aut_q(rho(lam)) W_lam (see _w_inverse_series).  Each term is
+    cx cy (-1)^n T_lam^k (q-1)^{n-lam_1} / W_lam over aut_q(rho(lam)) (q-1)^n,
+    and 1/W_lam t-expands with integer coefficients, so SeriesBuilder counts
+    the terms in integers and reduces each coefficient once.  The x side is
+    the outer loop: a one-key x side multiplies each per-lam series once.
     """
     DEFAULT_CACHE.check_degree(n)
-    builder = SeriesBuilder(N, N, D)
+    builder = SeriesBuilder(0, 0, D)
     for lam in partitions(n):
         per_lam = _signed_w_inverse_series(lam, k, D)
         if per_lam is None:
             continue  # every term of lam lies above the truncation
         rho = _rho(lam)
-        h = modified_macdonald(lam)
-        ys = _partition_terms(y_side(h), N)
-        for mu, cx in _partition_terms(x_side(h), N).items():
+        xs, ys = sides(lam, modified_macdonald(lam))
+        for mu, cx in xs.items():
             with_x = _times_polynomial(per_lam, cx, D)
             for nu, cy in ys.items():
+                key = (mu, nu)
                 for d, row in enumerate(_times_polynomial(with_x, cy, D)):
                     for e, c in row.items():
                         if c:
-                            builder.add((mu, nu), d, e, rho, c)
+                            builder.add(key, d, e, rho, c)
+    return builder.build(scale / (Q - ONE) ** n).table
+
+
+def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
+    """_lambda_sum over x_1..x_N and y_1..y_N whose sides are the
+    m-coefficients, all polynomials, of x_side(H~_lam) and y_side(H~_lam) on
+    the partitions with at most N parts; the distinct permutations of a pair
+    of partitions share its TSeries."""
+    def sides(lam, h):
+        return _partition_terms(x_side(h), N), _partition_terms(y_side(h), N)
+
     perms = {}
     table = {}
-    for (mu, nu), series in builder.build(scale / (Q - ONE) ** n).table.items():
+    for (mu, nu), series in _lambda_sum(n, k, D, sides, scale).items():
         for exps in (mu, nu):
             if exps not in perms:
                 perms[exps] = distinct_permutations(exps + (0,) * (N - len(exps)))
@@ -492,10 +500,9 @@ def _e_star_pairing(lam):
 def nabla_en(n, k):
     """nabla^k e_n in the monomial basis, for n >= 1 and k >= 0.
 
-    The H~_lam coefficient of e_n is <e_n, H~_lam>_* / ((-1)^n w_lam), so each
-    lam adds _e_star_pairing(lam) times _signed_w_inverse_series(lam, k, D)
-    times each m-coefficient of H~_lam, in integers, over aut_q(rho(lam))
-    (q-1)^n; SeriesBuilder reduces each (m_mu, t^d) coefficient once.
+    The H~_lam coefficient of e_n is <e_n, H~_lam>_* / ((-1)^n w_lam), so
+    nabla^k e_n is the _lambda_sum whose x side is _e_star_pairing(lam), one
+    key, and whose y side is the m-coefficients of H~_lam.
 
     The t-degree at t = infinity is a valuation, so deg_t nabla^k e_n is at
     most the largest deg_t of a term: k n(lam) from the eigenvalue, n(lam)
@@ -508,20 +515,11 @@ def nabla_en(n, k):
     if n < 1 or k < 0:
         raise ValueError(f"nabla^k e_n needs n >= 1 and k >= 0, got n = {n}, "
                          f"k = {k}")
-    DEFAULT_CACHE.check_degree(n)
     D = k * comb(n, 2)
-    builder = SeriesBuilder(0, 0, D + 1)  # keyed by partitions, not monomials
-    for lam in partitions(n):
-        per_lam = _times_polynomial(_signed_w_inverse_series(lam, k, D + 1),
-                                    _e_star_pairing(lam).num, D + 1)
-        rho = _rho(lam)
-        for mu, c in _partition_terms(modified_macdonald(lam), n).items():
-            for d, row in enumerate(_times_polynomial(per_lam, c, D + 1)):
-                for e, v in row.items():
-                    if v:
-                        builder.add(mu, d, e, rho, v)
+    sums = _lambda_sum(n, k, D + 1, lambda lam, h: (
+        {(): _e_star_pairing(lam).num}, _partition_terms(h, n)))
     terms = {}
-    for mu, series in builder.build(ONE / (Q - ONE) ** n).table.items():
+    for (_, mu), series in sums.items():
         if not series[D + 1].is_zero():
             raise AssertionError(f"nabla^{k} e_{n} has a term t^{D + 1} at "
                                  f"m_{mu}, above the bound k C(n, 2)")

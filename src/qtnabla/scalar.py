@@ -506,15 +506,6 @@ class QtScalar:
         return QtScalar({(j, i): c for (i, j), c in self.num.items()},
                         {(j, i): c for (i, j), c in self.den.items()})
 
-    def evaluate(self, qval, tval):
-        num = sum(Fraction(c) * Fraction(qval) ** i * Fraction(tval) ** j
-                  for (i, j), c in self.num.items())
-        den = sum(Fraction(c) * Fraction(qval) ** i * Fraction(tval) ** j
-                  for (i, j), c in self.den.items())
-        if den == 0:
-            raise ZeroDivisionError("pole at the evaluation point")
-        return num / den
-
     # -- expansions
 
     def t_expand(self, degree):

@@ -185,7 +185,10 @@ def nabla_en_expansion(n, k, N):
 def _parking_report(n, k, N, renders):
     """nabla^k e_n against the parking sum over x_1..x_N; each key in renders,
     such as nabla_schur, renders that side in that basis. Only agreeing sides
-    render the parking side, and only differing ones keep first_discrepancy."""
+    render the parking side, and only differing ones keep first_discrepancy.
+    A k below 1 fails before either side is built."""
+    if k < 1:
+        raise ValueError("k must be positive")
     sides = {"nabla": nabla_en_expansion(n, k, N),
              "parking": parking_sum(n, k, N)}
     report = compare(sides["nabla"], sides["parking"], n=n, k=k, N=N)

@@ -213,6 +213,20 @@ def test_degree_cap_fails_before_the_macdonald_walk(monkeypatch, capsys):
             "error: degree 9 above the configured cap 8\n", argv
 
 
+def test_parking_checks_reject_k0_before_either_side(monkeypatch, capsys):
+    """k = 0 exits 2 before any H~ table is built for nabla^k e_n."""
+    import qtnabla.macdonald as macdonald
+
+    def never(*args):
+        raise AssertionError("an H~ table was built before the k check")
+    monkeypatch.setattr(macdonald, "_hhl_htilde", never)
+    monkeypatch.setattr(macdonald.DEFAULT_CACHE, "_tables", {})
+    for argv in (("verify-shuffle", "--n", "8", "--k", "0"),
+                 ("compute", "parking", "--n", "8", "--k", "0")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert capsys.readouterr().err == "error: k must be positive\n", argv
+
+
 def test_prime_without_a_cap_names_the_supported_primes(capsys):
     code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
                         "--primes", "7")

@@ -5,9 +5,10 @@ import pytest
 from qtnabla import cli, macdonald
 from qtnabla.scalar import ONE, Q, QtScalar, T, TSeries, ZERO, aut_q
 from qtnabla.involution import macdonald_substituted_series
+from qtnabla.omega import fulltwist_extraction, hilbert_coefficient
 from qtnabla.macdonald import (
     MacdonaldCache, _build_htilde, _e_star_pairing, _hhl_htilde,
-    _htilde_inverse_matrix, _rho, _validate_htilde, _w_inverse_series,
+    _htilde_inverse_matrix, _lambda_sum, _rho, _validate_htilde, _w_inverse_series,
     cauchy_macdonald_series, cells, eigenvalue, from_htilde_dict, htilde_norm,
     macdonald_P, modified_macdonald, nabla_en, nabla_power, nstat,
     to_htilde_dict, w_denominator,
@@ -415,6 +416,31 @@ def test_cauchy_outer_product_matches_per_term_route(route, oracle):
         if D == 4 and n <= 3:
             for d in range(D):
                 assert route(n, k, N, d) == expected.truncate(d), (n, k, N, d)
+
+
+def _squarefree_side(lam, h):
+    """F_lam, the m_{1^n} coefficient of H~_lam, as a one-key side table."""
+    return {(): h.terms[(1,) * sum(lam)].num}
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5)
+                                  for k in (0, 1, 2)])
+def test_lambda_sum_gives_the_full_twist_corollary(n, k):
+    # (nabla^k p_1^n, e_n) / ((1-q)(1-t))^n: sum over lam of
+    # (-1)^n T_lam^{k+1} F_lam / w_lam, the e_n pairing read as <., h_n>
+    sums = _lambda_sum(n, k + 1, 5, lambda lam, h: (
+        _squarefree_side(lam, h), {(): {(0, 0): 1}}))
+    assert sums[((), ())] == fulltwist_extraction(n, k + 1, 5)
+
+
+@pytest.mark.parametrize("n, k, D", [(n, k, 5) for n in range(1, 4)
+                                     for k in (1, 2)] + [(4, 1, 4)])
+def test_lambda_sum_gives_the_squarefree_coefficient(n, k, D):
+    # <nabla^k p_1^n, p_1^n> / ((1-q)(1-t))^n: sum over lam of
+    # (-1)^n T_lam^k F_lam^2 / w_lam
+    sums = _lambda_sum(n, k, D, lambda lam, h: (
+        _squarefree_side(lam, h), _squarefree_side(lam, h)))
+    assert sums[((), ())] == hilbert_coefficient(n, k, D)
 
 
 def test_cauchy_series_scale_is_exact():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -203,12 +202,6 @@ def test_subs_t_inverse():
 def test_swap_qt():
     s = (ONE - Q * Q) / (ONE - T)
     assert s.swap_qt() == (ONE - T * T) / (ONE - Q)
-
-
-def test_evaluate():
-    s = (ONE - Q * Q) / (ONE - Q)
-    assert s.evaluate(3, 0) == 4
-    assert (ONE / (ONE - T)).evaluate(0, Fraction(1, 2)) == 2
 
 
 def test_qt_expand():

@@ -8,9 +8,10 @@ run.
 
 They also keep src/qtnabla to what a subcommand serves: a walk by name from
 the COMMANDS rows, cli.py and the benchmark's pins must reach every
-top-level definition there, or the definition is moved to tests/oracles.py,
-deleted, or listed in SERVED_ALLOWLIST with its reason.  The same walk from
-the test modules must reach every definition of tests/oracles.py."""
+top-level definition and every method other than a dunder there, or the
+definition is moved to tests/oracles.py, deleted, or listed in
+SERVED_ALLOWLIST with its reason.  The same walk from the test modules must
+reach every definition of tests/oracles.py."""
 
 import ast
 import importlib
@@ -29,8 +30,8 @@ _CANCELLATION = ("the shuffle cancellation analysis, a check of the paper "
                  "that only the tests run until it becomes a row or moves "
                  "(ROADMAP item 1)")
 
-# (module, name) of each top-level definition in src/qtnabla that no served
-# root reaches, kept on purpose, with the reason
+# (module, qualname) of each definition in src/qtnabla that no served root
+# reaches, kept on purpose, with the reason
 SERVED_ALLOWLIST = {
     **{("shuffle", name): _CANCELLATION
        for name in ("pf", "npf", "rho_inverse", "in_shuffle_set", "_in_a",
@@ -40,6 +41,17 @@ SERVED_ALLOWLIST = {
         "verify-xi is to be routed through (ROADMAP item 7)",
     ("scalar", "aut_q"): "a public name of qtnabla.__all__; no subcommand "
         "calls it, since the series count 1/aut_q(mu) through q_multinomial",
+    # methods, each kept as a test oracle
+    ("scalar", "QtScalar.swap_qt"): "the q <-> t symmetry of H~ that "
+        "test_macdonald checks up to the degree cap",
+    ("symfunc", "SymFunc.hall_inner"): "the Hall pairing: the sign-character "
+        "and Hall-Littlewood checks of H~ and the basis dualities of "
+        "test_symfunc",
+    ("symfunc", "SymFunc.omega"): "the involution omega, whose e <-> h and "
+        "conjugation rules test_symfunc checks",
+    ("affine", "AffinePermutation.length"): "the Coxeter length, against "
+        "which the tests check the edges and the coset extremes that "
+        "verify-paff reads from inverses and descents",
 }
 
 
@@ -137,39 +149,66 @@ def _names(node):
             if isinstance(child, (ast.Name, ast.Attribute))}
 
 
+def _definitions(tree):
+    """(name, qualname, names its code reads) of each definition in the
+    module tree: a top-level def or class, and each method of a top-level
+    class other than a dunder.  A class reads the names of its bases, its
+    decorators and its body less those methods, so its dunders come with it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name, _names(node)))
+        elif isinstance(node, ast.ClassDef):
+            methods = [item for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__"))]
+            out.append((node.name, node.name, set().union(*(
+                _names(child) for child in ast.iter_child_nodes(node)
+                if child not in methods))))
+            out += [(item.name, f"{node.name}.{item.name}", _names(item))
+                    for item in methods]
+    return out
+
+
 def _walk(paths, roots):
-    """The top-level definitions of the modules at paths, as {(module, name)},
-    and those among them that a walk by name does not reach.
+    """The definitions of the modules at paths (see _definitions), as
+    {(module, qualname)}, and those among them that a walk by name does not
+    reach.
 
     The walk starts at roots and at every top-level statement of the modules
-    that is neither a definition nor an import, and follows the whole body of
-    each definition it reaches, methods included.  It matches names only, so
-    a definition counts as reached when any reached code reads its name."""
+    that is neither a definition nor an import, and follows the code of each
+    definition it reaches.  It matches names only, so a definition counts as
+    reached when any reached code reads its name: a method is reached by any
+    attribute of that name."""
     defined, todo = {}, set(roots)
     for path in paths:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, []).append((path.stem, node))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+        tree = ast.parse(path.read_text())
+        for name, qualname, names in _definitions(tree):
+            defined.setdefault(name, []).append((path.stem, qualname, names))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import,
+                                     ast.ImportFrom)):
                 todo |= _names(node)
     reached = set()
     while todo:
         name = todo.pop()
         reached.add(name)
-        for _, node in defined.get(name, ()):
-            todo |= _names(node) - reached
-    everything = {(module, name) for name, nodes in defined.items()
-                  for module, _ in nodes}
-    return everything, {(module, name) for module, name in everything
-                        if name not in reached}
+        for _, _, names in defined.get(name, ()):
+            todo |= names - reached
+    everything = {(module, qualname) for nodes in defined.values()
+                  for module, qualname, _ in nodes}
+    return everything, {(module, qualname) for name, nodes in defined.items()
+                        for module, qualname, _ in nodes if name not in reached}
 
 
 def test_every_package_definition_is_served():
-    """Each top-level def or class in src/qtnabla is reached from a served
-    root or listed in SERVED_ALLOWLIST; each entry there names a definition
-    that exists and that no root reaches.  The served roots are the check of
-    each COMMANDS row, every name cli.py reads, and every name the benchmark
-    pins: the tracer targets and the enum-sweep cases."""
+    """Each top-level def or class and each method other than a dunder in
+    src/qtnabla is reached from a served root or listed in SERVED_ALLOWLIST;
+    each entry there names a definition that exists and that no root
+    reaches.  The served roots are the check of each COMMANDS row, every
+    name cli.py reads, and every name the benchmark pins: the tracer targets
+    and the enum-sweep cases."""
     from qtnabla.cli import COMMANDS
     roots = {check for _, _, check, _ in COMMANDS.values()}
     roots |= _names(ast.parse((PACKAGE / "cli.py").read_text()))
