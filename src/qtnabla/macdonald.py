@@ -1,10 +1,11 @@
 """Modified Macdonald polynomials, the nabla operator, and the q,t-Cauchy
 series that forms the Macdonald side of the main verification.
 
-H-tilde is counted from the Haglund-Haiman-Loehr formula, in integers, and
-every table is checked against the sign-character pairing before it is
-served.  The Gram-Schmidt route (the P basis, scaled to the integral form
-by the arm/leg product, then transformed plethystically) is kept as the
+H-tilde is counted from the Haglund-Haiman-Loehr formula, in integers, for
+one shape of each conjugate pair; the other is its q <-> t swap.  Every
+table is checked against the sign-character pairing before it is served.
+The Gram-Schmidt route (the P basis, scaled to the integral form by the
+arm/leg product, then transformed plethystically) is kept as the
 independent oracle that the tests compare it with.
 
 The H-tilde are orthogonal for the *-pairing, so nabla reads the coefficients
@@ -14,22 +15,24 @@ The Macdonald side is one sum over lam |- n, _lambda_sum: each lam adds
 eigenvalue^k times two integer side tables, divided by the norm (-1)^n w_lam.
 The leg-0 factors of w_lam multiply to (q-1)^{lam_1} aut_q(rho(lam)), which
 divides [n]_q! (q-1)^n; every other factor q^b - t^m has m >= 1 and t-expands
-as an integer Laurent series, so scalar.SeriesBuilder counts the sum in
-integers.  It has three uses: nabla^k e_n, with the closed form of
+as an integer Laurent series, so the sum is counted in Kronecker-packed
+ints.  It has three uses: nabla^k e_n, with the closed form of
 <e_n, H~_lam>_* as a one-key x side; the q,t-Cauchy series, with H~_lam on
 both sides; and the same with X -> X(t-1), Y -> Y(q-1) substituted.  Their
-oracles are nabla_power and the per-term route of tests/oracles.py.
+oracles are nabla_power, the per-term route and the dict route of
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalar import (ONE, Q, QtScalar, T, MonomialSeries, SeriesBuilder, ZERO,
-                     q_multinomial)
+from .scalar import (ONE, Q, QtScalar, T, MonomialSeries, TSeries,
+                     _pd_mul, q_factorial, q_multinomial)
 from .symfunc import (SymFunc, conjugate, distinct_permutations, dominance_leq,
                       partitions)
 
@@ -190,6 +193,16 @@ def _hhl_htilde(lam):
                          for nu in partitions(sum(rows))})
 
 
+def _hhl_work(lam):
+    """A static estimate of the work of _hhl_htilde(lam), which builds only
+    the cheaper shape of a conjugate pair.  A row is filled letter by letter
+    under each word of the row above, so a row of width w under one of
+    width u costs about 2^(u + w); the bottom row fills only its lam_2
+    cells under the row above that way."""
+    widths = tuple(lam[:0:-1]) + (lam[1] if len(lam) > 1 else 0,)
+    return sum(2 ** (u + w) for u, w in zip((0,) + widths, widths))
+
+
 def _e_pairing(nu):
     """<m_nu, e_n>, the coefficient of h_nu in e_n: (-1)^{n - l(nu)} times
     the number of distinct orderings of nu."""
@@ -202,14 +215,20 @@ def _e_pairing(nu):
 def _validate_htilde(lam, f):
     """<H~_lam, e_n> = q^{n(lam')} t^{n(lam)}, from the integer pairings
     <m_nu, e_n>; none of them is zero, so a change to any one coefficient
-    of degree n is caught."""
+    of degree n is caught.  Every coefficient must be an integer
+    polynomial, as HHL counts it."""
     n = sum(lam)
-    got = ZERO
+    got = {}
     for nu, c in f.terms.items():
         if sum(nu) != n:
             raise AssertionError(f"H~_{lam} has a term m_{nu} off degree {n}")
-        got = got + c * _e_pairing(nu)
-    if got != eigenvalue(lam, 1):
+        if not c.is_polynomial():
+            raise AssertionError(f"H~_{lam} has a non-polynomial coefficient "
+                                 f"at m_{nu}")
+        pairing = _e_pairing(nu)
+        for mono, v in c.num.items():
+            got[mono] = got.get(mono, 0) + v * pairing
+    if {mono: v for mono, v in got.items() if v} != eigenvalue(lam, 1).num:
         raise AssertionError(f"H~_{lam} fails the sign-character pairing")
 
 
@@ -228,7 +247,13 @@ class MacdonaldCache:
         if lam in self._tables:
             return self._tables[lam]
         self.check_degree(sum(lam))
-        f = _hhl_htilde(lam)
+        conj = conjugate(lam)
+        if (_hhl_work(conj), lam) < (_hhl_work(lam), conj):
+            # H~_lam(X; q, t) = H~_lam'(X; t, q) (Garsia-Haiman)
+            f = SymFunc("m", {mu: c.swap_qt()
+                              for mu, c in self.get(conj).terms.items()})
+        else:
+            f = _hhl_htilde(lam)
         _validate_htilde(lam, f)
         self._tables[lam] = f
         # what is served is always this table; a stored file that is
@@ -380,23 +405,12 @@ def _w_inverse_series(lam, D):
     return [{e - shift: c for e, c in row.items() if c} for row in series]
 
 
-def _times_polynomial(series, poly, D):
-    """An integer t-series times a polynomial {(q_exp, t_exp): integer},
-    truncated at t^D."""
-    out = [{} for _ in range(D + 1)]
-    for (i, j), c in poly.items():
-        for d in range(min(len(series), D + 1 - j)):
-            row = out[d + j]
-            for e, v in series[d].items():
-                row[e + i] = row.get(e + i, 0) + c * v
-    return out
-
-
 def _signed_w_inverse_series(lam, k, D):
-    """(-1)^n eigenvalue(lam, k) (q-1)^{n-lam_1} times _w_inverse_series, to
-    t^D, with n = |lam|: the part of the H~_lam term over the norm (-1)^n w_lam
-    that is not divided by aut_q(rho(lam)) (q-1)^n.  None when the eigenvalue
-    alone lies above t^D."""
+    """The pair (_w_inverse_series to t^{D - k n(lam)}, the factor
+    (-1)^n eigenvalue(lam, k) (q-1)^{n-lam_1} as {(q_exp, t_exp): integer}),
+    with n = |lam|: their product is the part of the H~_lam term over the
+    norm (-1)^n w_lam that is not divided by aut_q(rho(lam)) (q-1)^n.  None
+    when the eigenvalue alone lies above t^D."""
     n = sum(lam)
     t_shift = k * nstat(lam)
     if t_shift > D:
@@ -405,7 +419,7 @@ def _signed_w_inverse_series(lam, k, D):
     q_shift = k * nstat(conjugate(lam))
     factor = {(q_shift + i, t_shift): (-1) ** (n + r - i) * comb(r, i)
               for i in range(r + 1)}
-    return _times_polynomial(_w_inverse_series(lam, D - t_shift), factor, D)
+    return _w_inverse_series(lam, D - t_shift), factor
 
 
 def _partition_terms(f, N):
@@ -421,36 +435,178 @@ def _partition_terms(f, N):
     return out
 
 
+# the signed memoryview format of each machine word size, which reads
+# digits of that many bytes in one call
+_MACHINE_WORDS = {memoryview(bytes(8)).cast(code).itemsize: code
+                  for code in "qlihb"}
+
+
+class _Layout:
+    """A Kronecker substitution for the terms of some lam (see _lambda_sum):
+    q^e t^d is the digit e + offset + width d of an int in base 2^(8 nb), in
+    balanced digits.  The offset lifts the negative q-exponents of 1/W_lam,
+    the width holds every q-exponent of a product, and the digit size every
+    coefficient up to t^D of a sum of products, so that no digit of the rows
+    t^0 .. t^D overlaps another or overflows."""
+
+    def __init__(self, terms, D):
+        offset = top = bound = 0
+        for _, series, xs, ys in terms:
+            flat = [(e, c) for row in series for e, c in row.items()]
+            offset = max(offset, -min(e for e, _ in flat))
+            top = max(top, max(e for e, _ in flat) + _q_degree(xs) + _q_degree(ys))
+            # a coefficient of a product is at most the l1 norm of one
+            # factor times the largest coefficient of the other
+            bound += max(map(_l1, xs.values())) * min(
+                sum(abs(c) for _, c in flat) * max(map(_largest, ys.values())),
+                max(abs(c) for _, c in flat) * max(map(_l1, ys.values())))
+        self.offset = offset
+        self.width = top + offset + 1
+        self.nb = (bound.bit_length() + 8) // 8  # |digit| < 2^(8 nb - 1)
+        # a machine word unpacks in one call; take it unless it is a third longer
+        word = min([w for w in _MACHINE_WORDS if w >= self.nb] or [self.nb])
+        if 3 * word <= 4 * self.nb:
+            self.nb = word
+        self.row_bits = 8 * self.nb * self.width
+        self.D = D
+        self.first = min(shift for shift, *_ in terms)
+        self.size = self.row_bits * (D + 1)  # the bits of the rows t^0 .. t^D
+        # 2^(8 nb - 1), half the base, at every digit
+        self.bias = (((1 << self.size) - 1) // ((1 << 8 * self.nb) - 1)) << (8 * self.nb - 1)
+
+    def pack(self, poly, offset=0):
+        """The int of a polynomial {(q_exp, t_exp): integer}, its q-exponents
+        lifted by offset."""
+        nb, width = self.nb, self.width
+        size = (max(q + offset + width * t for q, t in poly) + 1) * nb
+        pos, neg = bytearray(size), bytearray(size)
+        for (q, t), c in poly.items():
+            p = (q + offset + width * t) * nb
+            (pos if c > 0 else neg)[p:p + nb] = abs(c).to_bytes(nb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    def truncate(self, value, rows):
+        """value with only its rows t^0 .. t^{rows - 1}."""
+        bits = self.row_bits * rows
+        value &= (1 << bits) - 1
+        return value - (1 << bits) if value >> (bits - 1) else value
+
+    def sums(self, terms):
+        """{(x key, y key): the int of sum over the terms of t^shift series
+        cx cy}."""
+        acc = {}
+        for shift, series, xs, ys in terms:
+            packed = self.pack({(e, d): c for d, row in enumerate(series)
+                                for e, c in row.items()}, self.offset)
+            packed_ys = {nu: self.pack(cy) for nu, cy in ys.items()}
+            for mu, cx in xs.items():
+                with_x = self.truncate(packed * self.pack(cx), self.D + 1 - shift)
+                for nu, cy in packed_ys.items():
+                    term = with_x * cy << self.row_bits * shift
+                    acc[mu, nu] = acc.get((mu, nu), 0) + term
+        return acc
+
+    def unpack(self, value):
+        """The rows t^0 .. t^D of value, each {q_exp: integer}."""
+        nb, width, size = self.nb, self.width, self.size
+        # with half added at every digit each one is nonnegative; flipping
+        # the top bit of each then gives the digit in two's complement
+        data = (((value + self.bias) & ((1 << size) - 1)) ^ self.bias).to_bytes(
+            size // 8, "little")
+        # the rows below the smallest t^shift of the terms are zero
+        data = data[self.first * width * nb:]
+        if nb in _MACHINE_WORDS and sys.byteorder == "little":
+            digits = memoryview(data).cast(_MACHINE_WORDS[nb])
+        else:
+            digits = [int.from_bytes(data[p:p + nb], "little", signed=True)
+                      for p in range(0, len(data), nb)]
+        return [{}] * self.first + [
+            {i - self.offset: c for i, c in
+             enumerate(digits[d * width:(d + 1) * width]) if c}
+            for d in range(self.D + 1 - self.first)]
+
+
+def _l1(poly):
+    return sum(map(abs, poly.values()))
+
+
+def _largest(poly):
+    return max(map(abs, poly.values()))
+
+
+def _rows_to(side, D):
+    """The side table without its terms above t^D, and without the keys that
+    this leaves empty."""
+    out = {}
+    for key, poly in side.items():
+        kept = {(q, t): c for (q, t), c in poly.items() if t <= D}
+        if kept:
+            out[key] = kept
+    return out
+
+
+def _q_degree(side):
+    """The largest q-exponent of a side table."""
+    return max(q for poly in side.values() for q, _ in poly)
+
+
 def _lambda_sum(n, k, D, sides, scale=ONE):
     """sum over lam |- n of eigenvalue^k X_lam Y_lam divided by the norm
     <H~_lam, H~_lam>_* = (-1)^n w_lam, t-expanded to D and multiplied by the
-    t-free scalar scale, as {(x key, y key): TSeries}.
+    t-free scalar scale, as {(x key, y key): TSeries}, zero series dropped.
 
     sides(lam, H~_lam) returns the integer side tables X_lam and Y_lam, each
     {key: {(q_exp, t_exp): integer}}.  Write w_lam = (q-1)^{lam_1}
     aut_q(rho(lam)) W_lam (see _w_inverse_series).  Each term is
     cx cy (-1)^n T_lam^k (q-1)^{n-lam_1} / W_lam over aut_q(rho(lam)) (q-1)^n,
-    and 1/W_lam t-expands with integer coefficients, so SeriesBuilder counts
-    the terms in integers and reduces each coefficient once.  The x side is
-    the outer loop: a one-key x side multiplies each per-lam series once.
+    and 1/W_lam t-expands with integer coefficients, so over the common
+    denominator [n]_q! (q-1)^n the sum is a sum of integer polynomials.
+
+    They are summed as ints (_Layout): one product per (lam, x key), then
+    one per (lam, key).  The terms whose q-spans have the same bit length
+    share one layout, so a lam with a short span does not pay for the
+    longest; each key is decoded once per layout, and each of its
+    coefficients is reduced once.
     """
     DEFAULT_CACHE.check_degree(n)
-    builder = SeriesBuilder(0, 0, D)
+    scale = scale / (Q - ONE) ** n
+    groups = {}  # bit length of the q-span -> [(shift, 1/W_lam, X_lam, Y_lam)]
     for lam in partitions(n):
-        per_lam = _signed_w_inverse_series(lam, k, D)
-        if per_lam is None:
+        signed = _signed_w_inverse_series(lam, k, D)
+        if signed is None:
             continue  # every term of lam lies above the truncation
-        rho = _rho(lam)
+        series, factor = signed
+        # the eigenvalue's t^shift is applied to the sum, so no side needs a
+        # row above t^{D - shift}; the x side takes every t-free factor
+        shift = k * nstat(lam)
+        cofactor = q_multinomial(_rho(lam) + (1,) * (n - max(lam, default=0)))
+        factor = _pd_mul(_pd_mul({(q, t - shift): c for (q, t), c in factor.items()},
+                                 {(e, 0): c for e, c in cofactor.items()}),
+                         scale.num)
         xs, ys = sides(lam, modified_macdonald(lam))
-        for mu, cx in xs.items():
-            with_x = _times_polynomial(per_lam, cx, D)
-            for nu, cy in ys.items():
-                key = (mu, nu)
-                for d, row in enumerate(_times_polynomial(with_x, cy, D)):
-                    for e, c in row.items():
-                        if c:
-                            builder.add(key, d, e, rho, c)
-    return builder.build(scale / (Q - ONE) ** n).table
+        xs = _rows_to({mu: _pd_mul(cx, factor) for mu, cx in xs.items()}, D - shift)
+        ys = _rows_to(ys, D - shift)
+        if xs and ys:
+            exps = [e for row in series for e in row]
+            span = max(exps) - min(exps) + _q_degree(xs) + _q_degree(ys)
+            groups.setdefault(span.bit_length(), []).append((shift, series, xs, ys))
+
+    numerators = {}  # key -> per t-degree {q_exp: integer}
+    for terms in groups.values():
+        layout = _Layout(terms, D)
+        for key, value in layout.sums(terms).items():
+            rows = numerators.setdefault(key, [{} for _ in range(D + 1)])
+            for row, got in zip(rows, layout.unpack(value)):
+                for e, c in got.items():
+                    row[e] = row.get(e, 0) + c
+    den = (q_factorial(n) * QtScalar(scale.den)).num
+    table = {}
+    for key, rows in numerators.items():
+        series = TSeries(D, [QtScalar({(e, 0): c for e, c in row.items()}, den)
+                             for row in rows])
+        if not series.is_zero():
+            table[key] = series
+    return table
 
 
 def _cauchy_outer_product(n, k, N, D, x_side, y_side, scale=ONE):
@@ -491,10 +647,11 @@ def _e_star_pairing(lam):
     (Bergeron-Garsia-Haiman-Tesler: e_n = sum over mu of
     M B_mu Pi_mu H~_mu / w_mu, M = (1-q)(1-t))."""
     coarm_coleg = [(j, i) for i, part in enumerate(lam) for j in range(part)]
-    out = (ONE - Q) * (ONE - T) * QtScalar({c: 1 for c in coarm_coleg})
+    out = _pd_mul({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1},
+                  dict.fromkeys(coarm_coleg, 1))
     for a, l in coarm_coleg[1:]:
-        out = out * (ONE - Q ** a * T ** l)
-    return out
+        out = _pd_mul(out, {(0, 0): 1, (a, l): -1})
+    return QtScalar(out)
 
 
 def nabla_en(n, k):

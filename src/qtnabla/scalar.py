@@ -826,7 +826,8 @@ class SeriesBuilder:
     Each aut_q(mu) divides [n]_q!, where n is the largest |mu| added, with
     the q-multinomial [n]_q! / aut_q(mu) as cofactor.  So a coefficient is
     one integer polynomial over [n]_q!, and build() reduces it once per
-    (key, t-degree) instead of adding each term as a QtScalar.
+    distinct tally {mu: {q_exp: count}} instead of adding each term as a
+    QtScalar.
     """
 
     def __init__(self, nx, ny, degree):
@@ -855,12 +856,18 @@ class SeriesBuilder:
                  if tally for mu in tally), default=0)
         den = _pd_mul(q_factorial(n).num, scale.den)
         cofactors = {}  # mu -> {q-degree: coefficient of [n]_q! / aut_q(mu)}
+        reduced = {}  # the keys of a symmetric series repeat a few tallies
         table = {}
         for key, slots in self._acc.items():
             coeffs = []
             for tally in slots:
                 if not tally:
                     coeffs.append(ZERO)
+                    continue
+                frozen = frozenset((mu, frozenset(weights.items()))
+                                   for mu, weights in tally.items())
+                if frozen in reduced:
+                    coeffs.append(reduced[frozen])
                     continue
                 num = {}
                 for mu, weights in tally.items():
@@ -874,6 +881,6 @@ class SeriesBuilder:
                 num = {(e, 0): c for e, c in num.items() if c}
                 if scale.num != _ONE_PD:
                     num = _pd_mul(num, scale.num)
-                coeffs.append(QtScalar(num, den))
+                coeffs.append(reduced.setdefault(frozen, QtScalar(num, den)))
             table[key] = TSeries(self.degree, coeffs)
         return MonomialSeries(self.nx, self.ny, self.degree, table)

@@ -21,8 +21,10 @@ from qtnabla.involution import (VanQuadruple, _from_columns, _key,
                                 _reversed_key, attacks_rev)
 from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
                             mu_partition, triple_series)
-from qtnabla.macdonald import eigenvalue, htilde_norm, modified_macdonald
-from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar, TSeries,
+from qtnabla.macdonald import (_rho, _signed_w_inverse_series, eigenvalue,
+                               htilde_norm, modified_macdonald)
+from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar,
+                            SeriesBuilder, TSeries,
                             aut_q)
 from qtnabla.shuffle import _dk_increment
 from qtnabla.symfunc import (Poly, fundamental_monomials, partitions,
@@ -357,6 +359,44 @@ def macdonald_substituted_series_per_term(n, k, N, D):
         n, k, N, D,
         lambda h: plethysm_p_scale(h, lambda r: T ** r - ONE).expand(N, "x"),
         lambda h: plethysm_p_scale(h, lambda r: Q ** r - ONE).expand(N, "y"))
+
+
+# ---------------------------------------------------------------------------
+# the Macdonald lambda-sum in dicts, the route that its Kronecker-packed ints
+# replaced
+
+
+def _times_polynomial(series, poly, D):
+    """An integer t-series times a polynomial {(q_exp, t_exp): integer},
+    truncated at t^D."""
+    out = [{} for _ in range(D + 1)]
+    for (i, j), c in poly.items():
+        for d in range(min(len(series), D + 1 - j)):
+            row = out[d + j]
+            for e, v in series[d].items():
+                row[e + i] = row.get(e + i, 0) + c * v
+    return out
+
+
+def lambda_sum_by_dicts(n, k, D, sides, scale=ONE):
+    """macdonald._lambda_sum with every product a dict convolution, and the
+    terms over aut_q(rho(lam)) counted by SeriesBuilder."""
+    builder = SeriesBuilder(0, 0, D)
+    for lam in partitions(n):
+        signed = _signed_w_inverse_series(lam, k, D)
+        if signed is None:
+            continue
+        per_lam = _times_polynomial(*signed, D)
+        rho = _rho(lam)
+        xs, ys = sides(lam, modified_macdonald(lam))
+        for mu, cx in xs.items():
+            with_x = _times_polynomial(per_lam, cx, D)
+            for nu, cy in ys.items():
+                for d, row in enumerate(_times_polynomial(with_x, cy, D)):
+                    for e, c in row.items():
+                        if c:
+                            builder.add((mu, nu), d, e, rho, c)
+    return builder.build(scale / (Q - ONE) ** n).table
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -18,7 +19,8 @@ from qtnabla.symfunc import SymFunc, conjugate, partitions
 
 from oracles import (
     cauchy_macdonald_series_per_term, htilde_inverse_by_elimination,
-    macdonald_substituted_series_per_term, to_htilde_dict_by_elimination,
+    lambda_sum_by_dicts, macdonald_substituted_series_per_term,
+    to_htilde_dict_by_elimination,
 )
 
 
@@ -195,14 +197,35 @@ def test_hhl_matches_gram_schmidt():
             assert _hhl_htilde(lam).terms == _build_htilde(lam).terms, lam
 
 
+@lru_cache(maxsize=None)
+def _direct_hhl(lam):
+    """H~_lam built by HHL, never derived from its conjugate."""
+    return _hhl_htilde(lam)
+
+
 def test_hhl_at_the_degree_cap():
-    # every partition of 7, and (4, 4) of the cap degree 8, pass validation
-    # and satisfy H~_lam(q, t) = H~_lam'(t, q)
-    cache = MacdonaldCache()
+    # every partition of 7, and (4, 4) of the cap degree 8, built directly,
+    # pass validation and satisfy H~_lam(q, t) = H~_lam'(t, q)
     for lam in partitions(7) + ((4, 4),):
-        h = cache.get(lam)
+        h = _direct_hhl(lam)
+        _validate_htilde(lam, h)
         swapped = {mu: c.swap_qt() for mu, c in h.terms.items()}
-        assert swapped == cache.get(conjugate(lam)).terms, lam
+        assert swapped == _direct_hhl(conjugate(lam)).terms, lam
+
+
+def test_cache_builds_one_shape_per_conjugate_pair(monkeypatch):
+    # the cache runs HHL on one shape of each pair and swaps q and t for the
+    # other; every table it serves is bit-equal to the direct build
+    built = []
+    monkeypatch.setattr(macdonald, "_hhl_htilde",
+                        lambda lam: built.append(lam) or _direct_hhl(lam))
+    shapes = [lam for n in range(8) for lam in partitions(n)]
+    cache = MacdonaldCache()
+    for lam in shapes:
+        assert cache.get(lam).terms == _direct_hhl(lam).terms, lam
+    pairs = {frozenset((lam, conjugate(lam))) for lam in shapes}
+    assert len(built) == len(pairs)
+    assert {frozenset((lam, conjugate(lam))) for lam in built} == pairs
 
 
 def test_validate_rejects_one_changed_coefficient():
@@ -443,6 +466,67 @@ def test_lambda_sum_gives_the_squarefree_coefficient(n, k, D):
     assert sums[((), ())] == hilbert_coefficient(n, k, D)
 
 
+# each kind of side that _lambda_sum serves, through its served route, at
+# n <= 6; the corollary sides of the two tests above, and a scaled sum
+LAMBDA_SUM_SIDES = {
+    "e_n": lambda: [nabla_en(n, 1) for n in range(1, 7)]
+    + [nabla_en(n, k) for n in range(1, 5) for k in (0, 2, 3)],
+    "cauchy": lambda: [cauchy_macdonald_series(n, k, N, D) for n, k, N, D in
+                       [(n, 1, 3, 4) for n in range(1, 7)]
+                       + [(3, 2, 3, 5), (4, 0, 2, 3), (5, 2, 2, 4)]],
+    "cauchy_scaled": lambda: [cauchy_macdonald_series(
+        3, 2, 2, 4, (ONE - Q) ** 3)],
+    # n = 6 would spend over a second on the plethysm of the sides alone
+    "substituted": lambda: [macdonald_substituted_series(n, k, N, D)
+                            for n, k, N, D in [(n, 1, 3, 4) for n in range(1, 6)]
+                            + [(3, 2, 3, 5), (4, 0, 2, 3)]],
+    "full_twist": lambda: [macdonald._lambda_sum(n, k + 1, 5, lambda lam, h: (
+        _squarefree_side(lam, h), {(): {(0, 0): 1}}))
+        for n in range(1, 7) for k in (0, 1)],
+    "squarefree": lambda: [macdonald._lambda_sum(n, k, 5, lambda lam, h: (
+        _squarefree_side(lam, h), _squarefree_side(lam, h)))
+        for n in range(1, 7) for k in (1, 2)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAMBDA_SUM_SIDES))
+def test_lambda_sum_is_bit_equal_to_the_dict_route(kind, monkeypatch):
+    # every call of _lambda_sum is checked against the dict convolutions and
+    # SeriesBuilder count that its packed ints replaced
+    packed, checked = _lambda_sum, []
+
+    def both(*args):
+        got = packed(*args)
+        assert got == lambda_sum_by_dicts(*args), args[:3]
+        checked.append(args[:3])
+        return got
+    monkeypatch.setattr(macdonald, "_lambda_sum", both)
+    LAMBDA_SUM_SIDES[kind]()
+    assert checked
+
+
+@pytest.mark.parametrize("big", [1, 2 ** 12, 2 ** 36, 2 ** 60, 2 ** 66])
+def test_layout_round_trips_every_digit_size(big):
+    # (1 + 2 q^-1 t)(q - t)(big - q t) to t^2, with digits of 1, 2, 5, 8
+    # and 9 bytes: machine words and the byte-by-byte route
+    series = [{0: 1}, {-1: 2}]
+    x, y = {(1, 0): 1, (0, 1): -1}, {(0, 0): big, (1, 1): -1}
+    terms = [(0, series, {(): x}, {(): y})]
+    layout = macdonald._Layout(terms, 2)
+    want = [{} for _ in range(3)]
+    for d, row in enumerate(series):
+        for e, c in row.items():
+            for (i, j), cx in x.items():
+                for (a, b), cy in y.items():
+                    if d + j + b <= 2:
+                        got = want[d + j + b]
+                        got[e + i + a] = got.get(e + i + a, 0) + c * cx * cy
+    want = [{e: c for e, c in row.items() if c} for row in want]
+    assert layout.unpack(layout.sums(terms)[(), ()]) == want
+    assert layout.nb == {1: 1, 2 ** 12: 2, 2 ** 36: 5, 2 ** 60: 8,
+                         2 ** 66: 9}[big]
+
+
 def test_cauchy_series_scale_is_exact():
     scale = (ONE - Q) ** 3
     assert (cauchy_macdonald_series(3, 2, 2, 4, scale)
@@ -484,6 +568,20 @@ def test_disk_cache_roundtrip(tmp_path):
     fresh = MacdonaldCache(directory=str(tmp_path))
     assert fresh._load((2, 1)) is not None
     assert fresh.get((2, 1)) == first
+
+
+def test_cache_fill_stores_derived_tables(tmp_path):
+    # every partition of size 1 to 5, as the benchmark's cli-cached set-up
+    # fills it: the derived shapes are stored too, and each file loads back
+    # equal to the table served
+    shapes = [lam for n in range(1, 6) for lam in partitions(n)]
+    cache = MacdonaldCache(directory=str(tmp_path))
+    for lam in shapes:
+        cache.get(lam)
+    assert len(list(tmp_path.glob("*.json"))) == len(shapes) == 18
+    fresh = MacdonaldCache(directory=str(tmp_path))
+    for lam in shapes:
+        assert fresh._load(lam).terms == cache.get(lam).terms, lam
 
 
 def test_disk_cache_rejects_corrupt_table(tmp_path):

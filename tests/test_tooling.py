@@ -42,8 +42,6 @@ SERVED_ALLOWLIST = {
     ("scalar", "aut_q"): "a public name of qtnabla.__all__; no subcommand "
         "calls it, since the series count 1/aut_q(mu) through q_multinomial",
     # methods, each kept as a test oracle
-    ("scalar", "QtScalar.swap_qt"): "the q <-> t symmetry of H~ that "
-        "test_macdonald checks up to the degree cap",
     ("symfunc", "SymFunc.hall_inner"): "the Hall pairing: the sign-character "
         "and Hall-Littlewood checks of H~ and the basis dualities of "
         "test_symfunc",
