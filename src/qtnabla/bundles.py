@@ -249,26 +249,18 @@ def bundle_side_series(n, k, N, degree):
 
     |Nilp_k| / |Aut| is q^{nilp_exponent - aut_exponent} / ((q-1)^n aut_q(mu))
     for the column multiplicities mu, so each triple is counted as one
-    q-power over aut_q(mu) and 1/(q-1)^n scales the sum."""
-    pref = k * comb(n, 2)
+    q-power over aut_q(mu) and 1/(q-1)^n scales the sum.  The q-power is a
+    pair weight (labels.triple_series): the pair i < j adds k, its share of
+    k binom(n,2), plus max(1 - k + c_ij, 0) - max(1 + c_ij, 0); at k = 0 a
+    pair of equal columns adds 1 more, binom(r, 2) per multiplicity r."""
+    def weight(delta, ai, aj, bi, bj):
+        c = delta - (aj < ai) - (bj < bi)
+        w = k + max(1 - k + c, 0) - max(1 + c, 0)
+        if k == 0 and delta == 0 and ai == aj and bi == bj:
+            w += 1
+        return w
 
-    def term(m, a, b):
-        mu = mu_partition(zip(m, a, b))
-        return pref + _exponent_gap(m, a, b, k, mu), mu
-
-    return triple_series(n, N, degree, term, ONE / (Q - ONE) ** n)
-
-
-def _exponent_gap(m, a, b, k, mu):
-    """nilp_exponent - aut_exponent from one c matrix, where mu is the
-    multiplicity partition of the columns."""
-    c = _c_matrix(m, a, b)
-    n = len(m)
-    gap = sum(max(1 - k + c[i][j], 0) - max(1 + c[i][j], 0)
-              for i in range(n) for j in range(i + 1, n))
-    if k == 0:
-        gap += sum(comb(r, 2) for r in mu)
-    return gap
+    return triple_series(n, N, degree, weight, ONE / (Q - ONE) ** n)
 
 
 def product_side_expansion(max_total, N, t_degree, q_degree):
@@ -338,7 +330,11 @@ def verify_bundle_counts(nmax, mmax, lmax, primes, ks):
 
 
 def verify_bundle_series(n, k, N, degree):
-    """The bundle series equals (-1)^n times the combinatorial enumerator."""
+    """The bundle series equals (-1)^n times the combinatorial enumerator.
+    The identity is stated for k >= 1, and at k = 0 the two sides differ,
+    so k must be positive, as in verify_main."""
+    if k < 1:
+        raise ValueError("k must be positive")
     from .omega import OmegaQuery, omega_series
     lhs = bundle_side_series(n, k, N, degree)
     rhs = omega_series(OmegaQuery(n, k, N, degree)).scale(

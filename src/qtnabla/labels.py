@@ -1,8 +1,15 @@
 """Labels, sorted triples, the dinv statistics, attack Dyck paths, and the
 inversion-weighted label generating functions (xi and the chromatic one).
 Each combinatorial family has one enumerator here: weakly decreasing
-m-vectors, weak compositions, sorted pairs and triples, and one sorted-triple
-series that every triple-weighted series goes through.
+m-vectors, weak compositions, sorted pairs and triples.
+
+Every triple-weighted series goes through one block walk, triple_series.
+A series gives its statistic as a pair weight: a function of m_i - m_j,
+a_i, a_j, b_i and b_j for column i before column j, an int, or None to
+leave the triple out.  The walk takes the columns under one m-value as
+one block, works out each block's inner sum, and per m-difference its
+weight against each column, once, and adds them as it descends; the
+squarefree coefficient takes the same walk over label permutations only.
 
 Sorting conventions: a triple (m, a, b) is sorted when m is weakly
 decreasing, ties are broken by a increasing, then by b increasing.  All
@@ -11,7 +18,8 @@ pair indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, groupby,
+                       permutations, product)
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
@@ -278,14 +286,165 @@ def _sorted_triples_over(m_vectors, N):
             yield m, a, b
 
 
-def triple_series(n, N, D, term, scale):
-    """scale times the sum over sorted triples (m, a, b) with |m| <= D and
-    labels bounded by N of t^{|m|} q^{q_exp} X_a Y_b / aut_q(mu), where
-    term(m, a, b) gives (q_exp, mu), or None to leave the triple out."""
-    builder = SeriesBuilder(N, N, D)
+def dinv_weight(k):
+    """The pair weight of dinv_k: column i before column j adds
+    max(m_j - m_i - 1 + k + [a_i > a_j] + [b_i > b_j], 0)."""
+    def weight(delta, ai, aj, bi, bj):
+        v = k - 1 - delta + (ai > aj) + (bi > bj)
+        return v if v > 0 else 0
+
+    return weight
+
+
+def _total(weights):
+    """The sum of a sequence of weights, or None when one of them is None."""
+    return None if None in weights else sum(weights)
+
+
+def _block_counts(n, N, D, weight, distinct, by_aut):
+    """Yield (d, packed, q_exp, count) for d = 0..D: count sorted triples
+    (m, a, b) with |m| = d, labels bounded by N, the contents and column
+    multiplicities packed, and the q-exponent q_exp.
+
+    A statistic is a pair weight: column i before column j adds
+    weight(m_i - m_j, a_i, a_j, b_i, b_j), an int, or None to leave the
+    triple out, and q_exp sums it over the pairs i < j.  packed holds the
+    contents of a and b, and with by_aut the part counts of the
+    multiplicity partition mu of the columns, as digits in base n + 1
+    (_unpack reads them back).  With distinct, a and b run over the
+    permutations of 1..n only (N = n).
+
+    The walk goes by column blocks: a block is the multiset of (a, b)
+    columns under one m-value, in sorted order.  Each block's inner pair
+    sum, contents and multiplicities are worked out once, and so is, per
+    m-difference, the weight it adds against each single column below it.
+    For each m-vector the walk descends its blocks; at each step it sums
+    the column weights of the blocks above, so a candidate block's cross
+    sum with all of them is one lookup per column of its own, and it
+    leaves a branch at its first None.  With distinct, a block takes an
+    a-set from the unused labels and an injective b-row.
+    """
+    base = n + 1
+    columns = list(product(range(1, N + 1), repeat=2))
+    tables = {}  # m-difference -> [column i][column j] -> weight
+
+    def table(delta):
+        rows = tables.get(delta)
+        if rows is None:
+            rows = tables[delta] = [[weight(delta, a, a2, b, b2)
+                                     for a2, b2 in columns]
+                                    for a, b in columns]
+        return rows
+
+    block_columns = []  # block index -> its column indices
+    blocks = {}  # column indices -> (index, inner sum, packed, label mask)
+
+    def block(cols):
+        got = blocks.get(cols)
+        if got is None:
+            same = table(0)
+            inner = _total([same[c][c2] for i, c in enumerate(cols)
+                            for c2 in cols[i + 1:]])
+            packed = mask = 0
+            for c in cols:
+                a, b = columns[c]
+                packed += base ** (a - 1) + base ** (N + b - 1)
+                if distinct:
+                    mask |= 1 << (a - 1) | 1 << (N + b - 1)
+            if by_aut:
+                for r in alpha_composition(cols):
+                    packed += base ** (2 * N + r - 1)
+            got = blocks[cols] = (len(block_columns), inner, packed, mask)
+            block_columns.append(cols)
+        return got
+
+    choices = {}  # (run length, used label mask) -> the blocks that may go
+
+    def candidates(run, used):
+        got = choices.get((run, used))
+        if got is None:
+            if distinct:
+                free_a = [v for v in range(1, n + 1) if not used >> (v - 1) & 1]
+                free_b = [v for v in range(1, n + 1)
+                          if not used >> (n + v - 1) & 1]
+                tuples = (tuple((a - 1) * N + b - 1 for a, b in zip(aa, bb))
+                          for aa in combinations(free_a, run)
+                          for bb in permutations(free_b, run))
+            else:
+                tuples = combinations_with_replacement(range(len(columns)),
+                                                       run)
+            got = choices[run, used] = [blk for blk in map(block, tuples)
+                                        if blk[1] is not None]
+        return got
+
+    column_sums = {}  # (block index, m-difference) -> weight per column
+
+    def column_sum(index, delta):
+        """The block's pair weights against each column c at m-difference
+        delta, summed over the block."""
+        got = column_sums.get((index, delta))
+        if got is None:
+            rows = table(delta)
+            got = column_sums[index, delta] = list(map(
+                _total, zip(*[rows[c] for c in block_columns[index]])))
+        return got
+
+    def descend(level, chosen, used, packed, q_exp):
+        value, run = runs[level]
+        over = [column_sum(index, above - value) for index, above in chosen]
+        # the blocks above, summed per column: a candidate block reads its
+        # cross sum with all of them off its own columns
+        cross = over[0] if len(over) == 1 else [
+            None if None in col else sum(col) for col in zip(*over)]
+        for index, inner, bpacked, mask in candidates(run, used):
+            s = q_exp + inner
+            for c in block_columns[index] if cross else ():
+                v = cross[c]
+                if v is None:
+                    break
+                s += v
+            else:
+                if level == last:
+                    key = (packed + bpacked, s)
+                    tally[key] = tally.get(key, 0) + 1
+                else:
+                    descend(level + 1, chosen + [(index, value)],
+                            used | mask, packed + bpacked, s)
+
     for d in range(D + 1):
-        for m, a, b in iter_sorted_triples(n, N, d):
-            weight = term(m, a, b)
-            if weight is not None:
-                builder.add((content(a, N), content(b, N)), d, *weight)
+        tally = {}
+        for m in _sorted_m_vectors(n, d):
+            runs = [(v, len(list(group))) for v, group in groupby(m)]
+            last = len(runs) - 1
+            descend(0, [], 0, 0, 0)
+        for (packed, q_exp), count in tally.items():
+            yield d, packed, q_exp, count
+
+
+def _unpack(packed, n, N):
+    """The (x content, y content) key and the multiplicity partition mu of a
+    packed value of _block_counts."""
+    digits = []
+    for _ in range(2 * N + n):
+        packed, r = divmod(packed, n + 1)
+        digits.append(r)
+    mu = tuple(r for r in range(n, 0, -1) for _ in range(digits[2 * N + r - 1]))
+    return (tuple(digits[:N]), tuple(digits[N:2 * N])), mu
+
+
+def triple_series(n, N, D, weight, scale, by_aut=True, distinct=False):
+    """scale times the sum over sorted triples (m, a, b) with |m| <= D and
+    labels bounded by N of t^{|m|} q^{q_exp} X_a Y_b, divided by aut_q(mu)
+    when by_aut, where q_exp sums the pair weight over the column pairs and
+    mu is the multiplicity partition of the columns; with distinct, only
+    over the triples whose a and b are permutations of 1..n (N = n).  The
+    walk is _block_counts."""
+    builder = SeriesBuilder(N, N, D)
+    keys = {}  # packed -> (key, mu)
+    for d, packed, q_exp, count in _block_counts(n, N, D, weight, distinct,
+                                                 by_aut):
+        got = keys.get(packed)
+        if got is None:
+            got = keys[packed] = _unpack(packed, n, N)
+        builder.add(got[0], d, q_exp, got[1], count)
     return builder.build(scale)

@@ -15,8 +15,9 @@ from itertools import permutations
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .labels import (
-    _sorted_m_vectors, attack_path, compositions, content, dinv_k, dinv_k_pair,
-    is_sorted_triple, iter_sorted_pairs, mu_partition, triple_series, xi_pi,
+    _sorted_m_vectors, attack_path, compositions, content, dinv_k,
+    dinv_k_pair, dinv_weight, is_sorted_triple, iter_sorted_pairs,
+    mu_partition, triple_series, xi_pi,
 )
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
@@ -59,11 +60,7 @@ def omega_series(query):
     / ((1-q)^n aut_q(m, a, b)), per t-degree; aut_q(m, a, b) is aut_q of
     the multiplicity partition of the columns (m_i, a_i, b_i)."""
     n, k, N, D = query.n, query.k, query.N, query.D
-
-    def term(m, a, b):
-        return dinv_k(m, a, b, k), mu_partition(zip(m, a, b))
-
-    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
+    return triple_series(n, N, D, dinv_weight(k), (ONE / (ONE - Q)) ** n)
 
 
 def _pair_sum(query, y_side):
@@ -96,13 +93,15 @@ def omega_sub_y(query):
     triple sum, with all automorphism factors gone."""
     n, k, N, D = query.n, query.k, query.N, query.D
 
-    def term(m, a, b):
-        path = attack_path(m, a, k)
-        if any(b[i - 1] == b[j - 1] for i, j in path.dset):
+    def weight(delta, ai, aj, bi, bj):
+        v = k - 1 - delta + (ai > aj)
+        if v >= 0 and bi == bj:  # i k-attacks j with an equal label
             return None
-        return dinv_k(m, a, b, k), ()
+        v += bi > bj
+        return v if v > 0 else 0
 
-    return triple_series(n, N, D, term, QtScalar.from_int((-1) ** n))
+    return triple_series(n, N, D, weight, QtScalar.from_int((-1) ** n),
+                         by_aut=False)
 
 
 def _xi_sub_y(path, N):
@@ -167,13 +166,18 @@ def fulltwist_extraction(n, k, degree):
 
 
 def hilbert_coefficient(n, k, degree):
-    """The coefficient of the squarefree monomial x_1..x_n y_1..y_n.
+    """The coefficient of the squarefree monomial x_1..x_n y_1..y_n: the
+    dinv_k sum over the sorted triples whose a and b are permutations of
+    1..n, walked by column blocks (labels.triple_series with distinct): each
+    block takes an a-set from the unused labels and an injective b-row.
 
     The normalization factor (1-q)^(n - gcd(n, kn)) is identically 1 here
     and is reported rather than folded in.
     """
-    return _permutation_coefficient(n, k, degree,
-                                    list(permutations(range(1, n + 1))))
+    ones = (1,) * n
+    series = triple_series(n, n, degree, dinv_weight(k),
+                           (ONE / (ONE - Q)) ** n, by_aut=False, distinct=True)
+    return series.series((ones, ones))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +205,22 @@ def verify_main(n, k, N, D):
 
 
 def verify_xi_factoring(n, k, N, D):
+    """The enumerator against its regrouping over sorted pairs.  The
+    identity is stated for k >= 1, and at k = 0 the two routes differ, so k
+    must be positive, as in verify_main."""
+    if k < 1:
+        raise ValueError("k must be positive")
     lhs = omega_series(OmegaQuery(n, k, N, D))
     rhs = omega_via_xi(OmegaQuery(n, k, N, D))
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
 def verify_sub_y(n, k, N, D):
+    """The substituted enumerator against the plethysm route.  The
+    identity is stated for k >= 1, and at k = 0 the two routes differ, so k
+    must be positive, as in verify_main."""
+    if k < 1:
+        raise ValueError("k must be positive")
     lhs = omega_sub_y(OmegaQuery(n, k, N, D))
     rhs = omega_sub_y_via_plethysm(OmegaQuery(n, k, N, D))
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)

@@ -16,13 +16,16 @@ from math import comb
 
 from qtnabla.affine import (AffinePermutation, edges, iter_wplus_graded,
                             left_coset_min_max)
-from qtnabla.bundles import _endomorphism_slots, aut_exponent, nilp_exponent
+from qtnabla.bundles import (_c_matrix, _endomorphism_slots, aut_exponent,
+                             nilp_exponent)
 from qtnabla.involution import (VanQuadruple, _from_columns, _key,
                                 _reversed_key, attacks_rev)
-from qtnabla.labels import (inv_pi, is_sorted_triple, iter_sorted_triples,
+from qtnabla.labels import (attack_path, content, dinv_k, inv_pi,
+                            is_sorted_triple, iter_sorted_triples,
                             mu_partition, triple_series)
 from qtnabla.macdonald import (_rho, _signed_w_inverse_series, eigenvalue,
                                htilde_norm, modified_macdonald)
+from qtnabla.omega import _permutation_coefficient
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar,
                             SeriesBuilder, TSeries,
                             aut_q)
@@ -163,6 +166,80 @@ def bundle_side_series_per_term(n, k, N, degree):
             builder.add_term((xe, ye), d, nilp_count_symbolic(m, a, b, k) * pref,
                              aut_count_symbolic(m, a, b))
     return builder.build()
+
+
+# ---------------------------------------------------------------------------
+# the sorted-triple series one triple at a time, the route the block walk
+# of labels.triple_series replaced, and the squarefree coefficient by
+# filtering every pair of label permutations
+
+
+def triple_series_by_triples(n, N, D, term, scale):
+    """scale times the sum over sorted triples (m, a, b) with |m| <= D and
+    labels bounded by N of t^{|m|} q^{q_exp} X_a Y_b / aut_q(mu), where
+    term(m, a, b) gives (q_exp, mu), or None to leave the triple out."""
+    builder = SeriesBuilder(N, N, D)
+    for d in range(D + 1):
+        for m, a, b in iter_sorted_triples(n, N, d):
+            weight = term(m, a, b)
+            if weight is not None:
+                builder.add((content(a, N), content(b, N)), d, *weight)
+    return builder.build(scale)
+
+
+def omega_series_by_triples(n, k, N, D):
+    def term(m, a, b):
+        return dinv_k(m, a, b, k), mu_partition(zip(m, a, b))
+
+    return triple_series_by_triples(n, N, D, term, (ONE / (ONE - Q)) ** n)
+
+
+def omega_sub_y_by_triples(n, k, N, D):
+    def term(m, a, b):
+        path = attack_path(m, a, k)
+        if any(b[i - 1] == b[j - 1] for i, j in path.dset):
+            return None
+        return dinv_k(m, a, b, k), ()
+
+    return triple_series_by_triples(n, N, D, term,
+                                    QtScalar.from_int((-1) ** n))
+
+
+def exponent_gap(m, a, b, k, mu):
+    """nilp_exponent - aut_exponent from one c matrix, where mu is the
+    multiplicity partition of the columns."""
+    c = _c_matrix(m, a, b)
+    n = len(m)
+    gap = sum(max(1 - k + c[i][j], 0) - max(1 + c[i][j], 0)
+              for i in range(n) for j in range(i + 1, n))
+    if k == 0:
+        gap += sum(comb(r, 2) for r in mu)
+    return gap
+
+
+def bundle_side_series_by_triples(n, k, N, D):
+    pref = k * comb(n, 2)
+
+    def term(m, a, b):
+        mu = mu_partition(zip(m, a, b))
+        return pref + exponent_gap(m, a, b, k, mu), mu
+
+    return triple_series_by_triples(n, N, D, term, ONE / (Q - ONE) ** n)
+
+
+def cauchy_combinatorial_by_triples(n, N, D):
+    def term(m, a, b):
+        mu = mu_partition(zip(m, a, b))
+        return sum(r * (r - 1) // 2 for r in mu), mu
+
+    return triple_series_by_triples(n, N, D, term, (ONE / (ONE - Q)) ** n)
+
+
+def hilbert_coefficient_by_filter(n, k, degree):
+    """omega.hilbert_coefficient over every pair of label permutations per
+    m, kept when the triple is sorted."""
+    return _permutation_coefficient(n, k, degree,
+                                    list(permutations(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -869,11 +946,10 @@ def cauchy_combinatorial(n, N, D):
     """The k = 0 Cauchy sum: t^{|m|} q^{n(mu')} X_a Y_b / ((1-q)^n aut_q)
     over sorted triples, where mu is the multiplicity partition of the
     (m_i, a_i, b_i) columns, so n(mu') counts equal-column pairs."""
-    def term(m, a, b):
-        mu = mu_partition(zip(m, a, b))
-        return sum(r * (r - 1) // 2 for r in mu), mu
+    def weight(delta, ai, aj, bi, bj):
+        return 1 if delta == 0 and ai == aj and bi == bj else 0
 
-    return triple_series(n, N, D, term, (ONE / (ONE - Q)) ** n)
+    return triple_series(n, N, D, weight, (ONE / (ONE - Q)) ** n)
 
 
 def xy_swap(series):

@@ -1,11 +1,11 @@
 import pytest
 
 from oracles import (aut_count_symbolic, brute_force_counts_by_dicts,
-                     bundle_le, bundle_sweep_triples, ext_dim, hom_dim,
-                     product_side_expansion_by_copies)
+                     bundle_le, bundle_sweep_triples, exponent_gap, ext_dim,
+                     hom_dim, product_side_expansion_by_copies)
 from qtnabla.scalar import ONE, Q, T, q_factorial
 from qtnabla.bundles import (
-    _exponent_gap, aut_count, aut_exponent, brute_force_counts,
+    aut_count, aut_exponent, brute_force_counts,
     bundle_side_series, nilp_count, nilp_exponent, product_side_expansion,
     verify_bundle_counts, verify_bundle_series, verify_product_identity,
 )
@@ -190,6 +190,11 @@ def test_bundle_series_matches_omega():
             assert rep["equal"], rep["first_discrepancy"]
 
 
+def test_verify_bundle_series_rejects_k_zero():
+    with pytest.raises(ValueError, match="k must be positive"):
+        verify_bundle_series(2, 0, 2, 3)
+
+
 def test_exponent_gap_is_nilp_minus_aut():
     """Over every triple the bundle series of the tests and the CLI reach:
     ranks up to 3, labels up to 3, |m| up to 4, and k = 0 (the product
@@ -199,7 +204,7 @@ def test_exponent_gap_is_nilp_minus_aut():
             for m, a, b in iter_sorted_triples(n, 3, d):
                 mu = mu_partition(zip(m, a, b))
                 for k in (0, 1, 2):
-                    assert _exponent_gap(m, a, b, k, mu) == \
+                    assert exponent_gap(m, a, b, k, mu) == \
                         nilp_exponent(m, a, b, k) - aut_exponent(m, a, b)
 
 

@@ -89,6 +89,18 @@ def test_sub_y_matches_plethysm_route():
             assert rep["equal"], rep["first_discrepancy"]
 
 
+def test_verify_xi_factoring_rejects_k_zero():
+    # at k = 0 the two routes differ, here at (2, 0, 2, 3): not a
+    # counterexample to the identity, which is stated for k >= 1
+    with pytest.raises(ValueError, match="k must be positive"):
+        verify_xi_factoring(2, 0, 2, 3)
+
+
+def test_verify_sub_y_rejects_k_zero():
+    with pytest.raises(ValueError, match="k must be positive"):
+        verify_sub_y(3, 0, 2, 3)
+
+
 def test_sub_y_attack_constraints():
     # n = 2, k = 1, m = (0,0): constant m attacks, so b entries must differ
     series = omega_sub_y(OmegaQuery(2, 1, 2, 0))

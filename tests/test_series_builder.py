@@ -3,7 +3,9 @@ coefficient at a time over [n]_q!.  Every series it builds is compared, bit
 for bit, with the same terms added one by one as rational functions, the
 route it replaced (tests/oracles.py).  The Macdonald side counts its
 lambda-sum in packed ints instead; test_macdonald checks it against the
-SeriesBuilder route it replaced."""
+SeriesBuilder route it replaced.  The block walk of labels.triple_series,
+and of the squarefree coefficient, is compared with the per-triple route
+and the permutation filter it replaced."""
 
 import importlib
 import pkgutil
@@ -69,6 +71,22 @@ BUILDER_MODULES = [
     and getattr(module, "SeriesBuilder", None) is SeriesBuilder]
 
 
+# the block walk of labels.triple_series against the per-triple route it
+# replaced, on the grid (k = 0 included) and at three sizes past it
+BLOCK_WALK = {
+    "omega_series": (_omega(omega.omega_series),
+                     oracles.omega_series_by_triples),
+    "omega_sub_y": (_omega(omega.omega_sub_y),
+                    oracles.omega_sub_y_by_triples),
+    "bundle_side_series": (bundles.bundle_side_series,
+                           oracles.bundle_side_series_by_triples),
+    "cauchy_combinatorial": (
+        lambda n, k, N, D: oracles.cauchy_combinatorial(n, N, D),
+        lambda n, k, N, D: oracles.cauchy_combinatorial_by_triples(n, N, D)),
+}
+BLOCK_SIZES = GRID + [(3, 2, 3, 5), (4, 1, 3, 4), (4, 2, 4, 3)]
+
+
 class _Replay:
     """Records the terms a caller adds, then builds them through both
     SeriesBuilder and the per-term route and checks the two agree."""
@@ -103,6 +121,22 @@ def test_replay_reaches_the_sorted_triple_walk():
     # omega_series, omega_sub_y, cauchy_combinatorial and bundle_side_series
     # build through labels.triple_series, so the replay must patch labels
     assert labels in BUILDER_MODULES
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_WALK))
+def test_block_walk_matches_the_per_triple_route(name):
+    walk, by_triples = BLOCK_WALK[name]
+    sizes = BLOCK_SIZES
+    if name == "cauchy_combinatorial":  # reads no k
+        sizes = sorted({(n, 0, N, D) for n, _, N, D in sizes})
+    for size in sizes:
+        assert walk(*size) == by_triples(*size), size
+
+
+def test_permutation_walk_matches_the_filter():
+    for n, k, _, D in SINGLE + [(4, 1, 4, 4), (5, 1, 5, 3)]:
+        assert (omega.hilbert_coefficient(n, k, D)
+                == oracles.hilbert_coefficient_by_filter(n, k, D)), (n, k, D)
 
 
 def test_bundle_series_matches_symbolic_counts():
