@@ -1,8 +1,8 @@
 """Positive extended affine permutations in window notation: length,
-transpositions, m-stability, edge sets and the dimension statistic,
-standardization, the triple-to-permutation map paff, the left-coset extremes
-and the double-coset maximum read from descents, the affine-permutation
-power series, and the paff sweep of verify-paff.
+transpositions, edge sets and the dimension statistic, standardization, the
+triple-to-permutation map paff, the left-coset extremes and the double-coset
+maximum read from descents, the affine-permutation power series, and the
+paff sweep of verify-paff.
 
 Windows are tuples (w_1..w_n) of integers with pairwise distinct residues
 mod n; composition acts as functions, (uv)(i) = u(v(i)).
@@ -120,18 +120,6 @@ def transposition(n, a, b):
         else:
             window.append(i)
     return AffinePermutation(window)
-
-
-def is_m_stable(w, m):
-    """w(i + m) > w(i) for all i; checked on one period, from the window."""
-    window = w.window
-    n = len(window)
-    return all(window[(i + m) % n] + (i + m) - (i + m) % n > window[i]
-               for i in range(n))
-
-
-def is_m_restricted(w, m):
-    return is_m_stable(w.inverse(), m)
 
 
 def _values(w, count):
@@ -296,17 +284,23 @@ def iter_wplus_graded(n, d):
             yield _unchecked(tuple(perm[i] + n * qs[i] for i in range(n)))
 
 
-def raths_series(n, m, degree):
-    """(1/(1-q)^gcd(n,m)) sum over m-restricted w in W+_n of t^area q^dimv,
-    truncated at t-degree `degree`; area(w) is the d-grade."""
-    if m < 1:
-        raise ValueError("m must be positive")
+def raths_series(n, k, degree):
+    """(1/(1-q)^n) sum over w in W+_n of t^area q^dimv_kn, truncated at
+    t-degree `degree`; area(w) is the d-grade.
+
+    The sum runs over the kn-restricted w, those with w^{-1} kn-stable.
+    No restriction is checked, because every w passes it:
+    w^{-1}(i + kn) = w^{-1}(i) + kn.  The normalization (1-q)^gcd(n, m) of
+    an m-restricted sum is (1-q)^n at m = kn.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    m = k * n
     builder = SeriesBuilder(0, 0, degree)
     for d in range(degree + 1):
         for w in iter_wplus_graded(n, d):
-            if is_m_restricted(w, m):
-                builder.add((), d, dimv(w, m))
-    return builder.build((ONE / (ONE - Q)) ** gcd(n, m)).series(())
+            builder.add((), d, dimv(w, m))
+    return builder.build((ONE / (ONE - Q)) ** n).series(())
 
 
 def verify_paff(n, k, degree, N):
@@ -319,6 +313,10 @@ def verify_paff(n, k, degree, N):
       (ii)  dinv_k(m, a, b) = dimv_{kn}(paff(m, a, b));
       (iii) the attack path's area sequence is the coordinatewise difference
             of the edge-class vectors of the left-coset extremes.
+    Claim (iii) reads w only through its translation vector, the
+    (w_i - 1) // n, which fixes the left coset S_n . w, and the attack
+    path reads only (m, a, k); so it is checked once per key (m, a,
+    translation vector), and a repeat key has nothing new to compare.
     The fourth claim, that the GKM leading-form degree equals dimv_{kn}, is
     not compared per triple because it holds for every w: the degree is
     sum_{i<j} (k - refined count) = k*C(n, 2) - |E_kn(w)|, dimv_{kn}(w) is
@@ -330,6 +328,7 @@ def verify_paff(n, k, degree, N):
               "triples": 0, "failures": []}
 
     seen = {}
+    checked = set()
     for d in range(degree + 1):
         for m, a, b in iter_sorted_triples(n, N, d):
             report["triples"] += 1
@@ -353,6 +352,10 @@ def verify_paff(n, k, degree, N):
             v = _coset_max_witness(w, beta, alpha_a)
             if v is not None:
                 return fail(report, "coset-max", {**at, "v": v.window})
+            key = (m, a, tuple((wi - 1) // n for wi in w.window))
+            if key in checked:
+                continue
+            checked.add(key)
             wmin, wmax = left_coset_min_max(w)
             diff = tuple(x - y for x, y in zip(rational_area_sequence(wmin, k * n),
                                               rational_area_sequence(wmax, k * n)))

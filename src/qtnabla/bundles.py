@@ -198,19 +198,21 @@ def _mat_mul_mod(A, B, n, times, plus):
     return out
 
 
-def brute_force_counts(m, a, b, p, k, points):
-    """Exhaustive (|Aut|, |Nilp_k|) over F_p.
+def brute_force_counts(m, a, b, p, points):
+    """Exhaustive |Aut| and every |Nilp_j| over F_p, in one walk.
 
     Endomorphisms are matrices of window polynomials; automorphisms are
-    those with nonzero (constant) determinant, and Nilp_k members satisfy
-    theta^n = 0 and vanish at the given points.  Each entry's polynomials
-    are listed once as coefficient tuples, and every product or sum of two
-    polynomials is worked out once, in tables shared by all p^dim matrices.
+    those with nonzero (constant) determinant, and Nilp_j members satisfy
+    theta^n = 0 and vanish at the first j points.  Returns (auts, nilps)
+    with nilps[j] = |Nilp_j| for j = 0..len(points).  Each entry's
+    polynomials are listed once as coefficient tuples, each with its depth,
+    the number of leading points at which it vanishes; a nilpotent matrix
+    lies in Nilp_j exactly for the j up to the least depth of its entries.
+    Every product or sum of two polynomials is worked out once, in tables
+    shared by all p^dim matrices.
     """
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
-    if len(points) != k:
-        raise ValueError("need exactly k vanishing points")
     if any(s % p == 0 for s in points):
         raise ValueError("vanishing points must avoid 0 and infinity")
     n = len(m)
@@ -219,24 +221,30 @@ def brute_force_counts(m, a, b, p, k, points):
     bundles = list(zip(m, a, b))
     entries = [_window_polys(_hom_window(bundles[j], bundles[i]), p)
                for i in range(n) for j in range(n)]
-    vanishes = {f: not any(sum(c * pow(s, e, p) for e, c in enumerate(f)) % p
-                           for s in points)
-                for polys in entries for f in polys}
+    depth = {}
+    for polys in entries:
+        for f in polys:
+            d = 0
+            for s in points:
+                if sum(c * pow(s, e, p) for e, c in enumerate(f)) % p:
+                    break
+                d += 1
+            depth[f] = d
     times, plus = _Table(_poly_mul_mod, p), _Table(_poly_add_mod, p)
     auts = 0
-    nilps = 0
+    at_depth = [0] * (len(points) + 1)
     for flat in product(*entries):
         if _det_mod(flat, p, n, times, plus):
             auts += 1
-            continue
-        if not all(vanishes[f] for f in flat):
             continue
         power = mat = [flat[i * n:(i + 1) * n] for i in range(n)]
         for _ in range(n - 1):
             power = _mat_mul_mod(power, mat, n, times, plus)
         if not any(map(any, power)):
-            nilps += 1
-    return auts, nilps
+            at_depth[min(map(depth.__getitem__, flat))] += 1
+    for j in range(len(points) - 1, -1, -1):
+        at_depth[j] += at_depth[j + 1]
+    return auts, tuple(at_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +310,34 @@ def product_side_expansion(max_total, N, t_degree, q_degree):
 def verify_bundle_counts(nmax, mmax, lmax, primes, ks):
     """Formula-versus-oracle sweep; returns a report with any mismatch.
 
+    Each k is a case over every prime p > k, since the vanishing points
+    1..k must avoid 0 mod p.  The oracle walks each (triple, prime) once,
+    with the points 1..max k, and its counts are compared case by case.
     Every (triple, prime) the sweep will enumerate is checked against the
     dimension cap first, so an oversized sweep fails before any work.
     """
     m_vectors = [m for n in range(1, nmax + 1) for d in range(n * mmax + 1)
                  for m in _sorted_m_vectors(n, d, mmax)]
     triples = list(_sorted_triples_over(m_vectors, lmax))
-    # the vanishing points 1..k must avoid 0 mod p
-    cases = [(p, k) for p in primes for k in ks if k < p]
+    walks = [(p, [k for k in ks if k < p]) for p in primes]
+    walks = [(p, p_ks) for p, p_ks in walks if p_ks]
     for m, a, b in triples:
         dim = len(_endomorphism_slots(m, a, b))
-        for p, _ in cases:
+        for p, _ in walks:
             _check_dim_cap(dim, p)
     report = {"ok": True, "cases": 0, "failures": []}
     for m, a, b in triples:
-        for p, k in cases:
-            points = list(range(1, k + 1))
-            auts, nilps = brute_force_counts(m, a, b, p, k, points)
+        for p, p_ks in walks:
+            auts, nilps = brute_force_counts(m, a, b, p,
+                                             list(range(1, max(p_ks) + 1)))
             fa = aut_count(m, a, b, q=p)
-            fn = nilp_count(m, a, b, k, q=p)
-            report["cases"] += 1
-            if (auts, nilps) != (fa, fn):
-                return fail(report, "oracle", {
-                    "triple": (m, a, b), "p": p, "k": k,
-                    "oracle": (auts, nilps), "formula": (fa, fn)})
+            for k in p_ks:
+                fn = nilp_count(m, a, b, k, q=p)
+                report["cases"] += 1
+                if (auts, nilps[k]) != (fa, fn):
+                    return fail(report, "oracle", {
+                        "triple": (m, a, b), "p": p, "k": k,
+                        "oracle": (auts, nilps[k]), "formula": (fa, fn)})
     return report
 
 

@@ -235,7 +235,7 @@ def verify_fulltwist(n, k, D, hilbert=False):
     if hilbert:
         from .affine import raths_series
         sub = report["hilbert"] = compare(hilbert_coefficient(n, k, D),
-                                          raths_series(n, k * n, D))
+                                          raths_series(n, k, D))
         report["equal"] = report["equal"] and sub["equal"]
     return report
 
@@ -243,7 +243,7 @@ def verify_fulltwist(n, k, D, hilbert=False):
 def verify_hilbert(n, k, D):
     """The squarefree coefficient against the affine-permutation series."""
     from .affine import raths_series
-    return _pair_report(hilbert_coefficient(n, k, D), raths_series(n, k * n, D),
+    return _pair_report(hilbert_coefficient(n, k, D), raths_series(n, k, D),
                         n=n, k=k, D=D, normalization=f"(1-q)^{n - n} = 1")
 
 

@@ -14,21 +14,22 @@ from bisect import insort
 from itertools import combinations, permutations, product
 from math import comb
 
-from qtnabla.affine import (AffinePermutation, edges, iter_wplus_graded,
-                            left_coset_min_max)
+from qtnabla.affine import (AffinePermutation, _coset_max_witness, dimv,
+                            edges, iter_wplus_graded, left_coset_min_max,
+                            paff, rational_area_sequence)
 from qtnabla.bundles import (_c_matrix, _endomorphism_slots, aut_exponent,
                              nilp_exponent)
 from qtnabla.involution import (VanQuadruple, _from_columns, _key,
                                 _reversed_key, attacks_rev)
-from qtnabla.labels import (attack_path, content, dinv_k, inv_pi,
-                            is_sorted_triple, iter_sorted_triples,
+from qtnabla.labels import (alpha_composition, attack_path, content, dinv_k,
+                            inv_pi, is_sorted_triple, iter_sorted_triples,
                             mu_partition, triple_series)
 from qtnabla.macdonald import (_rho, _signed_w_inverse_series, eigenvalue,
                                htilde_norm, modified_macdonald)
 from qtnabla.omega import _permutation_coefficient
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar,
                             SeriesBuilder, TSeries,
-                            aut_q)
+                            aut_q, fail)
 from qtnabla.shuffle import _dk_increment
 from qtnabla.symfunc import (Poly, fundamental_monomials, partitions,
                              plethysm_p_scale)
@@ -790,13 +791,21 @@ def _p_to_m_row(lam):
 
 
 # ---------------------------------------------------------------------------
-# the affine group by listing: the identity, Young subgroups, double cosets
-# and their Bruhat extremes, the refined edge counts and the degree of the
-# GKM leading form
+# the affine group by listing: the identity, m-stability, Young subgroups,
+# double cosets and their Bruhat extremes, the refined edge counts and the
+# degree of the GKM leading form
 
 
 def identity(n):
     return AffinePermutation(range(1, n + 1))
+
+
+def is_m_stable(w, m):
+    """w(i + m) > w(i) for all i; checked on one period, from the window."""
+    window = w.window
+    n = len(window)
+    return all(window[(i + m) % n] + (i + m) - (i + m) % n > window[i]
+               for i in range(n))
 
 
 def canonical_transposition(n, a, b):
@@ -872,6 +881,50 @@ def b_poly_degree(w, k):
         for j in range(i + 1, n + 1):
             total += k - refined.get((i, j), 0)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the paff sweep with claim (iii) compared at every triple, the route that
+# one comparison per translation class replaced
+
+
+def verify_paff_per_triple(n, k, degree, N):
+    """affine.verify_paff, forming the left-coset extremes, both rational
+    area sequences and the attack path anew for every triple."""
+    report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
+              "triples": 0, "failures": []}
+
+    seen = {}
+    for d in range(degree + 1):
+        for m, a, b in iter_sorted_triples(n, N, d):
+            report["triples"] += 1
+            w = paff(m, a, b)
+            at = {"triple": (m, a, b), "w": w.window}
+            if w.d_grade() != d:
+                return fail(report, "grade", at)
+            val_dinv = dinv_k(m, a, b, k)
+            val_dimv = dimv(w, k * n)
+            if val_dinv != val_dimv:
+                return fail(report, "dinv-dimv",
+                            {**at, "dinv": val_dinv, "dimv": val_dimv})
+            klass = (tuple(sorted(a)), tuple(sorted(b)))
+            if (klass, w.window) in seen and seen[(klass, w.window)] != (m, a, b):
+                return fail(report, "injectivity",
+                            {"triple": (m, a, b),
+                             "other": seen[(klass, w.window)]})
+            seen[(klass, w.window)] = (m, a, b)
+            alpha_a = alpha_composition(a)
+            beta = tuple(reversed(alpha_composition(b)))
+            v = _coset_max_witness(w, beta, alpha_a)
+            if v is not None:
+                return fail(report, "coset-max", {**at, "v": v.window})
+            wmin, wmax = left_coset_min_max(w)
+            diff = tuple(x - y for x, y in zip(rational_area_sequence(wmin, k * n),
+                                              rational_area_sequence(wmax, k * n)))
+            if diff != attack_path(m, a, k).area_sequence:
+                return fail(report, "area-difference",
+                            {"triple": (m, a, b), "diff": diff})
+    return report
 
 
 # ---------------------------------------------------------------------------

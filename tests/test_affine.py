@@ -3,12 +3,13 @@ from math import comb
 import pytest
 
 from oracles import (b_poly_degree, canonical_transposition, double_coset,
-                     edges_refined, identity, iter_wplus)
+                     edges_refined, identity, is_m_stable, iter_wplus,
+                     verify_paff_per_triple)
 from qtnabla.scalar import ONE, Q
 from qtnabla.affine import (
     AffinePermutation, _coset_max_witness, coarea_path, dimv, edges,
-    is_m_stable, left_coset_min_max, max_area, paff,
-    raths_series, standardize, tau, transposition, verify_paff, wvec,
+    left_coset_min_max, max_area, paff, raths_series, standardize, tau,
+    transposition, verify_paff, wvec,
 )
 from qtnabla.labels import alpha_composition, compositions, iter_sorted_triples
 
@@ -136,6 +137,15 @@ def test_m_stability():
     # kn-stability is automatic for every positive affine permutation
     for w in iter_wplus(2, 2):
         assert is_m_stable(w, 2) and is_m_stable(w, 4)
+
+
+def test_kn_restriction_is_vacuous():
+    # why raths_series checks no restriction: w^{-1} is kn-stable for every
+    # w of W+_n
+    for n in range(1, 5):
+        for w in iter_wplus(n, 4):
+            for k in (1, 2):
+                assert is_m_stable(w.inverse(), k * n), (w, k)
 
 
 def test_reflection_length_dichotomy():
@@ -332,6 +342,16 @@ def test_left_coset_extremes_are_extreme():
     assert wmax.length() == max(lengths)
 
 
+def test_left_coset_extremes_read_only_the_translation_vector():
+    # why verify_paff checks claim (iii) once per translation vector
+    for n in range(1, 5):
+        extremes = {}
+        for w in iter_wplus(n, 4):
+            qs = tuple((v - 1) // n for v in w.window)
+            got = tuple(v.window for v in left_coset_min_max(w))
+            assert extremes.setdefault(qs, got) == got, w
+
+
 def test_identity_wvec_zero():
     assert wvec(identity(3), 1) == (0, 0, 0)
 
@@ -341,6 +361,15 @@ def test_verify_paff_sweep():
     assert report["ok"], report["failures"]
     report = verify_paff(3, 1, 2, 3)
     assert report["ok"], report["failures"]
+
+
+@pytest.mark.parametrize("n, k, degree, N",
+                         [(2, 1, 3, 3), (3, 1, 2, 3), (3, 1, 3, 3),
+                          (3, 2, 3, 3), (4, 1, 2, 3), (2, 3, 3, 3)])
+def test_verify_paff_matches_the_per_triple_route(n, k, degree, N):
+    report = verify_paff(n, k, degree, N)
+    assert report["ok"] and report["triples"] > 0
+    assert report == verify_paff_per_triple(n, k, degree, N)
 
 
 def test_b_poly_degree_matches_dimv():

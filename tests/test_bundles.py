@@ -78,8 +78,14 @@ def test_qdegree_bookkeeping_identity():
             assert k + max(1 - k + c, 0) - (1 + c) == max(k - 1 - c, 0)
 
 
+def _counts_at(m, a, b, p, k):
+    """(|Aut|, |Nilp_k|) over F_p, with the vanishing points 1..k."""
+    auts, nilps = brute_force_counts(m, a, b, p, list(range(1, k + 1)))
+    return auts, nilps[k]
+
+
 def test_brute_force_gl2():
-    auts, nilps = brute_force_counts((0, 0), (1, 1), (1, 1), 2, 0, [])
+    auts, nilps = _counts_at((0, 0), (1, 1), (1, 1), 2, 0)
     assert auts == 6  # |GL_2(F_2)|
     assert nilps == 4
 
@@ -87,29 +93,39 @@ def test_brute_force_gl2():
 def test_brute_force_single_bundle():
     for p in (2, 3):
         for k in (0, 1):
-            auts, nilps = brute_force_counts((1,), (1,), (1,), p, k,
-                                             list(range(1, k + 1)))
+            auts, nilps = _counts_at((1,), (1,), (1,), p, k)
             assert auts == p - 1
             assert nilps == 1
 
 
 def test_brute_force_mixed_degrees():
-    auts, nilps = brute_force_counts((1, 0), (1, 1), (1, 1), 2, 0, [])
+    auts, nilps = _counts_at((1, 0), (1, 1), (1, 1), 2, 0)
     assert auts == aut_count((1, 0), (1, 1), (1, 1), q=2)
     assert nilps == nilp_count((1, 0), (1, 1), (1, 1), 0, q=2)
-    auts, nilps = brute_force_counts((1, 0), (1, 1), (1, 1), 3, 1, [1])
+    auts, nilps = _counts_at((1, 0), (1, 1), (1, 1), 3, 1)
     assert auts == aut_count((1, 0), (1, 1), (1, 1), q=3)
     assert nilps == nilp_count((1, 0), (1, 1), (1, 1), 1, q=3)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_tabulated_oracle_matches_dict_oracle(p):
-    # every triple of the (2, 2, 2) counts sweep, at k = 0 and k = 1
+    # every triple of the (2, 2, 2) counts sweep, all of rank <= 2 and
+    # within each cap, at every k < p: the one walk's nilps[k] against a
+    # walk of its own over the first k points
+    points = list(range(1, p))
     for m, a, b in bundle_sweep_triples(2, 2, 2):
-        for k in (0, 1):
-            points = list(range(1, k + 1))
-            assert brute_force_counts(m, a, b, p, k, points) == \
-                brute_force_counts_by_dicts(m, a, b, p, k, points), (m, a, b, k)
+        auts, nilps = brute_force_counts(m, a, b, p, points)
+        assert len(nilps) == p
+        for k in range(p):
+            assert (auts, nilps[k]) == brute_force_counts_by_dicts(
+                m, a, b, p, k, points[:k]), (m, a, b, k)
+
+
+def test_oracle_rejects_a_point_at_zero():
+    for p, points in ((2, [2]), (3, [1, 3]), (5, [0])):
+        with pytest.raises(ValueError,
+                           match="^vanishing points must avoid 0 and infinity$"):
+            brute_force_counts((1,), (1,), (1,), p, points)
 
 
 def test_oracle_asserts_a_constant_determinant(monkeypatch):
@@ -123,14 +139,14 @@ def test_oracle_asserts_a_constant_determinant(monkeypatch):
                         else real(src, dst))
     with pytest.raises(AssertionError,
                        match=r"^endomorphism determinant is not constant$"):
-        brute_force_counts((0, 0), (1, 2), (1, 1), 2, 0, [])
+        brute_force_counts((0, 0), (1, 2), (1, 1), 2, [])
 
 
 def test_dimension_cap():
     with pytest.raises(ValueError):
-        brute_force_counts((14, 0), (1, 1), (1, 1), 2, 0, [])
+        brute_force_counts((14, 0), (1, 1), (1, 1), 2, [])
     with pytest.raises(ValueError):
-        brute_force_counts((8, 0), (1, 1), (1, 1), 3, 0, [])
+        brute_force_counts((8, 0), (1, 1), (1, 1), 3, [])
 
 
 def test_counts_sweep_checks_the_cap_before_any_oracle_work(monkeypatch):
@@ -157,9 +173,10 @@ def test_counts_sweep_walks_the_triples_of_the_sorting_route(
     import qtnabla.bundles as bundles
     walked = []
 
-    def formula(m, a, b, p, k, points):
+    def formula(m, a, b, p, points):
         walked.append((m, a, b))
-        return aut_count(m, a, b, q=p), nilp_count(m, a, b, k, q=p)
+        return aut_count(m, a, b, q=p), [nilp_count(m, a, b, k, q=p)
+                                         for k in range(len(points) + 1)]
 
     monkeypatch.setattr(bundles, "brute_force_counts", formula)
     report = verify_bundle_counts(nmax, mmax, lmax, (2,), (0,))
@@ -167,6 +184,22 @@ def test_counts_sweep_walks_the_triples_of_the_sorting_route(
     assert report["ok"] and report["cases"] == len(walked)
     assert len(set(walked)) == len(walked) == len(expected)
     assert set(walked) == set(expected)
+
+
+def test_counts_sweep_walks_each_triple_once_per_prime(monkeypatch):
+    import qtnabla.bundles as bundles
+    calls = []
+    real = bundles.brute_force_counts
+    monkeypatch.setattr(bundles, "brute_force_counts",
+                        lambda *args: calls.append(args) or real(*args))
+    # k = 2 has no case over F_2, so F_2 walks with the point 1 only
+    report = verify_bundle_counts(2, 1, 2, (2, 3), (0, 1, 2))
+    triples = [args[:3] for args in calls[::2]]
+    assert set(triples) == set(bundle_sweep_triples(2, 1, 2))
+    assert calls == [(*t, p, points) for t in triples
+                     for p, points in ((2, [1]), (3, [1, 2]))]
+    assert report["ok"], report["failures"]
+    assert report["cases"] == 5 * len(triples)
 
 
 def test_counts_sweep_small():

@@ -53,8 +53,7 @@ CALLERS = {
     "fulltwist_series": (_single(omega.fulltwist_series), SINGLE),
     "fulltwist_extraction": (_single(omega.fulltwist_extraction), SINGLE),
     "hilbert_coefficient": (_single(omega.hilbert_coefficient), SINGLE),
-    "raths_series": (lambda n, k, N, D: affine.raths_series(n, k * n, D),
-                     SINGLE),
+    "raths_series": (_single(affine.raths_series), SINGLE),
     "signed_truncated_sum": (
         lambda n, k, N, D: shuffle.signed_truncated_sum(n, k, D, N),
         # the sizes of test_cancellation_check
