@@ -322,8 +322,11 @@ def verify_paff(n, k, degree, N):
     sum_{i<j} (k - refined count) = k*C(n, 2) - |E_kn(w)|, dimv_{kn}(w) is
     max_area(n, kn) - |E_kn(w)|, and max_area(n, kn) = k*C(n, 2). The tests
     pin that identity: the b_poly_degree of tests/oracles.py against dimv.
+    k >= 1: at k = 0 claims (ii) and (iii) compare 0 with 0 on every triple.
     Returns a report dict; "ok" is False on the first counterexample.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "triples": 0, "failures": []}
 

@@ -347,9 +347,9 @@ def verify_bundle_series(n, k, N, degree):
     so k must be positive, as in verify_main."""
     if k < 1:
         raise ValueError("k must be positive")
-    from .omega import OmegaQuery, omega_series
+    from .omega import omega_series
     lhs = bundle_side_series(n, k, N, degree)
-    rhs = omega_series(OmegaQuery(n, k, N, degree)).scale(
+    rhs = omega_series(n, k, N, degree).scale(
         QtScalar.from_int((-1) ** n))
     return compare(lhs, rhs, n=n, k=k, N=N, D=degree)
 

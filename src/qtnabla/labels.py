@@ -1,7 +1,7 @@
 """Labels, sorted triples, the dinv statistics, attack Dyck paths, and the
 inversion-weighted label generating functions (xi and the chromatic one).
-Each combinatorial family has one enumerator here: weakly decreasing
-m-vectors, weak compositions, sorted pairs and triples.
+Each combinatorial family has one enumerator: weak compositions, sorted
+pairs and triples here, and the weakly decreasing m-vectors in symfunc.
 
 Every triple-weighted series goes through one block walk, triple_series.
 A series gives its statistic as a pair weight: a function of m_i - m_j,
@@ -22,7 +22,8 @@ from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations, product)
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
-from .symfunc import Poly, plethysm_p_scale, poly_to_symfunc, sort_partition
+from .symfunc import (Poly, _sorted_m_vectors, plethysm_p_scale,
+                      poly_to_symfunc, sort_partition)
 
 
 def _ascending(keys):
@@ -224,26 +225,6 @@ def verify_xi(n):
 
 # ---------------------------------------------------------------------------
 # enumeration of sorted tuples
-
-
-def _sorted_m_vectors(n, total, biggest=None):
-    """Weakly decreasing nonnegative n-vectors with the given sum, every entry
-    at most biggest (unbounded when None)."""
-    out = []
-
-    def rec(rest, slots, biggest, prefix):
-        if slots == 0:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(rest, biggest), -1, -1):
-            if v * slots >= rest:
-                prefix.append(v)
-                rec(rest - v, slots - 1, v, prefix)
-                prefix.pop()
-
-    rec(total, n, total if biggest is None else biggest, [])
-    return out
 
 
 def compositions(total, slots):

@@ -232,12 +232,14 @@ def _validate_htilde(lam, f):
         raise AssertionError(f"H~_{lam} fails the sign-character pairing")
 
 
+MAX_DEGREE = 8  # the highest degree of an H-tilde table
+
+
 class MacdonaldCache:
     """Validated store of modified Macdonald polynomials (monomial basis),
     optionally mirrored to a directory of JSON tables."""
 
-    def __init__(self, max_degree=8, directory=None):
-        self.max_degree = max_degree
+    def __init__(self, directory=None):
         self.directory = directory if directory is not None \
             else os.environ.get("QTNABLA_CACHE_DIR")
         self._tables = {}
@@ -266,9 +268,9 @@ class MacdonaldCache:
     def check_degree(self, n):
         """ValueError when degree n lies above the cap: a route over every
         partition of n calls it first, before it builds any of them."""
-        if n > self.max_degree:
+        if n > MAX_DEGREE:
             raise ValueError(f"degree {n} above the configured cap "
-                             f"{self.max_degree}")
+                             f"{MAX_DEGREE}")
 
     # -- optional disk persistence
 

@@ -7,6 +7,9 @@ loses information below the cut.  The enumerators hand each term to
 scalar.SeriesBuilder as an integer count of q^e / aut_q(mu), with mu the
 multiplicity partition of the columns; each coefficient is then one integer
 polynomial over [n]_q!, reduced once.
+
+The four two-alphabet series take (n, k, N, D) like every other series
+routine, and raise ValueError unless n, N >= 1 and k, D >= 0.
 """
 
 from __future__ import annotations
@@ -22,29 +25,9 @@ from .labels import (
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
 
-class OmegaQuery:
-    """Parameters of a combinatorial series computation; a value, equal and
-    hashed by its four fields."""
-
-    __slots__ = ("n", "k", "N", "D")
-
-    def __init__(self, n, k, N, D):
-        if n < 1 or k < 0 or N < 1 or D < 0:
-            raise ValueError("need n >= 1, k >= 0, N >= 1, D >= 0")
-        self.n, self.k, self.N, self.D = n, k, N, D
-
-    def __repr__(self):
-        return (f"OmegaQuery(n={self.n!r}, k={self.k!r}, N={self.N!r}, "
-                f"D={self.D!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not OmegaQuery:
-            return NotImplemented
-        return (self.n, self.k, self.N, self.D) == \
-            (other.n, other.k, other.N, other.D)
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.N, self.D))
+def _check_size(n, k, N, D):
+    if n < 1 or k < 0 or N < 1 or D < 0:
+        raise ValueError("need n >= 1, k >= 0, N >= 1, D >= 0")
 
 
 def _add_q_polynomial(builder, key, d, q_exp, mu, c):
@@ -55,18 +38,18 @@ def _add_q_polynomial(builder, key, d, q_exp, mu, c):
         builder.add(key, d, q_exp + e, mu, v)
 
 
-def omega_series(query):
+def omega_series(n, k, N, D):
     """Sum over sorted triples of t^{|m|} q^{dinv_k} X_a Y_b
     / ((1-q)^n aut_q(m, a, b)), per t-degree; aut_q(m, a, b) is aut_q of
     the multiplicity partition of the columns (m_i, a_i, b_i)."""
-    n, k, N, D = query.n, query.k, query.N, query.D
+    _check_size(n, k, N, D)
     return triple_series(n, N, D, dinv_weight(k), (ONE / (ONE - Q)) ** n)
 
 
-def _pair_sum(query, y_side):
+def _pair_sum(n, k, N, D, y_side):
     """The series grouped over sorted pairs (m, a): y_side(path, N) supplies
     the y side of each attack path, once per path."""
-    n, k, N, D = query.n, query.k, query.N, query.D
+    _check_size(n, k, N, D)
     builder = SeriesBuilder(N, N, D)
     ys = {}  # attack path -> its y terms; many pairs share a path
     for d in range(D + 1):
@@ -82,16 +65,16 @@ def _pair_sum(query, y_side):
     return builder.build(scale=(ONE / (ONE - Q)) ** n)
 
 
-def omega_via_xi(query):
+def omega_via_xi(n, k, N, D):
     """The same series grouped over sorted pairs, with the label generating
     function xi supplying the y side."""
-    return _pair_sum(query, xi_pi)
+    return _pair_sum(n, k, N, D, xi_pi)
 
 
-def omega_sub_y(query):
+def omega_sub_y(n, k, N, D):
     """Omega with Y replaced by Y(q-1): (-1)^n times the attack-distinct
     triple sum, with all automorphism factors gone."""
-    n, k, N, D = query.n, query.k, query.N, query.D
+    _check_size(n, k, N, D)
 
     def weight(delta, ai, aj, bi, bj):
         v = k - 1 - delta + (ai > aj)
@@ -109,10 +92,10 @@ def _xi_sub_y(path, N):
     return plethysm_p_scale(xi, lambda r: Q ** r - ONE).expand(N, "y")
 
 
-def omega_sub_y_via_plethysm(query):
+def omega_sub_y_via_plethysm(n, k, N, D):
     """Oracle for omega_sub_y: substitute Y(q-1) into each xi factor through
     the power-sum route, never touching the triple enumeration."""
-    return _pair_sum(query, _xi_sub_y)
+    return _pair_sum(n, k, N, D, _xi_sub_y)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +183,7 @@ def verify_main(n, k, N, D):
     from .macdonald import cauchy_macdonald_series
     scale = (ONE - Q) ** n
     lhs = cauchy_macdonald_series(n, k, N, D, scale)
-    rhs = omega_series(OmegaQuery(n, k, N, D)).scale(scale)
+    rhs = omega_series(n, k, N, D).scale(scale)
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
@@ -210,8 +193,8 @@ def verify_xi_factoring(n, k, N, D):
     must be positive, as in verify_main."""
     if k < 1:
         raise ValueError("k must be positive")
-    lhs = omega_series(OmegaQuery(n, k, N, D))
-    rhs = omega_via_xi(OmegaQuery(n, k, N, D))
+    lhs = omega_series(n, k, N, D)
+    rhs = omega_via_xi(n, k, N, D)
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
@@ -221,8 +204,8 @@ def verify_sub_y(n, k, N, D):
     must be positive, as in verify_main."""
     if k < 1:
         raise ValueError("k must be positive")
-    lhs = omega_sub_y(OmegaQuery(n, k, N, D))
-    rhs = omega_sub_y_via_plethysm(OmegaQuery(n, k, N, D))
+    lhs = omega_sub_y(n, k, N, D)
+    rhs = omega_sub_y_via_plethysm(n, k, N, D)
     return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
 
 
@@ -249,6 +232,6 @@ def verify_hilbert(n, k, D):
 
 def compute_omega(n, k, N, D):
     """The combinatorial series, as a report."""
-    series = omega_series(OmegaQuery(n, k, N, D))
+    series = omega_series(n, k, N, D)
     return {"n": n, "k": k, "N": N, "D": D, "series": series.to_json(),
             "equal": True}

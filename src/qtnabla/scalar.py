@@ -441,12 +441,6 @@ class QtScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -656,9 +650,6 @@ class TSeries:
         self._check(other)
         return TSeries(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return TSeries(self.degree, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, QtScalar):
             return TSeries(self.degree, [a * other for a in self.coeffs])
@@ -732,9 +723,6 @@ class MonomialSeries:
         return (isinstance(other, MonomialSeries)
                 and (self.nx, self.ny, self.degree) == (other.nx, other.ny, other.degree)
                 and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.nx, self.ny, self.degree, tuple(sorted(self.table.items()))))
 
     def keys(self):
         return sorted(self.table)

@@ -1,6 +1,9 @@
 """Partitions, classical symmetric-function bases, inner products, plethysm,
 and finite-alphabet monomial expansion over exact q,t-rational coefficients.
 
+One recursion, _sorted_m_vectors, lists the weakly decreasing m-vectors of
+the label enumerators and, as the n-vectors of sum n, the partitions of n.
+
 Every basis change is one pass (`_convert`) over one transition table per
 (source basis, target basis, degree), built once by `_table` from four rules
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. I):
@@ -33,24 +36,31 @@ from .scalar import ONE, Q, QtScalar, T, ZERO, _coerce
 # partitions
 
 
+def _sorted_m_vectors(n, total, biggest=None):
+    """Weakly decreasing nonnegative n-vectors with the given sum, every entry
+    at most biggest (unbounded when None), in descending lexicographic
+    order."""
+    out = []
+
+    def rec(rest, slots, biggest, prefix):
+        if slots == 0:
+            if rest == 0:
+                out.append(tuple(prefix))
+            return
+        for v in range(min(rest, biggest), -1, -1):
+            if v * slots >= rest:
+                prefix.append(v)
+                rec(rest - v, slots - 1, v, prefix)
+                prefix.pop()
+
+    rec(total, n, total if biggest is None else biggest, [])
+    return out
+
+
 @lru_cache(maxsize=None)
 def partitions(n):
     """All partitions of n, in descending lexicographic order."""
-    if n == 0:
-        return ((),)
-    out = []
-
-    def rec(rest, biggest, prefix):
-        if rest == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(min(rest, biggest), 0, -1):
-            prefix.append(k)
-            rec(rest - k, k, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    return tuple(tuple(v for v in m if v) for m in _sorted_m_vectors(n, n))
 
 
 def is_partition(parts):
@@ -291,11 +301,6 @@ class SymFunc:
     def zero(cls, basis="m"):
         return cls(basis, {})
 
-    # -- structure
-
-    def is_zero(self):
-        return not self.terms
-
     # -- conversions
 
     def to_p_dict(self):
@@ -329,9 +334,6 @@ class SymFunc:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c):
         c = _qt(c)
         return SymFunc(self.basis, {lam: v * c for lam, v in self.terms.items()})
@@ -356,9 +358,6 @@ class SymFunc:
         if not isinstance(other, SymFunc):
             return NotImplemented
         return self.to_p_dict() == other.to_p_dict()
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.to_p_dict().items())))
 
     # -- pairings and involutions
 
@@ -474,9 +473,6 @@ class Poly:
             out[k] = c if prev is None else prev + c
         return Poly(self.nx, self.ny, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = _qt(c)
         return Poly(self.nx, self.ny, {k: v * c for k, v in self.terms.items()})
@@ -501,12 +497,6 @@ class Poly:
         return (isinstance(other, Poly)
                 and (self.nx, self.ny) == (other.nx, other.ny)
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nx, self.ny, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self):
-        return not self.terms
 
     def __str__(self):
         if not self.terms:

@@ -227,6 +227,18 @@ def test_parking_checks_reject_k0_before_either_side(monkeypatch, capsys):
         assert capsys.readouterr().err == "error: k must be positive\n", argv
 
 
+def test_verify_paff_rejects_k0(capsys):
+    """At k = 0 claims (ii) and (iii) compare 0 with 0, so there is nothing
+    to check: the library raises and the CLI exits 2 with one error line."""
+    import pytest
+    from qtnabla.affine import verify_paff
+    with pytest.raises(ValueError, match=r"^k must be positive$"):
+        verify_paff(2, 0, 2, 2)
+    argv = ("verify-paff", "--n", "2", "--k", "0", "--N", "2", "--D", "2")
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == "error: k must be positive\n"
+
+
 def test_prime_without_a_cap_names_the_supported_primes(capsys):
     code, out = run_cli("verify-bundles", "--n", "1", "--D", "1",
                         "--primes", "7")

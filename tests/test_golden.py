@@ -132,7 +132,8 @@ def _bump_key(series, j):
 
 def test_verify_main_counterexample(monkeypatch):
     real = omega.omega_series
-    monkeypatch.setattr(omega, "omega_series", lambda q: _bump_key(real(q), 1))
+    monkeypatch.setattr(omega, "omega_series",
+                        lambda *size: _bump_key(real(*size), 1))
     rep = omega.verify_main(2, 1, 2, 2)
     assert rep["equal"] is False
     assert rep["first_discrepancy"] == {
@@ -249,7 +250,8 @@ def test_verify_vanishing_dominance_counterexample(monkeypatch):
 
 def test_verify_xi_factoring_counterexample(monkeypatch):
     real = omega.omega_via_xi
-    monkeypatch.setattr(omega, "omega_via_xi", lambda q: _bump_key(real(q), 1))
+    monkeypatch.setattr(omega, "omega_via_xi",
+                        lambda *size: _bump_key(real(*size), 1))
     rep = omega.verify_xi_factoring(2, 1, 2, 2)
     assert rep["equal"] is False
     assert rep["first_discrepancy"] == {
@@ -261,7 +263,7 @@ def test_verify_xi_factoring_counterexample(monkeypatch):
 def test_verify_sub_y_counterexample(monkeypatch):
     real = omega.omega_sub_y_via_plethysm
     monkeypatch.setattr(omega, "omega_sub_y_via_plethysm",
-                        lambda q: _bump_key(real(q), 1))
+                        lambda *size: _bump_key(real(*size), 1))
     rep = omega.verify_sub_y(2, 1, 2, 2)
     assert rep["equal"] is False
     assert rep["first_discrepancy"] == {

@@ -277,9 +277,8 @@ def test_qt_conjugation_symmetry():
 
 
 def test_degree_cap():
-    cache = MacdonaldCache(max_degree=3)
-    with pytest.raises(ValueError):
-        cache.get((4,))
+    with pytest.raises(ValueError, match=r"^degree 9 above the configured cap 8$"):
+        macdonald.DEFAULT_CACHE.get((9,))
 
 
 def test_nabla_eigen_property():

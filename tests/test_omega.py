@@ -5,29 +5,24 @@ import pytest
 from oracles import cauchy_combinatorial, xy_swap
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.omega import (
-    OmegaQuery, fulltwist_dk, fulltwist_series, omega_series, omega_sub_y,
-    verify_fulltwist, verify_hilbert, verify_main, verify_sub_y,
-    verify_xi_factoring,
+    fulltwist_dk, fulltwist_series, omega_series, omega_sub_y,
+    omega_sub_y_via_plethysm, omega_via_xi, verify_fulltwist, verify_hilbert,
+    verify_main, verify_sub_y, verify_xi_factoring,
 )
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        OmegaQuery(0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        OmegaQuery(1, -1, 1, 1)
-
-
-def test_query_is_a_value():
-    query = OmegaQuery(2, 1, 3, 4)
-    assert query == OmegaQuery(2, 1, 3, 4) != OmegaQuery(2, 1, 3, 5)
-    assert query != (2, 1, 3, 4)
-    assert hash(query) == hash(OmegaQuery(2, 1, 3, 4))
-    assert repr(query) == "OmegaQuery(n=2, k=1, N=3, D=4)"
+    # each of the four two-alphabet routes checks its own sizes
+    for route in (omega_series, omega_via_xi, omega_sub_y,
+                  omega_sub_y_via_plethysm):
+        for size in ((0, 1, 1, 1), (1, -1, 1, 1)):
+            with pytest.raises(ValueError,
+                               match=r"^need n >= 1, k >= 0, N >= 1, D >= 0$"):
+                route(*size)
 
 
 def test_omega_n1():
-    series = omega_series(OmegaQuery(1, 3, 2, 3))
+    series = omega_series(1, 3, 2, 3)
     g = ONE / (ONE - Q)
     for xe in ((1, 0), (0, 1)):
         for ye in ((1, 0), (0, 1)):
@@ -39,12 +34,12 @@ def test_omega_xy_symmetry():
     # swapping the two alphabets leaves the series invariant
     for n in (2, 3):
         for k in (1, 2):
-            series = omega_series(OmegaQuery(n, k, 3, 3 if n == 3 else 4))
+            series = omega_series(n, k, 3, 3 if n == 3 else 4)
             assert xy_swap(series) == series
 
 
 def test_omega_t_degree_weights_are_polynomial_times_unit():
-    series = omega_series(OmegaQuery(2, 1, 2, 2))
+    series = omega_series(2, 1, 2, 2)
     scaled = series.scale((ONE - Q) ** 2)
     for key in scaled.keys():
         for c in scaled.series(key).coeffs:
@@ -103,7 +98,7 @@ def test_verify_sub_y_rejects_k_zero():
 
 def test_sub_y_attack_constraints():
     # n = 2, k = 1, m = (0,0): constant m attacks, so b entries must differ
-    series = omega_sub_y(OmegaQuery(2, 1, 2, 0))
+    series = omega_sub_y(2, 1, 2, 0)
     assert series.series(((2, 0), (2, 0))).is_zero()
     assert series.series(((2, 0), (0, 2))).is_zero()
     # a = (1,1) forces the single sorted label b = (1,2)
@@ -132,7 +127,7 @@ def test_omega_k0_is_h_cauchy():
     # h_n Cauchy sum; check against (-1)^n h_n[-XY/((1-q)(1-t))] via plethysm
     from qtnabla.symfunc import SymFunc, plethysm
     for n in (1, 2):
-        series = omega_series(OmegaQuery(n, 0, 2, 3))
+        series = omega_series(n, 0, 2, 3)
         poly = plethysm(SymFunc.h(n),
                         lambda r: ONE / ((ONE - Q ** r) * (ONE - T ** r)),
                         nx=2, ny=2)
@@ -179,7 +174,7 @@ def test_fulltwist_matches_extraction():
 def test_hilbert_squarefree_is_aut_free():
     # contributing triples have distinct a-entries and distinct b-entries,
     # so the (1-q)^n-scaled coefficients are polynomial in q
-    series = omega_series(OmegaQuery(2, 1, 2, 3)).scale((ONE - Q) ** 2)
+    series = omega_series(2, 1, 2, 3).scale((ONE - Q) ** 2)
     ts = series.series(((1, 1), (1, 1)))
     for c in ts.coeffs:
         assert c.is_polynomial()

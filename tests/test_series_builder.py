@@ -16,7 +16,6 @@ import pytest
 import oracles
 import qtnabla
 from qtnabla import affine, bundles, involution, labels, omega, shuffle
-from qtnabla.omega import OmegaQuery
 from qtnabla.scalar import ONE, Q, QtScalar, SeriesBuilder, aut_q
 
 # n, k, N at D = 4: every series is graded by t-degree, so the series at
@@ -29,10 +28,6 @@ GRID = list(product((1, 2, 3), (0, 1, 2), (1, 2, 3), (4,)))
 SINGLE = [(n, k, n, 4) for n in (1, 2, 3) for k in (1, 2)] + [(3, 2, 3, 5)]
 
 
-def _omega(fn):
-    return lambda n, k, N, D: fn(OmegaQuery(n, k, N, D))
-
-
 def _single(fn):
     return lambda n, k, N, D: fn(n, k, D)
 
@@ -40,10 +35,10 @@ def _single(fn):
 # each caller with its sizes: the grid, plus the sizes the benchmark runs
 # outside it (verify-main, and the product identity of verify-bundles)
 CALLERS = {
-    "omega_series": (_omega(omega.omega_series), GRID + [(3, 2, 3, 5)]),
-    "omega_via_xi": (_omega(omega.omega_via_xi), GRID),
-    "omega_sub_y": (_omega(omega.omega_sub_y), GRID),
-    "omega_sub_y_via_plethysm": (_omega(omega.omega_sub_y_via_plethysm), GRID),
+    "omega_series": (omega.omega_series, GRID + [(3, 2, 3, 5)]),
+    "omega_via_xi": (omega.omega_via_xi, GRID),
+    "omega_sub_y": (omega.omega_sub_y, GRID),
+    "omega_sub_y_via_plethysm": (omega.omega_sub_y_via_plethysm, GRID),
     "cauchy_combinatorial": (
         lambda n, k, N, D: oracles.cauchy_combinatorial(n, N, D),
         [s for s in GRID if s[1] == 0]),
@@ -73,9 +68,9 @@ BUILDER_MODULES = [
 # the block walk of labels.triple_series against the per-triple route it
 # replaced, on the grid (k = 0 included) and at three sizes past it
 BLOCK_WALK = {
-    "omega_series": (_omega(omega.omega_series),
+    "omega_series": (omega.omega_series,
                      oracles.omega_series_by_triples),
-    "omega_sub_y": (_omega(omega.omega_sub_y),
+    "omega_sub_y": (omega.omega_sub_y,
                     oracles.omega_sub_y_by_triples),
     "bundle_side_series": (bundles.bundle_side_series,
                            oracles.bundle_side_series_by_triples),
