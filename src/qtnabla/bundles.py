@@ -21,8 +21,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb
 
-from .scalar import (ONE, Q, MonomialSeries, QtScalar, TSeries, compare,
-                     fail)
+from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import (_sorted_m_vectors, _sorted_triples_over,
                      is_sorted_triple, mu_partition, triple_series)
 
@@ -375,32 +374,20 @@ def verify_product_identity(max_total, N, t_degree, q_degree):
     """Sum over ranks of the k = 0 bundle series, q,t-expanded, against the
     direct truncated product expansion; each coefficient compared is a
     q-polynomial truncated at q_degree."""
-    combined = {}
+    lhs = SeriesBuilder(N, N, t_degree)
     for n in range(1, max_total + 1):
         series = bundle_side_series(n, 0, N, t_degree)
-        for (xe, ye), ts in series.table.items():
+        for key, ts in series.table.items():
             for td in range(t_degree + 1):
                 for (qd, _), c in ts[td].qt_expand(q_degree, 0).items():
                     # the constant term of (q-1)^n aut_q(mu) is +-1
                     if c.denominator != 1:
                         raise AssertionError(f"q-expansion coefficient {c}")
-                    key = (xe, ye, td, qd)
-                    combined[key] = combined.get(key, 0) + c.numerator
-    product_side = product_side_expansion(max_total, N, t_degree, q_degree)
-    product_side = {key: c for key, c in product_side.items() if any(key[0])}
-    return compare(_q_polynomial_series(combined, N, t_degree),
-                   _q_polynomial_series(product_side, N, t_degree),
-                   max_total=max_total, N=N, t_degree=t_degree,
-                   q_degree=q_degree)
-
-
-def _q_polynomial_series(coeffs, N, t_degree):
-    """{(x_exp, y_exp, t_deg, q_deg): integer} as a MonomialSeries over
-    x_1..x_N, y_1..y_N whose coefficients are polynomials in q."""
-    rows = {}
-    for (xe, ye, td, qd), c in coeffs.items():
-        polys = rows.setdefault((xe, ye), [{} for _ in range(t_degree + 1)])
-        polys[td][(qd, 0)] = c
-    return MonomialSeries(N, N, t_degree, {
-        key: TSeries(t_degree, [QtScalar(p) for p in polys])
-        for key, polys in rows.items()})
+                    lhs.add(key, td, qd, count=c.numerator)
+    rhs = SeriesBuilder(N, N, t_degree)
+    for (xe, ye, td, qd), c in product_side_expansion(
+            max_total, N, t_degree, q_degree).items():
+        if any(xe):
+            rhs.add((xe, ye), td, qd, count=c)
+    return compare(lhs.build(), rhs.build(), max_total=max_total, N=N,
+                   t_degree=t_degree, q_degree=q_degree)

@@ -18,6 +18,7 @@ import importlib
 import json
 import os
 import sys
+from itertools import chain, islice
 from math import isqrt
 
 
@@ -105,20 +106,26 @@ SIZES = ("n", "k", "N", "D", "mmax", "lmax", "qdegree")  # checked in order
 
 
 def _emit(report, args):
+    """Write the report and a newline in pieces of 4096 JSON encoder chunks:
+    no string of the whole report is built, and an unbuffered stdout is not
+    written once per chunk."""
     ok = report.get("equal", report.get("ok", False))
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True, default=str)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                                  default=str).iterencode(report)
     else:
-        text = "\n".join(
-            [f"{report.get('command', 'report')}: {'PASS' if ok else 'FAIL'}"]
+        chunks = iter(["\n".join(
+            [f"{report['command']}: {'PASS' if ok else 'FAIL'}"]
             + [f"  {key} = {json.dumps(report[key], sort_keys=True, default=str)}"
-               for key in sorted(report) if key not in ("lhs", "rhs", "command")])
+               for key in sorted(report) if key not in ("lhs", "rhs", "command")])])
+    pieces = chain(iter(lambda: "".join(islice(chunks, 4096)), ""), ["\n"])
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
         try:
-            print(text, flush=True)
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
         except BrokenPipeError:
             # the reader closed early, which is not an error of the input:
             # point stdout at devnull so the flush at exit does not fail again

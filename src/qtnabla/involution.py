@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare, fail
 from .labels import alpha_composition, content, mu_partition
-from .macdonald import DEFAULT_CACHE, _cauchy_outer_product, eigenvalue, nstat
+from .macdonald import _cauchy_outer_product, check_degree, eigenvalue, nstat
 from .symfunc import conjugate, dominance_leq, partitions, plethysm_p_scale
 
 
@@ -245,7 +245,7 @@ def verify_vanishing(n, k, degree, N):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    DEFAULT_CACHE.check_degree(n)
+    check_degree(n)
     report = {"n": n, "k": k, "D": degree, "N": N, "ok": True,
               "failures": [], "fixed_points": []}
 

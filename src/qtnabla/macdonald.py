@@ -235,6 +235,13 @@ def _validate_htilde(lam, f):
 MAX_DEGREE = 8  # the highest degree of an H-tilde table
 
 
+def check_degree(n):
+    """ValueError when degree n lies above the cap: a route over every
+    partition of n calls it first, before it builds any of them."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} above the configured cap {MAX_DEGREE}")
+
+
 class MacdonaldCache:
     """Validated store of modified Macdonald polynomials (monomial basis),
     optionally mirrored to a directory of JSON tables."""
@@ -248,7 +255,7 @@ class MacdonaldCache:
         lam = tuple(lam)
         if lam in self._tables:
             return self._tables[lam]
-        self.check_degree(sum(lam))
+        check_degree(sum(lam))
         conj = conjugate(lam)
         if (_hhl_work(conj), lam) < (_hhl_work(lam), conj):
             # H~_lam(X; q, t) = H~_lam'(X; t, q) (Garsia-Haiman)
@@ -264,13 +271,6 @@ class MacdonaldCache:
         if self.directory and (stored is None or stored.terms != f.terms):
             self.store(lam)
         return f
-
-    def check_degree(self, n):
-        """ValueError when degree n lies above the cap: a route over every
-        partition of n calls it first, before it builds any of them."""
-        if n > MAX_DEGREE:
-            raise ValueError(f"degree {n} above the configured cap "
-                             f"{MAX_DEGREE}")
 
     # -- optional disk persistence
 
@@ -570,7 +570,7 @@ def _lambda_sum(n, k, D, sides, scale=ONE):
     longest; each key is decoded once per layout, and each of its
     coefficients is reduced once.
     """
-    DEFAULT_CACHE.check_degree(n)
+    check_degree(n)
     scale = scale / (Q - ONE) ** n
     groups = {}  # bit length of the q-span -> [(shift, 1/W_lam, X_lam, Y_lam)]
     for lam in partitions(n):

@@ -43,12 +43,11 @@ def _sorted_m_vectors(n, total, biggest=None):
     out = []
 
     def rec(rest, slots, biggest, prefix):
-        if slots == 0:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(rest, biggest), -1, -1):
-            if v * slots >= rest:
+        if rest == 0:
+            out.append(tuple(prefix) + (0,) * slots)
+        elif slots:
+            # down to the least v that leaves the other slots at most v each
+            for v in range(min(rest, biggest), -(-rest // slots) - 1, -1):
                 prefix.append(v)
                 rec(rest - v, slots - 1, v, prefix)
                 prefix.pop()

@@ -18,7 +18,8 @@ from qtnabla.affine import (AffinePermutation, _coset_max_witness, dimv,
                             edges, iter_wplus_graded, left_coset_min_max,
                             paff, rational_area_sequence)
 from qtnabla.bundles import (_c_matrix, _endomorphism_slots, aut_exponent,
-                             nilp_exponent)
+                             bundle_side_series, nilp_exponent,
+                             product_side_expansion)
 from qtnabla.involution import (VanQuadruple, _from_columns, _key,
                                 _reversed_key, attacks_rev)
 from qtnabla.labels import (alpha_composition, attack_path, content, dinv_k,
@@ -270,6 +271,40 @@ def product_side_expansion_by_copies(max_total, N, t_degree, q_degree):
                             del new[key]
                     out = new
     return out
+
+
+# ---------------------------------------------------------------------------
+# the two sides of the product identity as integer dicts, each made a series
+# by its own assembler, the route SeriesBuilder replaced
+
+
+def product_identity_sides(max_total, N, t_degree, q_degree):
+    """The (lhs, rhs) that bundles.verify_product_identity compares."""
+    combined = {}
+    for n in range(1, max_total + 1):
+        series = bundle_side_series(n, 0, N, t_degree)
+        for (xe, ye), ts in series.table.items():
+            for td in range(t_degree + 1):
+                for (qd, _), c in ts[td].qt_expand(q_degree, 0).items():
+                    assert c.denominator == 1, c
+                    key = (xe, ye, td, qd)
+                    combined[key] = combined.get(key, 0) + c.numerator
+    product_side = product_side_expansion(max_total, N, t_degree, q_degree)
+    product_side = {key: c for key, c in product_side.items() if any(key[0])}
+    return (_q_polynomial_series(combined, N, t_degree),
+            _q_polynomial_series(product_side, N, t_degree))
+
+
+def _q_polynomial_series(coeffs, N, t_degree):
+    """{(x_exp, y_exp, t_deg, q_deg): integer} as a MonomialSeries over
+    x_1..x_N, y_1..y_N whose coefficients are polynomials in q."""
+    rows = {}
+    for (xe, ye, td, qd), c in coeffs.items():
+        polys = rows.setdefault((xe, ye), [{} for _ in range(t_degree + 1)])
+        polys[td][(qd, 0)] = c
+    return MonomialSeries(N, N, t_degree, {
+        key: TSeries(t_degree, [QtScalar(p) for p in polys])
+        for key, polys in rows.items()})
 
 
 # ---------------------------------------------------------------------------

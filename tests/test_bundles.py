@@ -2,7 +2,9 @@ import pytest
 
 from oracles import (aut_count_symbolic, brute_force_counts_by_dicts,
                      bundle_le, bundle_sweep_triples, exponent_gap, ext_dim,
-                     hom_dim, product_side_expansion_by_copies)
+                     hom_dim, product_identity_sides,
+                     product_side_expansion_by_copies)
+from qtnabla import bundles
 from qtnabla.scalar import ONE, Q, T, q_factorial
 from qtnabla.bundles import (
     aut_count, aut_exponent, brute_force_counts,
@@ -249,6 +251,28 @@ def test_layered_product_matches_the_copying_route():
                     args = (max_total, N, t_degree, q_degree)
                     assert product_side_expansion(*args) == \
                         product_side_expansion_by_copies(*args), args
+
+
+def test_product_identity_sides_match_the_dict_route(monkeypatch):
+    """The two series that verify_product_identity compares, each equal to
+    the one the integer dicts give; a passing report carries only equal, so
+    a key dropped from both sides would pass unseen."""
+    sides = []
+
+    def record(lhs, rhs, /, **params):
+        sides.append((lhs, rhs))
+        return real(lhs, rhs, **params)
+
+    real = bundles.compare
+    monkeypatch.setattr(bundles, "compare", record)
+    for args in ((1, 1, 1, 0), (2, 2, 2, 3), (3, 3, 3, 4), (3, 2, 4, 5)):
+        sides.clear()
+        assert verify_product_identity(*args)["equal"], args
+        (lhs, rhs), = sides
+        want_lhs, want_rhs = product_identity_sides(*args)
+        assert lhs == want_lhs, args
+        assert rhs == want_rhs, args
+        assert lhs.table, args
 
 
 def test_product_identity_degree2():

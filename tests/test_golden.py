@@ -112,6 +112,15 @@ def test_report_matches_golden(name):
     assert out == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["verify-main-short-alphabet.json",
+                                  "verify-main.txt"])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path):
+    target = tmp_path / name
+    assert _report((*CASES[name], "--out", str(target))) == (0, b"")
+    assert target.read_bytes() == _report(CASES[name])[1] == \
+        (GOLDEN / name).read_bytes()
+
+
 # Counterexample reports: one route is perturbed by +q in a single
 # coefficient, so each verifier must report that coefficient.
 

@@ -214,6 +214,22 @@ def test_sorted_m_vectors_cost_follows_the_output():
     assert _sorted_m_vectors(3, 5, 2) == [(2, 2, 1)]
 
 
+def test_sorted_m_vectors_match_the_filtered_product():
+    """Every entry bound up to 4 against the weakly decreasing words of one
+    product per n, each bound and sum in descending lexicographic order."""
+    for n in range(6):
+        by_sum = {}
+        for word in product(range(9), repeat=n):
+            if sum(word) <= 8 and all(u >= v for u, v in zip(word, word[1:])):
+                by_sum.setdefault(sum(word), []).append(word)
+        for total in range(9):
+            for biggest in range(5):
+                kept = [m for m in by_sum.get(total, [])
+                        if all(v <= biggest for v in m)]
+                assert _sorted_m_vectors(n, total, biggest) == kept[::-1], \
+                    (n, total, biggest)
+
+
 def test_compositions_and_runs_match_filtered_products():
     # one product per n, split by sum, keeps the lexicographic order
     for n in range(7):

@@ -223,6 +223,24 @@ def test_every_package_definition_is_served():
         f"SERVED_ALLOWLIST entries are served: {sorted(allowed - unreached)}"
 
 
+def test_series_are_assembled_in_scalar_and_the_lambda_sum():
+    """Only scalar.py forms a TSeries or MonomialSeries directly, apart from
+    the packed lambda-sum and the Cauchy expansion of macdonald.py; every
+    other module builds its series through SeriesBuilder or a series method,
+    so the canonical form of a coefficient has one owner."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            callers |= {(path.stem, getattr(node, "name", None))
+                        for child in ast.walk(node)
+                        if isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name)
+                        and child.func.id in ("TSeries", "MonomialSeries")}
+    assert {stem for stem, _ in callers} == {"scalar", "macdonald"}, callers
+    assert {name for stem, name in callers if stem == "macdonald"} == \
+        {"_lambda_sum", "_cauchy_outer_product"}, callers
+
+
 def test_test_modules_read_every_name_they_import():
     """Each name that a tests/test_*.py module imports, at the top or inside
     a function, is read somewhere in that module, so its imports show what
