@@ -323,12 +323,12 @@ def verify_vanishing(n, k, degree, N):
             return fail(report, "weight",
                         {"lambda": lam, "weight": str(weight)})
 
-    lhs = signed_quadruple_series(n, k, N, degree)
-    rhs = macdonald_substituted_series(n, k, N, degree)
-    if degree >= 1:
-        lhs, rhs = lhs.truncate(degree - 1), rhs.truncate(degree - 1)
-        report.update(lhs=lhs.to_json(), rhs=rhs.to_json())
-        signed = compare(lhs, rhs)
+    if degree >= 1:  # below t-degree 1 there is no signed sum to compare
+        signed = compare(
+            signed_quadruple_series(n, k, N, degree).truncate(degree - 1),
+            macdonald_substituted_series(n, k, N, degree).truncate(degree - 1),
+            sides=True)
+        report.update(lhs=signed["lhs"], rhs=signed["rhs"])
         if not signed["equal"]:
             fail(report, "signed-sum", signed["first_discrepancy"])
     report["equal"] = report["ok"]

@@ -38,14 +38,6 @@ def is_sorted_triple(m, a, b):
     return _ascending([(-x, y, z) for x, y, z in zip(m, a, b)])
 
 
-def is_sorted_pair(m, a):
-    """Is every adjacent column of (m, a) in order: m decreasing, ties by a
-    increasing?"""
-    if len(m) != len(a):
-        raise ValueError("sequences must have equal length")
-    return _ascending([(-x, y) for x, y in zip(m, a)])
-
-
 def alpha_composition(values):
     """Run lengths of the sorted sequence; entries may be ints or tuples."""
     vals = sorted(values)
@@ -74,7 +66,8 @@ def content(word, N):
 
 
 def dinv_k(m, a, b, k):
-    """dinv of a sorted triple: pairwise max(m_j - m_i - 1 + k + deltas, 0)."""
+    """dinv of a sorted triple: pairwise max(m_j - m_i - 1 + k + deltas, 0).
+    A sorted pair (m, a) is the sorted triple with b constant."""
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
     n = len(m)
@@ -82,20 +75,6 @@ def dinv_k(m, a, b, k):
     for i in range(n):
         for j in range(i + 1, n):
             v = m[j] - m[i] - 1 + k + (a[i] > a[j]) + (b[i] > b[j])
-            if v > 0:
-                total += v
-    return total
-
-
-def dinv_k_pair(m, a, k):
-    """The b-free version (equivalently b constant)."""
-    if not is_sorted_pair(m, a):
-        raise ValueError("pair is not sorted")
-    n = len(m)
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = m[j] - m[i] - 1 + k + (a[i] > a[j])
             if v > 0:
                 total += v
     return total
@@ -164,7 +143,7 @@ def all_dyck_paths(n):
 
 def attack_path(m, a, k):
     """The Dyck path whose D-set is the set of k-attacking pairs."""
-    if not is_sorted_pair(m, a):
+    if not is_sorted_triple(m, a, (1,) * len(m)):
         raise ValueError("pair is not sorted")
     n = len(m)
     dset = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)

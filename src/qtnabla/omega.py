@@ -19,8 +19,8 @@ from itertools import permutations
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .labels import (
     _sorted_m_vectors, attack_path, compositions, content, dinv_k,
-    dinv_k_pair, dinv_weight, is_sorted_triple, iter_sorted_pairs,
-    mu_partition, triple_series, xi_pi,
+    dinv_weight, is_sorted_triple, iter_sorted_pairs, mu_partition,
+    triple_series, xi_pi,
 )
 from .symfunc import plethysm_p_scale, poly_to_symfunc
 
@@ -51,13 +51,14 @@ def _pair_sum(n, k, N, D, y_side):
     the y side of each attack path, once per path."""
     _check_size(n, k, N, D)
     builder = SeriesBuilder(N, N, D)
+    ones = (1,) * n  # a sorted pair is a sorted triple with b constant
     ys = {}  # attack path -> its y terms; many pairs share a path
     for d in range(D + 1):
         for m, a in iter_sorted_pairs(n, N, d):
             path = attack_path(m, a, k)
             if path not in ys:
                 ys[path] = y_side(path, N).terms.items()
-            base = dinv_k_pair(m, a, k)
+            base = dinv_k(m, a, ones, k)
             mu = mu_partition(zip(m, a))
             xa = content(a, N)
             for (_, ye), c in ys[path]:
@@ -167,11 +168,6 @@ def hilbert_coefficient(n, k, degree):
 # reports
 
 
-def _pair_report(lhs, rhs, **params):
-    """The comparison of two routes, with both sides rendered."""
-    return compare(lhs, rhs, **params, lhs=lhs.to_json(), rhs=rhs.to_json())
-
-
 def verify_main(n, k, N, D):
     """Theorem check: the Macdonald-side Cauchy series against the
     combinatorial enumerator, both scaled by (1-q)^n.
@@ -184,7 +180,7 @@ def verify_main(n, k, N, D):
     scale = (ONE - Q) ** n
     lhs = cauchy_macdonald_series(n, k, N, D, scale)
     rhs = omega_series(n, k, N, D).scale(scale)
-    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
+    return compare(lhs, rhs, sides=True, n=n, k=k, N=N, D=D)
 
 
 def verify_xi_factoring(n, k, N, D):
@@ -195,7 +191,7 @@ def verify_xi_factoring(n, k, N, D):
         raise ValueError("k must be positive")
     lhs = omega_series(n, k, N, D)
     rhs = omega_via_xi(n, k, N, D)
-    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
+    return compare(lhs, rhs, sides=True, n=n, k=k, N=N, D=D)
 
 
 def verify_sub_y(n, k, N, D):
@@ -206,15 +202,15 @@ def verify_sub_y(n, k, N, D):
         raise ValueError("k must be positive")
     lhs = omega_sub_y(n, k, N, D)
     rhs = omega_sub_y_via_plethysm(n, k, N, D)
-    return _pair_report(lhs, rhs, n=n, k=k, N=N, D=D)
+    return compare(lhs, rhs, sides=True, n=n, k=k, N=N, D=D)
 
 
 def verify_fulltwist(n, k, D, hilbert=False):
     """The exponent-sum series against coefficient extraction; with hilbert,
     also the squarefree check, nested under "hilbert" and folded into
     "equal"."""
-    report = _pair_report(fulltwist_series(n, k, D),
-                          fulltwist_extraction(n, k, D), n=n, k=k, D=D)
+    report = compare(fulltwist_series(n, k, D), fulltwist_extraction(n, k, D),
+                     sides=True, n=n, k=k, D=D)
     if hilbert:
         from .affine import raths_series
         sub = report["hilbert"] = compare(hilbert_coefficient(n, k, D),
@@ -226,8 +222,9 @@ def verify_fulltwist(n, k, D, hilbert=False):
 def verify_hilbert(n, k, D):
     """The squarefree coefficient against the affine-permutation series."""
     from .affine import raths_series
-    return _pair_report(hilbert_coefficient(n, k, D), raths_series(n, k, D),
-                        n=n, k=k, D=D, normalization=f"(1-q)^{n - n} = 1")
+    return compare(hilbert_coefficient(n, k, D), raths_series(n, k, D),
+                   sides=True, n=n, k=k, D=D,
+                   normalization=f"(1-q)^{n - n} = 1")
 
 
 def compute_omega(n, k, N, D):

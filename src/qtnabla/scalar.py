@@ -763,32 +763,23 @@ class MonomialSeries:
         return out
 
 
-def discrepancy(lhs, rhs):
-    """The first coefficient where two TSeries or two MonomialSeries differ,
-    as a report entry {t_deg, lhs, rhs}, with x_exp and y_exp added for
-    MonomialSeries; None when they agree."""
-    disc = lhs.first_discrepancy(rhs)
-    if disc is None:
-        return None
-    *key, tdeg, a, b = disc
-    entry = {"t_deg": tdeg, "lhs": str(a), "rhs": str(b)}
-    if key:  # a MonomialSeries discrepancy leads with its monomial key
-        (xe, ye), = key
-        entry = {"x_exp": list(xe), "y_exp": list(ye), **entry}
-    return entry
-
-
 def t_series(poly, degree):
     """A Poly as a MonomialSeries, t-expanded through `degree`."""
     return MonomialSeries(poly.nx, poly.ny, degree,
                           {key: c.t_expand(degree) for key, c in poly.terms.items()})
 
 
-def compare(lhs, rhs, /, **params):
-    """A two-route report: params, "equal", and the first coefficient where
-    two TSeries, MonomialSeries or Polys differ (None when they agree).
-    Polys that differ are t-expanded through the largest t-degree of a
-    numerator plus that of a denominator: distinct fractions differ there."""
+def compare(lhs, rhs, /, sides=False, **params):
+    """A two-route report: params, with sides the to_json() of each side as
+    "lhs" and "rhs", then "equal" and the first coefficient where two
+    TSeries, MonomialSeries or Polys differ, as {t_deg, lhs, rhs} led by
+    x_exp and y_exp for a MonomialSeries (None when they agree).  Polys that
+    differ are t-expanded through the largest t-degree of a numerator plus
+    that of a denominator: distinct fractions differ there.  Unequal series
+    of different (nx, ny, degree) raise AssertionError: their common part
+    cannot tell them apart."""
+    report = dict(params, lhs=lhs.to_json(), rhs=rhs.to_json()) \
+        if sides else params
     disc = None
     if lhs != rhs:
         if not isinstance(lhs, (TSeries, MonomialSeries)):
@@ -796,8 +787,17 @@ def compare(lhs, rhs, /, **params):
             degree = (max(j for c in coeffs for _, j in c.num)
                       + max(j for c in coeffs for _, j in c.den))
             lhs, rhs = t_series(lhs, degree), t_series(rhs, degree)
-        disc = discrepancy(lhs, rhs)
-    return {**params, "equal": disc is None, "first_discrepancy": disc}
+        shapes = [(getattr(s, "nx", None), getattr(s, "ny", None), s.degree)
+                  for s in (lhs, rhs)]
+        if shapes[0] != shapes[1]:
+            raise AssertionError(f"compared series of (nx, ny, degree) "
+                                 f"{shapes[0]} and {shapes[1]}")
+        *key, tdeg, a, b = lhs.first_discrepancy(rhs)
+        disc = {"t_deg": tdeg, "lhs": str(a), "rhs": str(b)}
+        if key:  # a MonomialSeries discrepancy leads with its monomial key
+            (xe, ye), = key
+            disc = {"x_exp": list(xe), "y_exp": list(ye), **disc}
+    return {**report, "equal": disc is None, "first_discrepancy": disc}
 
 
 def fail(report, kind, data):

@@ -271,6 +271,20 @@ def test_failed_self_check_exits_three(monkeypatch, capsys):
         "internal error: H~_(2, 1) fails the sign-character pairing\n"
 
 
+def test_routes_of_different_degrees_exit_three(monkeypatch, capsys):
+    """A route that returns a longer series than its partner agrees with it
+    on their common part; that is a fault of the program, not a pass."""
+    import qtnabla.omega as omega
+    real = omega.fulltwist_extraction
+    monkeypatch.setattr(omega, "fulltwist_extraction",
+                        lambda n, k, D: real(n, k, D + 1))
+    code, out = run_cli("verify-fulltwist", "--n", "2", "--D", "2")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "internal error: compared series of (nx, ny, degree) "
+        "(None, None, 2) and (None, None, 3)\n")
+
+
 def test_options_a_command_ignores_are_rejected(capsys):
     for argv in (("verify-xi", "--n", "2", "--k", "7"),
                  ("compute", "macdonald", "--lambda", "2,1", "--n", "3"),

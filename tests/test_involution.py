@@ -206,6 +206,22 @@ def test_verify_vanishing_small():
     assert rep["ok"], rep["failures"]
 
 
+def test_verify_vanishing_builds_no_signed_side_at_degree_zero(monkeypatch):
+    """At D = 0 no t-degree is left to compare the signed sum at, so neither
+    signed side is built; the report is the fixed-point census alone."""
+    import qtnabla.involution as involution
+
+    def never(*args):
+        raise AssertionError("a signed side was built at D = 0")
+    monkeypatch.setattr(involution, "signed_quadruple_series", never)
+    monkeypatch.setattr(involution, "macdonald_substituted_series", never)
+    assert verify_vanishing(2, 1, 0, 2) == {
+        "n": 2, "k": 1, "D": 0, "N": 2, "ok": True, "failures": [],
+        "fixed_points": [{"lambda": [1, 1], "mu": [1, 1], "count": 2},
+                         {"lambda": [2], "mu": [1, 1], "count": 2}],
+        "equal": True}
+
+
 def test_verify_vanishing_census_contents():
     rep = verify_vanishing(2, 1, 2, 2)
     assert rep["ok"], rep["failures"]

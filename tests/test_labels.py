@@ -7,8 +7,8 @@ from oracles import sort_columns, sort_triple
 from qtnabla.scalar import ONE, Q, QtScalar
 from qtnabla.labels import (
     DyckPath, _sorted_m_vectors, all_dyck_paths, alpha_composition,
-    attack_path, chromatic, compositions, dinv_k, dinv_k_pair,
-    inv_pi, is_sorted_pair, is_sorted_triple, iter_sorted_pairs,
+    attack_path, chromatic, compositions, dinv_k, inv_pi,
+    is_sorted_triple, iter_sorted_pairs,
     iter_sorted_triples, mu_partition, verify_xi, xi_pi,
 )
 from qtnabla.symfunc import Poly
@@ -30,12 +30,14 @@ def test_sort_triple_worked_example():
 
 
 def test_sortedness_agrees_with_sorting():
-    """is_sorted_* compare adjacent columns; a column sequence is sorted
-    exactly when sorting leaves it unchanged."""
+    """is_sorted_triple compares adjacent columns; a column sequence is
+    sorted exactly when sorting leaves it unchanged, and a pair (m, a)
+    exactly when the triple with b constant is."""
     for n in range(5):
         for m, a in product(product(range(3), repeat=n), repeat=2):
             rows = sorted(zip(m, a), key=lambda r: (-r[0], r[1]))
-            assert is_sorted_pair(m, a) == (rows == list(zip(m, a)))
+            assert is_sorted_triple(m, a, (1,) * n) == \
+                (rows == list(zip(m, a)))
             for b in product(range(2), repeat=n):
                 assert is_sorted_triple(m, a, b) == \
                     (sort_triple(m, a, b) == (m, a, b)), (m, a, b)
@@ -45,10 +47,10 @@ def test_sortedness_agrees_with_sorting():
 
 def test_sorted_pair_rejects_unequal_lengths():
     # the common prefix ((2,), (1,)) is sorted; the lengths still differ
-    with pytest.raises(ValueError):
-        is_sorted_pair((2, 1), (1,))
-    with pytest.raises(ValueError):
-        is_sorted_pair((), (1,))
+    with pytest.raises(ValueError, match="equal length"):
+        attack_path((2, 1), (1,), 1)
+    with pytest.raises(ValueError, match="equal length"):
+        attack_path((), (1,), 1)
 
 
 def test_alpha_mu_worked_example():
@@ -78,8 +80,8 @@ def test_dinv_requires_sorted():
         dinv_k((0, 1), (1, 1), (1, 1), 1)
     with pytest.raises(ValueError):
         dinv_k((0, 0), (2, 1), (1, 1), 1)
-    with pytest.raises(ValueError):
-        dinv_k_pair((0, 0), (2, 1), 1)
+    with pytest.raises(ValueError, match="pair is not sorted"):
+        attack_path((0, 0), (2, 1), 1)
 
 
 def test_attack_path_figure_example():
@@ -125,8 +127,9 @@ def test_dinv_decomposes_paper_example():
     path = attack_path(m, a, 1)
     assert path.dset == frozenset({(2, 3), (2, 4), (3, 4)})
     assert inv_pi(path, b) == 2
-    assert dinv_k_pair(m, a, 1) == 0
-    assert dinv_k(m, a, b, 1) == dinv_k_pair(m, a, 1) + inv_pi(path, b)
+    ones = (1,) * len(m)  # the pair statistic: the triple with b constant
+    assert dinv_k(m, a, ones, 1) == 0
+    assert dinv_k(m, a, b, 1) == dinv_k(m, a, ones, 1) + inv_pi(path, b)
 
 
 def test_dinv_decomposition_sweep():
@@ -136,7 +139,8 @@ def test_dinv_decomposition_sweep():
             for m, a, b in iter_sorted_triples(n, 3, d):
                 for k in (1, 2):
                     path = attack_path(m, a, k)
-                    assert dinv_k(m, a, b, k) == dinv_k_pair(m, a, k) + inv_pi(path, b)
+                    assert dinv_k(m, a, b, k) == \
+                        dinv_k(m, a, (1,) * n, k) + inv_pi(path, b)
 
 
 def test_dinv_respects_standardization():

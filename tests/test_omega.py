@@ -58,14 +58,14 @@ def test_via_xi_matches_direct():
 def test_via_xi_single_orbit_slice():
     # one (m, a) orbit contributes t^{|m|} q^{dinv} X_a xi(Y)/aut
     from oracles import aut_q_of
-    from qtnabla.labels import attack_path, dinv_k_pair, xi_pi
+    from qtnabla.labels import attack_path, xi_pi
     n, k, N = 2, 1, 2
     m, a = (1, 0), (2, 1)
     path = attack_path(m, a, k)
-    base = QtScalar.monomial(q=dinv_k_pair(m, a, k))
+    from qtnabla.labels import iter_sorted_triples, dinv_k
+    base = QtScalar.monomial(q=dinv_k(m, a, (1,) * n, k))
     xi = xi_pi(path, N)
     # direct regrouping of omega_series terms with that (m, a)
-    from qtnabla.labels import iter_sorted_triples, dinv_k
     for (_, ye), c in xi.terms.items():
         acc = QtScalar.from_int(0)
         for mm, aa, bb in iter_sorted_triples(n, N, sum(m)):
@@ -149,14 +149,15 @@ def test_fulltwist_dk_values():
 
 
 def test_fulltwist_dk_is_dinv_of_sorted_pair():
-    from qtnabla.labels import dinv_k_pair
+    from qtnabla.labels import dinv_k
     for n in (2, 3):
         for k in (1, 2, 3):
             for m in product(range(4), repeat=n):
                 rows = sorted(zip(m, range(1, n + 1)), key=lambda r: (-r[0], r[1]))
                 ms = tuple(r[0] for r in rows)
                 pos = tuple(r[1] for r in rows)
-                assert fulltwist_dk(m, k) == dinv_k_pair(ms, pos, k), (m, k)
+                assert fulltwist_dk(m, k) == dinv_k(ms, pos, (1,) * n, k), \
+                    (m, k)
 
 
 def test_fulltwist_n1():

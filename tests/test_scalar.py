@@ -250,3 +250,43 @@ def test_monomial_series_discrepancy():
     c = MonomialSeries(2, 2, 1, {key: (ONE + Q * T).t_expand(1)})
     assert a != c
     assert a.first_discrepancy(c) == (key, 1, ONE, Q)
+
+
+def test_compare_renders_the_sides_it_is_given():
+    """With sides, the report carries each side's to_json() as lhs and rhs;
+    without it, it has neither key.  The first discrepancy is the same
+    either way, led by the monomial key for a MonomialSeries."""
+    a, b = (ONE / ONE_MINUS_T).t_expand(2), (ONE + T).t_expand(2)
+    key, other = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    ma = MonomialSeries(2, 2, 1, {key: (ONE / (ONE - Q * T)).t_expand(1)})
+    mb = MonomialSeries(2, 2, 1, {key: ONE.t_expand(1),
+                                  other: Q.t_expand(1)})
+    cases = [(a, a, None), (a, b, {"t_deg": 2, "lhs": "1", "rhs": "0"}),
+             (ma, ma, None), (ma, mb, {"x_exp": [0, 1], "y_exp": [1, 0],
+                                       "t_deg": 0, "lhs": "0", "rhs": "q"})]
+    for lhs, rhs, disc in cases:
+        plain = scalar.compare(lhs, rhs, n=1)
+        assert plain == {"n": 1, "equal": disc is None,
+                         "first_discrepancy": disc}
+        assert scalar.compare(lhs, rhs, sides=True, n=1) == {
+            **plain, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+    assert scalar.compare(ma, ma, sides=True)["lhs"] == [
+        {"x_exp": [1, 0], "y_exp": [0, 1], "t_deg": 0, "q_num": [1],
+         "q_den": [1]},
+        {"x_exp": [1, 0], "y_exp": [0, 1], "t_deg": 1, "q_num": [0, 1],
+         "q_den": [1]}]
+
+
+def test_compare_rejects_unequal_series_of_different_shapes():
+    """Series that differ only in (nx, ny, degree) agree on their common
+    part, which cannot tell them apart: compare raises rather than report
+    them equal."""
+    a = (ONE / ONE_MINUS_T).t_expand(2)
+    with pytest.raises(AssertionError, match=r"\(None, None, 2\) and "
+                       r"\(None, None, 1\)"):
+        scalar.compare(a, a.truncate(1))
+    table = {((1, 0), (0, 1)): a}
+    with pytest.raises(AssertionError, match=r"\(2, 2, 2\) and \(3, 2, 2\)"):
+        scalar.compare(MonomialSeries(2, 2, 2, table),
+                       MonomialSeries(3, 2, 2, table))
+    assert scalar.compare(a, a.truncate(2))["equal"]

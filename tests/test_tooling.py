@@ -34,14 +34,17 @@ _CANCELLATION = ("the shuffle cancellation analysis, a check of the paper "
 # reaches, kept on purpose, with the reason
 SERVED_ALLOWLIST = {
     **{("shuffle", name): _CANCELLATION
-       for name in ("pf", "npf", "rho_inverse", "in_shuffle_set", "_in_a",
-                    "_in_b", "five_condition_witness", "signed_truncated_sum",
-                    "cancellation_check")},
+       for name in ("pf", "npf", "rho", "rho_inverse", "in_shuffle_set",
+                    "_in_a", "_in_b", "five_condition_witness",
+                    "signed_truncated_sum", "cancellation_check")},
     ("symfunc", "fundamental_monomials"): "the F_{n,D} expansion that "
         "verify-xi is to be routed through (ROADMAP item 7)",
     ("scalar", "aut_q"): "a public name of qtnabla.__all__; no subcommand "
         "calls it, since the series count 1/aut_q(mu) through q_multinomial",
-    # methods, each kept as a test oracle
+    # methods, each kept as a test oracle or as public API
+    **{("symfunc", f"SymFunc.{name}"): "a constructor of the public "
+       "SymFunc; only the tests call it, to build their inputs"
+       for name in ("e", "h", "s")},
     ("symfunc", "SymFunc.hall_inner"): "the Hall pairing: the sign-character "
         "and Hall-Littlewood checks of H~ and the basis dualities of "
         "test_symfunc",
@@ -147,6 +150,20 @@ def _names(node):
             if isinstance(child, (ast.Name, ast.Attribute))}
 
 
+def _reads(node):
+    """The names that the code of a definition reads (see _names), less the
+    Name ids it binds itself: its parameters, loop variables and assigned
+    names are its own, not reads of module names.  An attribute counts even
+    when a local shares its name, as h in f.h beside a local h."""
+    nodes = list(ast.walk(node))
+    bound = {child.arg for child in nodes if isinstance(child, ast.arg)}
+    bound |= {child.id for child in nodes if isinstance(child, ast.Name)
+              and isinstance(child.ctx, ast.Store)}
+    return {child.id for child in nodes if isinstance(child, ast.Name)
+            and child.id not in bound} | {
+        child.attr for child in nodes if isinstance(child, ast.Attribute)}
+
+
 def _definitions(tree):
     """(name, qualname, names its code reads) of each definition in the
     module tree: a top-level def or class, and each method of a top-level
@@ -155,16 +172,16 @@ def _definitions(tree):
     out = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            out.append((node.name, node.name, _names(node)))
+            out.append((node.name, node.name, _reads(node)))
         elif isinstance(node, ast.ClassDef):
             methods = [item for item in node.body
                        if isinstance(item, ast.FunctionDef)
                        and not (item.name.startswith("__")
                                 and item.name.endswith("__"))]
             out.append((node.name, node.name, set().union(*(
-                _names(child) for child in ast.iter_child_nodes(node)
+                _reads(child) for child in ast.iter_child_nodes(node)
                 if child not in methods))))
-            out += [(item.name, f"{node.name}.{item.name}", _names(item))
+            out += [(item.name, f"{node.name}.{item.name}", _reads(item))
                     for item in methods]
     return out
 
@@ -198,6 +215,16 @@ def _walk(paths, roots):
                   for module, qualname, _ in nodes}
     return everything, {(module, qualname) for name, nodes in defined.items()
                         for module, qualname, _ in nodes if name not in reached}
+
+
+def test_a_definition_reads_no_name_it_binds():
+    """Parameters, loop variables and assigned names are a definition's
+    own; the attributes it looks up are reads even under a local's name."""
+    tree = ast.parse("def f(rho, xs):\n"
+                     "    for h in xs:\n"
+                     "        out = rho(h)\n"
+                     "    return [e for e in out.h] + g(xs)\n")
+    assert _reads(tree.body[0]) == {"h", "g"}
 
 
 def test_every_package_definition_is_served():
