@@ -646,10 +646,6 @@ class TSeries:
         self._check(other)
         return TSeries(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        self._check(other)
-        return TSeries(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         if isinstance(other, QtScalar):
             return TSeries(self.degree, [a * other for a in self.coeffs])
@@ -689,16 +685,8 @@ class TSeries:
                 return (j, self[j], other[j])
         return None
 
-    def __str__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            tpow = "" if j == 0 else " t" if j == 1 else f" t^{j}"
-            parts.append(f"({c}){tpow}")
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"TSeries({self.degree}, {self.coeffs!r})"
 
     def to_json(self):
         out = []

@@ -35,9 +35,8 @@ def pf(m, a, i, k):
 
 
 def npf(m, a, i, k):
-    if not 1 <= i <= len(m) - 1:
-        raise ValueError("need 1 <= i <= n-1")
-    return m[i] > m[i - 1] + k or (m[i] == m[i - 1] + k and a[i] <= a[i - 1])
+    """Not a parking function at i: the complement of pf."""
+    return not pf(m, a, i, k)
 
 
 def rho(m, x):

@@ -390,9 +390,6 @@ class SymFunc:
                                     for r in rho)
         return self._p_pairing(other, weight)
 
-    def omega(self):
-        return plethysm_p_scale(self, lambda r: (-1) ** (r - 1))
-
     # -- expansion
 
     def expand(self, N, alphabet="x"):
@@ -497,29 +494,8 @@ class Poly:
                 and (self.nx, self.ny) == (other.nx, other.ny)
                 and self.terms == other.terms)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono(exps, letter):
-            return " ".join(
-                f"{letter}{i+1}" if e == 1 else f"{letter}{i+1}^{e}"
-                for i, e in enumerate(exps) if e
-            )
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            xe, ye = key
-            c = self.terms[key]
-            body = " ".join(s for s in (mono(xe, "x"), mono(ye, "y")) if s)
-            cs = str(c)
-            if c.is_one() and body:
-                parts.append(body)
-            elif body:
-                parts.append(f"({cs}) {body}")
-            else:
-                parts.append(f"({cs})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def __repr__(self):
+        return f"Poly({self.nx}, {self.ny}, {self.terms!r})"
 
 
 def poly_to_symfunc(poly, alphabet="x", basis="m"):

@@ -475,6 +475,20 @@ def test_unwritable_out_file_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unusable_cache_dir_exits_two(tmp_path, monkeypatch, capsys):
+    """A cache directory that names a regular file is a configuration
+    error: one error line from the store, and no report."""
+    import qtnabla.macdonald as macdonald
+    target = tmp_path / "cache"
+    target.write_text("")
+    monkeypatch.setattr(macdonald, "DEFAULT_CACHE",
+                        macdonald.MacdonaldCache(directory=str(target)))
+    code, out = run_cli("compute", "macdonald", "--lambda", "2,1")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: [Errno 17] File exists: {str(target)!r}\n"
+
+
 def test_closed_reader_keeps_the_report_status(child_env):
     """As in `qtnabla compute nabla ... | head -1`: a reader that is gone
     before the report is written is not bad input, so the exit status is
@@ -490,6 +504,26 @@ def test_closed_reader_keeps_the_report_status(child_env):
         os.close(write)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_reader_closed_mid_report_keeps_the_report_status(child_env):
+    """As in `qtnabla verify-main ... --format json | head -c 100`: the
+    report (about 325 KB) outgrows the pipe buffer, so the reader closes
+    while the child is still writing; the status is the report's own and
+    stderr stays empty."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtnabla.cli", "verify-main", "--n", "3",
+         "--k", "2", "--N", "3", "--D", "5", "--format", "json"],
+        env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
+    assert head.startswith(b"{")
 
 
 def test_console_entry_point(child_env):

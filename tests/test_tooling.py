@@ -10,7 +10,9 @@ They also keep src/qtnabla to what a subcommand serves: a walk by name from
 the COMMANDS rows, cli.py and the benchmark's pins must reach every
 top-level definition and every method other than a dunder there, or the
 definition is moved to tests/oracles.py, deleted, or listed in
-SERVED_ALLOWLIST with its reason.  The same walk from the test modules must
+SERVED_ALLOWLIST with its reason.  Without the benchmark's pins the walk
+must leave unreached only SERVED_ALLOWLIST and the frozen PIN_ONLY, so no
+new code is served by a pin alone.  The same walk from the test modules must
 reach every definition of tests/oracles.py."""
 
 import ast
@@ -48,12 +50,33 @@ SERVED_ALLOWLIST = {
     ("symfunc", "SymFunc.hall_inner"): "the Hall pairing: the sign-character "
         "and Hall-Littlewood checks of H~ and the basis dualities of "
         "test_symfunc",
-    ("symfunc", "SymFunc.omega"): "the involution omega, whose e <-> h and "
-        "conjugation rules test_symfunc checks",
     ("affine", "AffinePermutation.length"): "the Coxeter length, against "
         "which the tests check the edges and the coset extremes that "
         "verify-paff reads from inverses and descents",
 }
+
+# (module, qualname) of each definition in src/qtnabla that only a benchmark
+# pin reaches (a tracer target or an enum-sweep case): the Gram-Schmidt and
+# *-orthogonality chains, the factored and substituted enumerators, and the
+# plethysm and pairing routes they use.  The set only shrinks, as the
+# benchmark stops pinning them.
+PIN_ONLY = frozenset({
+    ("labels", "iter_sorted_pairs"),
+    *(("macdonald", name) for name in (
+        "_gram_schmidt_state", "_gram_schmidt_P", "macdonald_P",
+        "integral_J", "_build_htilde", "nabla_power", "to_htilde_dict",
+        "from_htilde_dict", "_htilde_inverse_matrix", "htilde_norm",
+        "w_denominator")),
+    *(("omega", name) for name in (
+        "verify_xi_factoring", "verify_sub_y", "verify_hilbert",
+        "omega_via_xi", "omega_sub_y", "omega_sub_y_via_plethysm",
+        "_pair_sum", "_xi_sub_y", "_add_q_polynomial")),
+    ("scalar", "QtScalar.subs_t_inverse"),
+    *(("symfunc", name) for name in (
+        "Poly.constant", "SymFunc._p_pairing", "SymFunc.qt_inner",
+        "SymFunc.star_inner", "_power_sum_poly", "plethysm",
+        "plethysm_expand")),
+})
 
 
 def _tracer_targets():
@@ -227,6 +250,20 @@ def test_a_definition_reads_no_name_it_binds():
     assert _reads(tree.body[0]) == {"h", "g"}
 
 
+def _served_roots(pins):
+    """The check of each COMMANDS row and every name cli.py reads; with pins,
+    also every name the benchmark pins: the tracer targets and the
+    enum-sweep cases."""
+    from qtnabla.cli import COMMANDS
+    roots = {check for _, _, check, _ in COMMANDS.values()}
+    roots |= _names(ast.parse((PACKAGE / "cli.py").read_text()))
+    if pins:
+        roots |= {part for _, qualname, *_ in _tracer_targets()
+                  for part in qualname.split(".")}
+        roots |= {name for _, name, _ in _bench_cases("ENUM_CASES")}
+    return roots
+
+
 def test_every_package_definition_is_served():
     """Each top-level def or class and each method other than a dunder in
     src/qtnabla is reached from a served root or listed in SERVED_ALLOWLIST;
@@ -234,13 +271,8 @@ def test_every_package_definition_is_served():
     reaches.  The served roots are the check of each COMMANDS row, every
     name cli.py reads, and every name the benchmark pins: the tracer targets
     and the enum-sweep cases."""
-    from qtnabla.cli import COMMANDS
-    roots = {check for _, _, check, _ in COMMANDS.values()}
-    roots |= _names(ast.parse((PACKAGE / "cli.py").read_text()))
-    roots |= {part for _, qualname, *_ in _tracer_targets()
-              for part in qualname.split(".")}
-    roots |= {name for _, name, _ in _bench_cases("ENUM_CASES")}
-    defined, unreached = _walk(sorted(PACKAGE.glob("*.py")), roots)
+    defined, unreached = _walk(sorted(PACKAGE.glob("*.py")),
+                               _served_roots(pins=True))
     allowed = set(SERVED_ALLOWLIST)
     assert not unreached - allowed, \
         f"no subcommand or benchmark pin reaches {sorted(unreached - allowed)}"
@@ -248,6 +280,15 @@ def test_every_package_definition_is_served():
         f"SERVED_ALLOWLIST names no definition: {sorted(allowed - defined)}"
     assert not allowed - unreached, \
         f"SERVED_ALLOWLIST entries are served: {sorted(allowed - unreached)}"
+
+
+def test_pin_only_definitions_are_the_frozen_set():
+    """Without the benchmark pins, the walk leaves unreached exactly
+    PIN_ONLY and SERVED_ALLOWLIST: new code that only a pin reaches fails
+    here, and a definition retired with its pin leaves PIN_ONLY."""
+    _, unreached = _walk(sorted(PACKAGE.glob("*.py")),
+                         _served_roots(pins=False))
+    assert unreached - set(SERVED_ALLOWLIST) == PIN_ONLY
 
 
 def test_series_are_assembled_in_scalar_and_the_lambda_sum():
