@@ -6,9 +6,13 @@ The pairwise statistic here is the reverse-frame one from the involution
 module, applied to (m, a). The parking sum runs over the n! standardized
 label permutations rather than the N^n label words, carries each descent
 set as a bitmask and expands the tallies once per weak composition through
-the fundamental quasi-symmetric functions. The tests keep the word
-enumeration and the route that rebuilt each descent set at the leaves
-(tests/oracles.py) as independent routes.
+the fundamental quasi-symmetric functions. It reads the statistic a new
+column adds from one packed integer: before the walk each column gets a
+table row of its pair values with every later column, one bit slot per
+(m, label), and the walk carries the sum of the rows placed so far. The
+tests keep the word enumeration and the route that rebuilt each descent set
+at the leaves, with its column-by-column pair loop (tests/oracles.py), as
+independent routes.
 
 The cancellation analysis defines the A and the B set of the rotation
 pairing once each, through pf and npf: the signed sum drops both, and the
@@ -62,19 +66,6 @@ def in_shuffle_set(l, m, a, k):
     return True
 
 
-def _dk_increment(m, a, mv, av, k):
-    """New pairwise contributions when column (mv, av) is appended."""
-    total = 0
-    for mi, ai in zip(m, a):
-        if mi > mv:
-            v = k + mv - mi + (1 if ai > av else 0)
-        else:
-            v = k - 1 + mi - mv + (1 if ai < av else 0)
-        if v > 0:
-            total += v
-    return total
-
-
 def partial_sum_mask(alpha):
     """S(alpha) as a bitmask, bit j-1 for each partial sum j of the weak
     composition alpha with 0 < j < |alpha|: x^alpha is a monomial of the
@@ -98,8 +89,18 @@ def parking_sum(n, k, N):
     with standardization sigma are the monomials of the fundamental
     quasi-symmetric F_D, where D holds each j whose successor j+1 is read
     before j. So the recursion runs over paths m and at most n! label
-    permutations per path instead of N^n words, adds the pairwise statistic
-    column by column and counts (D, q-degree, t-degree) at the leaves.
+    permutations per path instead of N^n words, and counts (D, q-degree,
+    t-degree) at the leaves.
+
+    The pairwise statistic is read from a packed table. Before the walk,
+    each column (mi, ai) gets one integer delta[mi][ai] whose slot at
+    (mv, av) holds d_k_rev of the pair (mi, ai), (mv, av): nonzero only at
+    the 2k heights mi-k .. mi+k-1, and at most k. The walk carries acc, the
+    sum of delta over the placed columns, so the increment of a child
+    (mv, av) is its slot of acc, one shift and one mask. A slot sums at
+    most n-1 pairs, so it holds at most (n-1)k, reached by n columns at
+    height 0 with increasing labels; a label's own slot is left empty, as
+    it never comes back.
 
     Columns are placed left to right, so when label v goes in at height mv
     each neighbour already placed decides its descent at once: v-1 is in D
@@ -115,30 +116,43 @@ def parking_sum(n, k, N):
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if n < 1:
+        raise ValueError(f"the parking sum needs n >= 1, got n = {n}")
+    heights = range((n - 1) * k + 1)  # every m a column can reach
+    bits = ((n - 1) * k).bit_length()
+    slot = (1 << bits) - 1
+    shift = [[0] + [bits * (mv * n + av - 1) for av in range(1, n + 1)]
+             for mv in heights]  # the slot of (mv, av); label 0 is unused
+    delta = [[0] * (n + 1) for _ in heights]
+    for mi in heights:
+        near = range(max(mi - k, 0), min(mi + k, len(heights)))
+        for ai in range(1, n + 1):
+            delta[mi][ai] = sum(d_k_rev((mi, mv), (ai, av), k) << shift[mv][av]
+                                for mv in near for av in range(1, n + 1)
+                                if av != ai)
     counts = {}  # (descent mask, q-deg, t-deg) -> number of (m, sigma)
     height = [-1] * (n + 2)  # label -> m of its column, -1 while unplaced
-    # a virtual column (-k, 0) in front: the first column is then forced to
-    # m = 0 with any label, and its pairwise value with any column is <= 0
-    m, a = [-k], [0]
 
-    def rec(stat, area, mask, rest):
-        # rest is the sum of the unplaced labels
-        top = m[-1] + k
-        if len(m) == n:
+    def rec(stat, acc, area, mask, rest, left, mlast, alast):
+        # rest is the sum of the unplaced labels, left their number, and
+        # (mlast, alast) the last column placed
+        top = mlast + k
+        if left == 1:
             # one label left: each height of its column is a leaf
             av = rest
             below, above = height[av - 1], height[av + 1]
-            for mv in range(top + 1 if av > a[-1] else top):
+            for mv in range(top + 1 if av > alast else top):
                 d = mask
                 if 0 <= below <= mv:
                     d |= 1 << (av - 2)
                 if above > mv:
                     d |= 1 << (av - 1)
-                key = (d, stat + _dk_increment(m, a, mv, av, k), area + mv)
+                key = (d, stat + (acc >> shift[mv][av] & slot), area + mv)
                 counts[key] = counts.get(key, 0) + 1
             return
         for mv in range(top + 1):
-            for av in range(a[-1] + 1 if mv == top else 1, n + 1):
+            shifts, deltas = shift[mv], delta[mv]
+            for av in range(alast + 1 if mv == top else 1, n + 1):
                 if height[av] >= 0:
                     continue
                 d = mask
@@ -146,16 +160,15 @@ def parking_sum(n, k, N):
                     d |= 1 << (av - 2)
                 if height[av + 1] > mv:
                     d |= 1 << (av - 1)
-                inc = _dk_increment(m, a, mv, av, k)
                 height[av] = mv
-                m.append(mv)
-                a.append(av)
-                rec(stat + inc, area + mv, d, rest - av)
-                m.pop()
-                a.pop()
+                rec(stat + (acc >> shifts[av] & slot), acc + deltas[av],
+                    area + mv, d, rest - av, left - 1, mv, av)
                 height[av] = -1
 
-    rec(0, 0, 0, n * (n + 1) // 2)
+    # a virtual last column (-k, 0): the first column is then forced to
+    # m = 0 with any label, and its pairwise value with any column is <= 0,
+    # so it adds nothing to acc
+    rec(0, 0, 0, 0, n * (n + 1) // 2, n, -k, 0)
     # totals[S] = sum of the tallies of every D inside S
     totals = [{} for _ in range(1 << (n - 1))]
     for (d, qd, td), c in counts.items():

@@ -31,7 +31,6 @@ from qtnabla.omega import _permutation_coefficient
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar,
                             SeriesBuilder, TSeries,
                             aut_q, fail)
-from qtnabla.shuffle import _dk_increment
 from qtnabla.symfunc import (Poly, fundamental_monomials, partitions,
                              plethysm_p_scale)
 
@@ -745,6 +744,22 @@ def parking_sum_by_descent_tuples(n, k, N):
             for qt, c in weights:
                 coeff[qt] = coeff.get(qt, 0) + c
     return Poly(N, 0, {(exps, ()): QtScalar(c) for exps, c in coeffs.items()})
+
+
+def _dk_increment(m, a, mv, av, k):
+    """New pairwise contributions when column (mv, av) is appended: the
+    reversed pair formula of involution.d_k_rev, summed over the placed
+    columns one by one, the loop that the packed table of parking_sum
+    replaced."""
+    total = 0
+    for mi, ai in zip(m, a):
+        if mi > mv:
+            v = k + mv - mi + (1 if ai > av else 0)
+        else:
+            v = k - 1 + mi - mv + (1 if ai < av else 0)
+        if v > 0:
+            total += v
+    return total
 
 
 @lru_cache(maxsize=None)

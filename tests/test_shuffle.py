@@ -109,6 +109,25 @@ def test_bitmask_walk_matches_descent_tuple_route():
         assert _bits(got) == _bits(want), (n, k, N)
 
 
+def test_packed_slot_holds_the_largest_increment():
+    # n columns at height 0 with rising labels give the last one the largest
+    # increment, (n-1)k, and the top q-degree k C(n, 2); where (n-1)k is a
+    # power of two it fills every bit of its slot, so a narrower slot would
+    # carry into the next one and lose that q-degree
+    for n, k in ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (3, 4), (2, 8)):
+        got, want = parking_sum(n, k, n), parking_sum_by_descent_tuples(n, k, n)
+        assert _bits(got) == _bits(want), (n, k)
+        top = max(qd for c in got.terms.values() for qd, _ in c.num)
+        assert top == k * n * (n - 1) // 2, (n, k)
+
+
+def test_parking_sum_rejects_n_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError,
+                           match=rf"^the parking sum needs n >= 1, got n = {n}$"):
+            parking_sum(n, 1, 1)
+
+
 def test_partial_sum_masks_pick_the_monomials_of_each_fundamental():
     # x^alpha is in F_D iff D lies inside S(alpha), the partial sums of alpha
     for n in range(1, 6):
