@@ -121,15 +121,22 @@ def parking_sum(n, k, N):
     heights = range((n - 1) * k + 1)  # every m a column can reach
     bits = ((n - 1) * k).bit_length()
     slot = (1 << bits) - 1
-    shift = [[0] + [bits * (mv * n + av - 1) for av in range(1, n + 1)]
-             for mv in heights]  # the slot of (mv, av); label 0 is unused
-    delta = [[0] * (n + 1) for _ in heights]
-    for mi in heights:
-        near = range(max(mi - k, 0), min(mi + k, len(heights)))
-        for ai in range(1, n + 1):
-            delta[mi][ai] = sum(d_k_rev((mi, mv), (ai, av), k) << shift[mv][av]
-                                for mv in near for av in range(1, n + 1)
-                                if av != ai)
+
+    def offset(mv, av):
+        # the lowest bit of the slot of (mv, av): n slots per height
+        return bits * (mv * n + av - 1)
+
+    shift = [[0] + [offset(mv, av) for av in range(1, n + 1)]
+             for mv in heights]  # label 0 is unused
+    # a pair value depends on mv - mi, so the column at height k gives every
+    # row: moving it by whole heights drops the slots that fall below m = 0,
+    # and the slots above the top height are never read
+    at_k = [0] + [sum(d_k_rev((k, mv), (ai, av), k) << offset(mv, av)
+                      for mv in range(2 * k) for av in range(1, n + 1)
+                      if av != ai)
+                  for ai in range(1, n + 1)]
+    delta = [[row << offset(mi, 1) >> offset(k, 1) for row in at_k]
+             for mi in heights]
     counts = {}  # (descent mask, q-deg, t-deg) -> number of (m, sigma)
     height = [-1] * (n + 2)  # label -> m of its column, -1 while unplaced
 
