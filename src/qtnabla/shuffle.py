@@ -95,12 +95,15 @@ def parking_sum(n, k, N):
     The pairwise statistic is read from a packed table. Before the walk,
     each column (mi, ai) gets one integer delta[mi][ai] whose slot at
     (mv, av) holds d_k_rev of the pair (mi, ai), (mv, av): nonzero only at
-    the 2k heights mi-k .. mi+k-1, and at most k. The walk carries acc, the
+    the 2k heights mi-k .. mi+k-1, and at most k. It depends on mv - mi
+    alone, so d_k_rev fills the row of the column at height k, and every
+    other row is that one moved by whole heights. The walk carries acc, the
     sum of delta over the placed columns, so the increment of a child
-    (mv, av) is its slot of acc, one shift and one mask. A slot sums at
-    most n-1 pairs, so it holds at most (n-1)k, reached by n columns at
-    height 0 with increasing labels; a label's own slot is left empty, as
-    it never comes back.
+    (mv, av) is its slot of acc, one shift and one mask. A column leaves
+    the slots of its own label empty, since that label is never placed
+    again, so a slot sums at most n-1 pairs and holds at most (n-1)k,
+    reached by n columns at height 0 with increasing labels; that bound
+    sets the slot width.
 
     Columns are placed left to right, so when label v goes in at height mv
     each neighbour already placed decides its descent at once: v-1 is in D
