@@ -11,6 +11,9 @@ one block, works out each block's inner sum, and per m-difference its
 weight against each column, once, and adds them as it descends; the
 squarefree coefficient takes the same walk over label permutations only.
 
+xi and the chromatic function walk n! label permutations, not N^n words, and
+expand their tallies through fundamental_expansion, as the parking sum does.
+
 Sorting conventions: a triple (m, a, b) is sorted when m is weakly
 decreasing, ties are broken by a increasing, then by b increasing.  All
 pair indices in the public API are 1-based.
@@ -159,17 +162,26 @@ def inv_pi(path, b):
 
 
 def _label_sum(path, N, proper):
-    """Sum over labels b with entries <= N of q^{inv} Y_b, counted in
-    integers per monomial; proper keeps only the labels with distinct
-    entries on every pair of the D-set."""
-    counts = {}  # y exponents -> {(inv, 0): number of labels}
-    for b in product(range(1, N + 1), repeat=path.n):
-        if proper and any(b[i - 1] == b[j - 1] for i, j in path.dset):
-            continue
-        tally = counts.setdefault(content(b, N), {})
-        qt = (inv_pi(path, b), 0)
-        tally[qt] = tally.get(qt, 0) + 1
-    return Poly(0, N, {((), exps): QtScalar(c) for exps, c in counts.items()})
+    """Sum over labels b with entries <= N of q^{inv} Y_b; proper keeps only
+    those with distinct entries on every pair of the D-set.  The labels that
+    standardize to sigma (equal entries read as increasing left to right)
+    share its inv and are the monomials of F_D, D = {j : j+1 left of j};
+    proper makes D strict also where j, j+1 sit on a pair, which suffices
+    as a D-set holds every pair nested in one of its pairs."""
+    n, dset = path.n, path.dset
+    counts = {}  # (descent mask, inv, 0) -> number of permutations
+    at = [0] * (n + 1)  # label -> its 1-based position
+    for sigma in permutations(range(1, n + 1)):
+        for p, v in enumerate(sigma, 1):
+            at[v] = p
+        d = 0
+        for j in range(1, n):
+            if at[j + 1] < at[j] or proper and (at[j], at[j + 1]) in dset:
+                d |= 1 << (j - 1)
+        key = (d, inv_pi(path, sigma), 0)
+        counts[key] = counts.get(key, 0) + 1
+    return Poly(0, N, {((), exps): c for exps, c
+                       in fundamental_expansion(counts, n, N)})
 
 
 def xi_pi(path, N):
@@ -194,7 +206,7 @@ def verify_xi(n):
         # omega X_pi[Y/(1-q)]: p_r picks up (-1)^(r-1) / (1 - q^r)
         scaled = plethysm_p_scale(krom,
                                   lambda r: (-1) ** (r - 1) / (ONE - Q ** r))
-        rhs = scaled.expand(n, "y").scale((ONE - Q) ** n)
+        rhs = scaled.scale((ONE - Q) ** n).expand(n, "y")
         checked += 1
         if lhs != rhs:
             failure = compare(lhs, rhs, area_sequence=list(path.area_sequence))
@@ -216,6 +228,42 @@ def compositions(total, slots):
     for first in range(total + 1):
         for rest in compositions(total - first, slots - 1):
             yield (first,) + rest
+
+
+def partial_sum_mask(alpha):
+    """S(alpha) as a bitmask, bit j-1 for each partial sum j of the weak
+    composition alpha with 0 < j < |alpha|: x^alpha is a monomial of the
+    fundamental quasi-symmetric F_D iff D lies inside S(alpha)."""
+    n = sum(alpha)
+    mask, partial = 0, 0
+    for part in alpha[:-1]:
+        partial += part
+        if 0 < partial < n:
+            mask |= 1 << (partial - 1)
+    return mask
+
+
+def fundamental_expansion(counts, n, N):
+    """(alpha, coefficient) for each weak composition alpha of n into N
+    parts, of tallies {(descent mask, q-deg, t-deg): number} that each count
+    F_D once (bit j-1 for j in D).  x^alpha lies in F_D iff D is inside
+    S(alpha), so the tallies are summed over the subsets of each S once."""
+    # totals[S] = sum of the tallies of every D inside S
+    totals = [{} for _ in range(1 << (n - 1))]
+    for (d, qd, td), c in counts.items():
+        totals[d][(qd, td)] = c
+    for bit in range(n - 1):
+        for s in range(len(totals)):
+            if s >> bit & 1:
+                into = totals[s]
+                for qt, c in totals[s ^ 1 << bit].items():
+                    into[qt] = into.get(qt, 0) + c
+    coeffs = {}  # S -> its QtScalar, built once
+    for exps in compositions(n, N):
+        s = partial_sum_mask(exps)
+        if s not in coeffs:
+            coeffs[s] = QtScalar(totals[s])
+        yield exps, coeffs[s]
 
 
 def iter_sorted_pairs(n, N, degree):

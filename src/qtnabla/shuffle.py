@@ -5,8 +5,8 @@ parking-function formula for powers of nabla on e_n.
 The pairwise statistic here is the reverse-frame one from the involution
 module, applied to (m, a). The parking sum runs over the n! standardized
 label permutations rather than the N^n label words, carries each descent
-set as a bitmask and expands the tallies once per weak composition through
-the fundamental quasi-symmetric functions. It reads the statistic a new
+set as a bitmask and expands the tallies through labels.fundamental_expansion
+(shared with xi and the chromatic function). It reads the statistic a new
 column adds from one packed integer: before the walk each column gets a
 table row of its pair values with every later column, one bit slot per
 (m, label), and the walk carries the sum of the rows placed so far. The
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .scalar import QtScalar, SeriesBuilder, compare, t_series
+from .scalar import SeriesBuilder, compare, t_series
 from .involution import d_k_rev
-from .labels import compositions, content
+from .labels import compositions, content, fundamental_expansion
 from .macdonald import nabla_en
 from .symfunc import Poly, poly_to_symfunc
 
@@ -66,19 +66,6 @@ def in_shuffle_set(l, m, a, k):
     return True
 
 
-def partial_sum_mask(alpha):
-    """S(alpha) as a bitmask, bit j-1 for each partial sum j of the weak
-    composition alpha with 0 < j < |alpha|: x^alpha is a monomial of the
-    fundamental quasi-symmetric F_D iff D lies inside S(alpha)."""
-    n = sum(alpha)
-    mask, partial = 0, 0
-    for part in alpha[:-1]:
-        partial += part
-        if 0 < partial < n:
-            mask |= 1 << (partial - 1)
-    return mask
-
-
 def parking_sum(n, k, N):
     """The parking-function polynomial: sum of X_a t^{|m|} q^{d_k(m, a)}.
 
@@ -110,12 +97,8 @@ def parking_sum(n, k, N):
     iff its height is at most mv, and v is in D iff the height of v+1 is
     above mv. D is carried as a bitmask (bit j-1 for j). Once one label is
     left, the heights of its column are the leaves, counted in one loop
-    rather than by a further call each.
-
-    x^alpha lies in F_D iff D is a subset of S(alpha), the partial sums of
-    alpha strictly between 0 and n. So the tallies are summed over the
-    subsets of each S once, and every weak composition alpha of n into N
-    parts takes the one coefficient of its S.
+    rather than by a further call each. The (D, q, t) tallies are expanded
+    by labels.fundamental_expansion, as for xi and the chromatic function.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -179,24 +162,8 @@ def parking_sum(n, k, N):
     # m = 0 with any label, and its pairwise value with any column is <= 0,
     # so it adds nothing to acc
     rec(0, 0, 0, 0, n * (n + 1) // 2, n, -k, 0)
-    # totals[S] = sum of the tallies of every D inside S
-    totals = [{} for _ in range(1 << (n - 1))]
-    for (d, qd, td), c in counts.items():
-        totals[d][(qd, td)] = c
-    for bit in range(n - 1):
-        for s in range(len(totals)):
-            if s >> bit & 1:
-                into = totals[s]
-                for qt, c in totals[s ^ 1 << bit].items():
-                    into[qt] = into.get(qt, 0) + c
-    coeffs = {}  # S -> its QtScalar, built once
-    terms = {}
-    for exps in compositions(n, N):
-        s = partial_sum_mask(exps)
-        if s not in coeffs:
-            coeffs[s] = QtScalar(totals[s])
-        terms[(exps, ())] = coeffs[s]
-    return Poly(N, 0, terms)
+    return Poly(N, 0, {(exps, ()): c for exps, c
+                       in fundamental_expansion(counts, n, N)})
 
 
 def nabla_en_expansion(n, k, N):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 from .scalar import ONE, Q, QtScalar, T, ZERO, _coerce
 
@@ -523,24 +523,6 @@ def poly_to_symfunc(poly, alphabet="x", basis="m"):
         return SymFunc("s", {lam: c for lam, c in f.convert("s").terms.items()
                              if len(lam) <= N})
     return f.convert(basis) if basis != "m" else f
-
-
-def fundamental_monomials(n, N, descents):
-    """The exponent vectors of the fundamental quasi-symmetric F_{n,D} in
-    x_1..x_N: one per weakly increasing i_1 <= ... <= i_n in 1..N with
-    i_j < i_{j+1} at every j in D, each with coefficient 1.
-
-    Lowering i_j by the number of descents before j makes the sequence
-    weakly increasing in 1..N-|D|, so there are C(N+n-1-|D|, n) of them.
-    """
-    shift = [sum(1 for d in descents if d < j) for j in range(1, n + 1)]
-    out = []
-    for seq in combinations_with_replacement(range(N - len(descents)), n):
-        exps = [0] * N
-        for i, s in zip(seq, shift):
-            exps[i + s] += 1
-        out.append(tuple(exps))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ Each retired route was the production route until a faster one replaced
 it; the tests compare the replacement with it wherever it can still run.
 The paper objects (Young subgroups and double cosets, bundle Hom and Ext
 dimensions, the crossing move, column sorting, the k = 0 Cauchy sum, the
-quasi-symmetric monomial) are stated and checked by the tests, and no
-subcommand computes them.
+quasi-symmetric monomial, the monomials of a fundamental quasi-symmetric
+function) are stated and checked by the tests, and no subcommand computes
+them.
 """
 
 from functools import lru_cache
 from bisect import insort
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import comb
 
 from qtnabla.affine import (AffinePermutation, _coset_max_witness, dimv,
@@ -31,8 +33,7 @@ from qtnabla.omega import _permutation_coefficient
 from qtnabla.scalar import (ONE, Q, T, ZERO, MonomialSeries, QtScalar,
                             SeriesBuilder, TSeries,
                             aut_q, fail)
-from qtnabla.symfunc import (Poly, fundamental_monomials, partitions,
-                             plethysm_p_scale)
+from qtnabla.symfunc import Poly, partitions, plethysm_p_scale
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,38 @@ def label_sum_per_term(path, N, proper):
         prev = terms.get(key)
         terms[key] = c if prev is None else prev + c
     return Poly(0, N, terms)
+
+
+def label_sum_by_words(path, N, proper):
+    """labels.xi_pi (proper false) or labels.chromatic (proper true) by the
+    word loop that the F-expansion replaced: every label word in [N]^n,
+    an integer count per (y-monomial, inversion number)."""
+    counts = {}  # y exponents -> {(inv, 0): number of labels}
+    for b in product(range(1, N + 1), repeat=path.n):
+        if proper and any(b[i - 1] == b[j - 1] for i, j in path.dset):
+            continue
+        tally = counts.setdefault(content(b, N), {})
+        qt = (inv_pi(path, b), 0)
+        tally[qt] = tally.get(qt, 0) + 1
+    return Poly(0, N, {((), exps): QtScalar(c) for exps, c in counts.items()})
+
+
+def fundamental_monomials(n, N, descents):
+    """The exponent vectors of the fundamental quasi-symmetric F_{n,D} in
+    x_1..x_N: one per weakly increasing i_1 <= ... <= i_n in 1..N with
+    i_j < i_{j+1} at every j in D, each with coefficient 1.
+
+    Lowering i_j by the number of descents before j makes the sequence
+    weakly increasing in 1..N-|D|, so there are C(N+n-1-|D|, n) of them.
+    """
+    shift = [sum(1 for d in descents if d < j) for j in range(1, n + 1)]
+    out = []
+    for seq in combinations_with_replacement(range(N - len(descents)), n):
+        exps = [0] * N
+        for i, s in zip(seq, shift):
+            exps[i + s] += 1
+        out.append(tuple(exps))
+    return out
 
 
 def bundle_sweep_triples(nmax, mmax, lmax):

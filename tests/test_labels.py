@@ -1,10 +1,11 @@
-from itertools import groupby, product
+from itertools import combinations, groupby, product
+from math import factorial, prod
 
 import pytest
 
 import oracles
 from oracles import sort_columns, sort_triple
-from qtnabla.scalar import ONE, Q, QtScalar
+from qtnabla.scalar import ONE, Q, QtScalar, q_factorial, q_multinomial
 from qtnabla.labels import (
     DyckPath, _sorted_m_vectors, all_dyck_paths, alpha_composition,
     attack_path, chromatic, compositions, dinv_k, inv_pi,
@@ -185,6 +186,49 @@ def test_label_sums_match_per_term_route():
                     path, N, False), (path, N)
                 assert chromatic(path, N) == oracles.label_sum_per_term(
                     path, N, True), (path, N)
+
+
+def test_label_sums_match_the_word_loop_at_n5():
+    """The F-route against the word loop it replaced; at N = 2 < n the
+    descent sets with |D| >= N have no monomials."""
+    for path in all_dyck_paths(5):
+        for N in (2, 5):
+            for proper, route in ((False, xi_pi), (True, chromatic)):
+                assert route(path, N) == oracles.label_sum_by_words(
+                    path, N, proper), (path, N, proper)
+
+
+def test_dyck_dsets_hold_every_nested_pair():
+    # chromatic makes a label strict only where j and j+1 sit on a pair;
+    # this closure is what makes that enough for every pair
+    for n in range(1, 8):
+        for path in all_dyck_paths(n):
+            for i, j in path.dset:
+                for u, v in combinations(range(i, j + 1), 2):
+                    assert (u, v) in path.dset, (path, (i, j), (u, v))
+
+
+def test_label_sums_closed_forms():
+    """Sizes the word loop cannot reach: with no pairs both sums are
+    (y_1 + ... + y_N)^n, the full path's xi is the q-multinomial, and its
+    chromatic function is [n]_q! on the squarefree monomials only."""
+    for n in range(1, 8):
+        empty = DyckPath(n, ())
+        full = DyckPath(n, combinations(range(1, n + 1), 2))
+        for N in sorted({1, 2, n, n + 1}):
+            alphas = list(compositions(n, N))
+            words = Poly(0, N, {((), alpha): QtScalar.from_int(
+                factorial(n) // prod(factorial(c) for c in alpha))
+                for alpha in alphas})
+            assert xi_pi(empty, N) == words, (n, N)
+            assert chromatic(empty, N) == words, (n, N)
+            assert xi_pi(full, N) == Poly(0, N, {
+                ((), alpha): QtScalar({(i, 0): c for i, c
+                                      in q_multinomial(alpha).items()})
+                for alpha in alphas}), (n, N)
+            assert chromatic(full, N) == Poly(0, N, {
+                ((), alpha): q_factorial(n) for alpha in alphas
+                if max(alpha) == 1}), (n, N)  # none when N < n
 
 
 def test_xi_chromatic_identity():

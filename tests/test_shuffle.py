@@ -2,16 +2,16 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import parking_sum_by_descent_tuples, parking_terms
+from oracles import (fundamental_monomials, parking_sum_by_descent_tuples,
+                     parking_terms)
 from qtnabla.involution import d_k_rev
-from qtnabla.labels import compositions
+from qtnabla.labels import compositions, partial_sum_mask
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.shuffle import (
     cancellation_check, five_condition_witness, in_shuffle_set,
-    nabla_en_expansion, npf, parking_sum, partial_sum_mask, pf, rho,
-    rho_inverse,
+    nabla_en_expansion, npf, parking_sum, pf, rho, rho_inverse,
 )
-from qtnabla.symfunc import Poly, fundamental_monomials, poly_to_symfunc
+from qtnabla.symfunc import Poly, poly_to_symfunc
 
 
 def test_pf_npf_examples():

@@ -3,11 +3,11 @@ from math import comb, factorial, prod
 
 import pytest
 
-from oracles import _p_to_m_row, quasisym_M
+from oracles import _p_to_m_row, fundamental_monomials, quasisym_M
 from qtnabla.scalar import ONE, Q, QtScalar, T, ZERO
 from qtnabla.symfunc import (
     Poly, SymFunc, _table, conjugate, dominance_leq,
-    distinct_permutations, fundamental_monomials, partitions, plethysm,
+    distinct_permutations, partitions, plethysm,
     plethysm_p_scale, poly_to_symfunc, sort_partition, zee,
 )
 

@@ -39,8 +39,6 @@ SERVED_ALLOWLIST = {
        for name in ("pf", "npf", "rho", "rho_inverse", "in_shuffle_set",
                     "_in_a", "_in_b", "five_condition_witness",
                     "signed_truncated_sum", "cancellation_check")},
-    ("symfunc", "fundamental_monomials"): "the F_{n,D} expansion that "
-        "verify-xi is to be routed through (ROADMAP item 7)",
     ("scalar", "aut_q"): "a public name of qtnabla.__all__; no subcommand "
         "calls it, since the series count 1/aut_q(mu) through q_multinomial",
     # methods, each kept as a test oracle or as public API
@@ -307,6 +305,20 @@ def test_series_are_assembled_in_scalar_and_the_lambda_sum():
     assert {stem for stem, _ in callers} == {"scalar", "macdonald"}, callers
     assert {name for stem, name in callers if stem == "macdonald"} == \
         {"_lambda_sum", "_cauchy_outer_product"}, callers
+
+
+def test_one_definition_maps_descent_sets_to_monomials():
+    """Only labels.fundamental_expansion calls partial_sum_mask in
+    src/qtnabla, so the parking sum and the label generating functions
+    expand their descent-set tallies through one step."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            callers |= {(path.stem, getattr(node, "name", None))
+                        for child in ast.walk(node)
+                        if isinstance(child, ast.Call)
+                        and "partial_sum_mask" in _names(child.func)}
+    assert callers == {("labels", "fundamental_expansion")}, callers
 
 
 def test_test_modules_read_every_name_they_import():
