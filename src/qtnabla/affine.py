@@ -15,7 +15,7 @@ from itertools import permutations
 from math import gcd
 
 from .scalar import ONE, Q, SeriesBuilder, fail
-from .labels import (alpha_composition, attack_path, compositions, dinv_k,
+from .labels import (_dinv_k, alpha_composition, attack_path, compositions,
                      is_sorted_triple, iter_sorted_triples)
 
 
@@ -339,7 +339,7 @@ def verify_paff(n, k, degree, N):
             at = {"triple": (m, a, b), "w": w.window}
             if w.d_grade() != d:
                 return fail(report, "grade", at)
-            val_dinv = dinv_k(m, a, b, k)
+            val_dinv = _dinv_k(m, a, b, k)  # paff has checked it sorted
             val_dimv = dimv(w, k * n)
             if val_dinv != val_dimv:
                 return fail(report, "dinv-dimv",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import (combinations, combinations_with_replacement, groupby,
                        permutations, product)
+from operator import sub
 
 from .scalar import ONE, Q, QtScalar, SeriesBuilder, compare
 from .symfunc import (Poly, _sorted_m_vectors, plethysm_p_scale,
@@ -73,6 +74,11 @@ def dinv_k(m, a, b, k):
     A sorted pair (m, a) is the sorted triple with b constant."""
     if not is_sorted_triple(m, a, b):
         raise ValueError("triple is not sorted")
+    return _dinv_k(m, a, b, k)
+
+
+def _dinv_k(m, a, b, k):
+    """dinv_k of a triple the caller has already checked sorted."""
     n = len(m)
     total = 0
     for i in range(n):
@@ -220,14 +226,14 @@ def verify_xi(n):
 
 def compositions(total, slots):
     """Weak compositions of total into the given number of slots, in
-    lexicographic order."""
+    lexicographic order: each is read off its slots - 1 cuts, its partial
+    sums, a weakly increasing choice from 0..total (stars and bars)."""
     if slots == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, slots - 1):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), slots - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def partial_sum_mask(alpha):
@@ -252,6 +258,7 @@ def fundamental_expansion(counts, n, N):
     totals = [{} for _ in range(1 << (n - 1))]
     for (d, qd, td), c in counts.items():
         totals[d][(qd, td)] = c
+    del counts  # a caller that hands its tallies over frees them here
     for bit in range(n - 1):
         for s in range(len(totals)):
             if s >> bit & 1:
@@ -262,7 +269,8 @@ def fundamental_expansion(counts, n, N):
     for exps in compositions(n, N):
         s = partial_sum_mask(exps)
         if s not in coeffs:
-            coeffs[s] = QtScalar(totals[s])
+            # a tally is a polynomial with positive coefficients: canonical
+            coeffs[s] = QtScalar(totals[s], _canonical=True)
         yield exps, coeffs[s]
 
 

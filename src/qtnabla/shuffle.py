@@ -9,9 +9,13 @@ set as a bitmask and expands the tallies through labels.fundamental_expansion
 (shared with xi and the chromatic function). It reads the statistic a new
 column adds from one packed integer: before the walk each column gets a
 table row of its pair values with every later column, one bit slot per
-(m, label), and the walk carries the sum of the rows placed so far. The
-tests keep the word enumeration and the route that rebuilt each descent set
-at the leaves, with its column-by-column pair loop (tests/oracles.py), as
+(m, label), and the walk carries the sum of the rows placed so far. It
+also carries one tally index that packs (descent mask, q-degree, t-degree)
+into fixed bit fields, and the node with two labels left counts the last
+label's column in its own loop, so each leaf is one increment of a flat
+list at that index (a dict where that index space is sparse). The tests
+keep the word enumeration and the route that rebuilt each descent set at
+the leaves, with its column-by-column pair loop (tests/oracles.py), as
 independent routes.
 
 The cancellation analysis defines the A and the B set of the rotation
@@ -21,7 +25,8 @@ five-condition search, which looks for their meet, tries the end labels
 
 from __future__ import annotations
 
-from itertools import product
+from collections import defaultdict
+from itertools import compress, product
 
 from .scalar import SeriesBuilder, compare, t_series
 from .involution import d_k_rev
@@ -77,7 +82,7 @@ def parking_sum(n, k, N):
     quasi-symmetric F_D, where D holds each j whose successor j+1 is read
     before j. So the recursion runs over paths m and at most n! label
     permutations per path instead of N^n words, and counts (D, q-degree,
-    t-degree) at the leaves.
+    t-degree) at the leaves, each as one index of a flat tally.
 
     The pairwise statistic is read from a packed table. Before the walk,
     each column (mi, ai) gets one integer delta[mi][ai] whose slot at
@@ -95,10 +100,22 @@ def parking_sum(n, k, N):
     Columns are placed left to right, so when label v goes in at height mv
     each neighbour already placed decides its descent at once: v-1 is in D
     iff its height is at most mv, and v is in D iff the height of v+1 is
-    above mv. D is carried as a bitmask (bit j-1 for j). Once one label is
-    left, the heights of its column are the leaves, counted in one loop
-    rather than by a further call each. The (D, q, t) tallies are expanded
-    by labels.fundamental_expansion, as for xi and the chromatic function.
+    above mv. Each descent bit is decided once, when the second label of
+    its pair (j, j+1) goes in.
+
+    The walk carries (D, q, t) as one tally index: q in the low field, t
+    above it, D on top (bit j-1 for j). Both degrees are at most k C(n, 2),
+    q as each pair adds at most k and t as the PF step bounds m_i by
+    (i-1)k, so each field is w bits wide, w the bound's bit length, and an
+    addition never carries out of its field. A child adds its slot of acc
+    to the q field, its height to the t field and its descent bits to the
+    mask. The node with two labels left places one, and counts each height
+    of the last label's column as a leaf in the same loop, so a leaf is one
+    increment of a flat list of 2^(n-1+2w) entries. Where that is more than
+    8 times the number of leaves, as at n = 2 with k large, the tally is a
+    dict of the reached indices instead. Its nonzero entries become the
+    (D, q, t) tallies that labels.fundamental_expansion expands, as for xi
+    and the chromatic function.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -112,8 +129,8 @@ def parking_sum(n, k, N):
         # the lowest bit of the slot of (mv, av): n slots per height
         return bits * (mv * n + av - 1)
 
-    shift = [[0] + [offset(mv, av) for av in range(1, n + 1)]
-             for mv in heights]  # label 0 is unused
+    # label -> height -> the offset of its slot (label 0 is unused)
+    shift = [[offset(mv, av) for mv in heights] for av in range(n + 1)]
     # a pair value depends on mv - mi, so the column at height k gives every
     # row: moving it by whole heights drops the slots that fall below m = 0,
     # and the slots above the top height are never read
@@ -123,47 +140,71 @@ def parking_sum(n, k, N):
                   for ai in range(1, n + 1)]
     delta = [[row << offset(mi, 1) >> offset(k, 1) for row in at_k]
              for mi in heights]
-    counts = {}  # (descent mask, q-deg, t-deg) -> number of (m, sigma)
+    # the tally index: q-degree in the low field, t-degree above it, the
+    # descent mask on top; both degrees are at most k C(n, 2)
+    width = (k * n * (n - 1) // 2).bit_length()
+    t_low, d_low = width, 2 * width
+    t_step = [mv << t_low for mv in heights]
+    # placing v adds bit v-2 (v-1 in D) or bit v-1 (v in D) of the mask
+    low_bit = [0, 0] + [1 << (d_low + v - 2) for v in range(2, n + 1)]
+    high_bit = [0] + [1 << (d_low + v - 1) for v in range(1, n)] + [0]
+    # index -> number of (m, sigma): a list, unless the index space is more
+    # than 8 times the number of leaves, the (kn+1)^(n-1) k-parking
+    # functions, as at n = 2 where it is about k times; there a dict of the
+    # reached indices is cheaper to fill and to read back
+    size = 1 << (d_low + n - 1)
+    dense = size <= 8 * (k * n + 1) ** (n - 1)
+    tally = [0] * size if dense else defaultdict(int)
     height = [-1] * (n + 2)  # label -> m of its column, -1 while unplaced
 
-    def rec(stat, acc, area, mask, rest, left, mlast, alast):
-        # rest is the sum of the unplaced labels, left their number, and
-        # (mlast, alast) the last column placed
+    def rec(index, acc, rest, left, mlast, alast):
+        # rest is the sum of the unplaced labels, left their number (at
+        # least two), and (mlast, alast) the last column placed
         top = mlast + k
-        if left == 1:
-            # one label left: each height of its column is a leaf
-            av = rest
-            below, above = height[av - 1], height[av + 1]
-            for mv in range(top + 1 if av > alast else top):
-                d = mask
-                if 0 <= below <= mv:
-                    d |= 1 << (av - 2)
-                if above > mv:
-                    d |= 1 << (av - 1)
-                key = (d, stat + (acc >> shift[mv][av] & slot), area + mv)
-                counts[key] = counts.get(key, 0) + 1
-            return
         for mv in range(top + 1):
-            shifts, deltas = shift[mv], delta[mv]
+            deltas, t = delta[mv], t_step[mv]
             for av in range(alast + 1 if mv == top else 1, n + 1):
                 if height[av] >= 0:
                     continue
-                d = mask
+                i = index + (acc >> shift[av][mv] & slot) + t
                 if 0 <= height[av - 1] <= mv:
-                    d |= 1 << (av - 2)
+                    i += low_bit[av]
                 if height[av + 1] > mv:
-                    d |= 1 << (av - 1)
+                    i += high_bit[av]
                 height[av] = mv
-                rec(stat + (acc >> shifts[av] & slot), acc + deltas[av],
-                    area + mv, d, rest - av, left - 1, mv, av)
+                if left > 2:
+                    rec(i, acc + deltas[av], rest - av, left - 1, mv, av)
+                else:
+                    # the last label bv: each height of its column is a
+                    # leaf (below is -1 only for bv = 1, whose low bit is 0)
+                    bv, after = rest - av, acc + deltas[av]
+                    below, above = height[bv - 1], height[bv + 1]
+                    low, high, col = low_bit[bv], high_bit[bv], shift[bv]
+                    for mw in range(mv + k + 1 if bv > av else mv + k):
+                        j = i + (after >> col[mw] & slot) + t_step[mw]
+                        if below <= mw:
+                            j += low
+                        if mw < above:
+                            j += high
+                        tally[j] += 1
                 height[av] = -1
 
-    # a virtual last column (-k, 0): the first column is then forced to
-    # m = 0 with any label, and its pairwise value with any column is <= 0,
-    # so it adds nothing to acc
-    rec(0, 0, 0, 0, n * (n + 1) // 2, n, -k, 0)
-    return Poly(N, 0, {(exps, ()): c for exps, c
-                       in fundamental_expansion(counts, n, N)})
+    if n == 1:
+        tally[0] = 1  # one column, at m = 0: no descent, q^0 t^0
+    else:
+        # a virtual last column (-k, 0): the first column is then forced to
+        # m = 0 with any label, and its pairwise value with any column is
+        # <= 0, so it adds nothing to acc
+        rec(0, 0, n * (n + 1) // 2, n, -k, 0)
+    field = (1 << width) - 1
+    reached = (((i, tally[i]) for i in compress(range(size), tally))
+               if dense else tally.items())
+    counts = {(i >> d_low, i & field, i >> t_low & field): c
+              for i, c in reached}
+    del tally, reached  # free the tally before the expansion's subset sums
+    expansion = fundamental_expansion(counts, n, N)
+    del counts  # the expansion frees the tallies once it has regrouped them
+    return Poly(N, 0, {(exps, ()): c for exps, c in expansion})
 
 
 def nabla_en_expansion(n, k, N):

@@ -5,7 +5,8 @@ import pytest
 from oracles import (fundamental_monomials, parking_sum_by_descent_tuples,
                      parking_terms)
 from qtnabla.involution import d_k_rev
-from qtnabla.labels import compositions, partial_sum_mask
+from qtnabla.labels import (compositions, fundamental_expansion,
+                            partial_sum_mask)
 from qtnabla.scalar import ONE, Q, QtScalar, T
 from qtnabla.shuffle import (
     cancellation_check, five_condition_witness, in_shuffle_set,
@@ -119,6 +120,32 @@ def test_packed_slot_holds_the_largest_increment():
         assert _bits(got) == _bits(want), (n, k)
         top = max(qd for c in got.terms.values() for qd, _ in c.num)
         assert top == k * n * (n - 1) // 2, (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (2, 7), (6, 1), (2, 200)])
+def test_tally_index_fields_hold_the_top_degrees(monkeypatch, n, k):
+    # k C(n, 2) bounds the q- and the t-degree, each in a tally index field
+    # of its bit length: at the first three sizes it is 2^j - 1 and fills
+    # its field, so a narrower field would carry into the next one; (2, 200)
+    # is a wide field at n = 2. Both n = 2 sizes tally in the sparse dict,
+    # the others in the list. n columns with rising labels have the full
+    # descent mask, and q^0 t^{k C(n, 2)} at heights 0, k, 2k, ..., and
+    # q^{k C(n, 2)} t^0 at height 0.
+    import qtnabla.shuffle as shuffle
+    tallies = []
+
+    def spy(counts, *sizes):
+        tallies.append(counts)
+        return fundamental_expansion(counts, *sizes)
+
+    monkeypatch.setattr(shuffle, "fundamental_expansion", spy)
+    got, want = parking_sum(n, k, n), parking_sum_by_descent_tuples(n, k, n)
+    assert _bits(got) == _bits(want), (n, k)
+    top, full = k * n * (n - 1) // 2, (1 << (n - 1)) - 1
+    (counts,) = tallies
+    assert max(td for _, _, td in counts) == top, (n, k)
+    assert max(qd for _, qd, _ in counts) == top, (n, k)
+    assert (full, 0, top) in counts and (full, top, 0) in counts, (n, k)
 
 
 def test_parking_sum_rejects_n_below_one():
